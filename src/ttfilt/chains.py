@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gf2 import BitMatrix, C2Module, equivariance_rows
+from .gf2 import BitMatrix, C2Module, LinearSystem, equivariance_rows
 from .filtmod import (
     FiltModule,
     FormalSum,
@@ -20,7 +20,7 @@ from .filtmod import (
     direct_sum as filt_sum,
     dual as filt_dual,
     e_label,
-    morphism_rows,
+    morphism_equations,
     realize,
     realize_sum,
     tensor as filt_tensor,
@@ -79,13 +79,15 @@ def cell_dual(kind, a):
     return filt_dual(a)
 
 
-def cell_constraint_rows(kind, source, target) -> list[int]:
-    """Linear constraints cutting out the hom space inside all matrices."""
-    if kind == F2:
-        return []
+def _hom_block(system: LinearSystem, kind, source, target) -> int:
+    """Allocate an unknown matrix source -> target in system, constrained
+    to the morphisms of the cell category."""
+    block = system.block(cell_dim(kind, target), cell_dim(kind, source))
     if kind == C2:
-        return equivariance_rows(target, source)
-    return morphism_rows(source, target)
+        system.constrain(block, equivariance_rows(target, source))
+    elif kind == FILT:
+        morphism_equations(system, block, source, target)
+    return block
 
 
 def cell_is_morphism(kind, source, target, m: BitMatrix) -> bool:
@@ -445,70 +447,31 @@ def truncation_delta(x: Complex, n: int) -> ChainMap:
 # ---------------------------------------------------------------------------
 
 
+def _graded_system(x: Complex, y: Complex, degs: range, s: int, rhs=None):
+    """Unknown cell morphisms g_n: x_n -> y_{n+s} for n in degs, subject to
+    d_y g_n + g_{n-1} d_x = rhs(n) in every degree (zero if rhs is None).
+
+    Returns the system and the block of each g_n."""
+    system = LinearSystem()
+    blocks = {n: _hom_block(system, x.kind, x.term(n), y.term(n + s)) for n in degs}
+    for n in range(degs.start, degs.stop + 1):
+        terms = [(y.diff(n + s), blocks[n], None)] if n in blocks else []
+        if n - 1 in blocks:
+            terms.append((None, blocks[n - 1], x.diff(n).transpose().data))
+        system.equation(terms, None if rhs is None else rhs(n))
+    return system, blocks
+
+
 def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
     """Solve d h + h d = f as one global linear system over the cell homs."""
     x, y = f.source, f.target
     degs = range(min(x.d_min, y.d_min) - 1, max(x.d_max, y.d_max) + 2)
-    offsets = {}
-    total = 0
-    for n in degs:
-        dn, dn1 = x.dim(n), y.dim(n + 1)
-        if dn and dn1:
-            offsets[n] = total
-            total += dn1 * dn
-    rows: list[int] = []
-    rhs: list[int] = []
-    # membership constraints for each h_n
-    for n, off in offsets.items():
-        for row in cell_constraint_rows(x.kind, x.term(n), y.term(n + 1)):
-            rows.append(row << off)
-            rhs.append(0)
-    # d h + h d = f, one equation per matrix entry per degree
-    for n in degs:
-        rt, ct = y.dim(n), x.dim(n)
-        if rt == 0 or ct == 0:
-            if not f.comp(n).is_zero():
-                return None
-            continue
-        dy = y.diff(n + 1)
-        dx_t = x.diff(n).transpose()
-        fmat = f.comp(n)
-        for i in range(rt):
-            for j in range(ct):
-                row = 0
-                if n in offsets:
-                    base = offsets[n]
-                    kk = dy.data[i]
-                    while kk:
-                        low = kk & -kk
-                        row ^= 1 << (base + (low.bit_length() - 1) * ct + j)
-                        kk ^= low
-                if n - 1 in offsets:
-                    base = offsets[n - 1]
-                    width = x.dim(n - 1)
-                    kk = dx_t.data[j]
-                    while kk:
-                        low = kk & -kk
-                        row ^= 1 << (base + i * width + (low.bit_length() - 1))
-                        kk ^= low
-                val = fmat.entry(i, j)
-                if row or val:
-                    rows.append(row)
-                    rhs.append(val)
-    mat = BitMatrix(len(rows), total, tuple(rows))
-    b = sum((v & 1) << i for i, v in enumerate(rhs))
-    sol = mat.solve(b)
+    system, blocks = _graded_system(x, y, degs, 1, f.comp)
+    sol = system.solve()
     if sol is None:
         return None
-    comps = {}
-    for n, off in offsets.items():
-        ct = x.dim(n)
-        mask = (1 << ct) - 1
-        rows_n = tuple((sol >> (off + i * ct)) & mask for i in range(y.dim(n + 1)))
-        m = BitMatrix(y.dim(n + 1), ct, rows_n)
-        if not m.is_zero():
-            comps[n] = m
-    h = Homotopy(x, y, tuple(sorted(comps.items())))
+    comps = ((n, system.matrix(b, sol)) for n, b in blocks.items())
+    h = Homotopy(x, y, tuple((n, m) for n, m in comps if not m.is_zero()))
     if not h.certifies(f):
         raise MathEngineError("homotopy solution failed certification")
     return h
@@ -593,7 +556,6 @@ def minimize(x: Complex) -> MinimalForm:
     kind = x.kind
     if x.is_zero():
         zc = Complex(kind, 0, (), ())
-        empty = ChainMap.of(zc, x, {}, check=False)
         return MinimalForm(zc, ChainMap.of(zc, x, {}, check=False), ChainMap.of(x, zc, {}, check=False), ())
 
     labels: dict[int, list] = {}
@@ -742,58 +704,10 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
     """Basis of the space of chain maps x -> y (one global kernel solve)."""
     if x.kind != y.kind:
         raise ValueError("cell-kind mismatch")
-    offsets = {}
-    total = 0
-    for n in range(min(x.d_min, y.d_min), max(x.d_max, y.d_max) + 1):
-        da, db = x.dim(n), y.dim(n)
-        if da and db:
-            offsets[n] = total
-            total += db * da
-    if total == 0:
-        return []
-    rows: list[int] = []
-    for n, off in offsets.items():
-        for row in cell_constraint_rows(x.kind, x.term(n), y.term(n)):
-            rows.append(row << off)
-    for n in range(min(x.d_min, y.d_min), max(x.d_max, y.d_max) + 2):
-        rt, ct = y.dim(n - 1), x.dim(n)
-        if rt == 0 or ct == 0:
-            continue
-        dy = y.diff(n)
-        dx_t = x.diff(n).transpose()
-        for i in range(rt):
-            for j in range(ct):
-                row = 0
-                if n in offsets:
-                    width = x.dim(n)
-                    kk = dy.data[i]
-                    while kk:
-                        low = kk & -kk
-                        row ^= 1 << (offsets[n] + (low.bit_length() - 1) * width + j)
-                        kk ^= low
-                if n - 1 in offsets:
-                    width = x.dim(n - 1)
-                    kk = dx_t.data[j]
-                    while kk:
-                        low = kk & -kk
-                        row ^= 1 << (offsets[n - 1] + i * width + (low.bit_length() - 1))
-                        kk ^= low
-                if row:
-                    rows.append(row)
-    if rows:
-        basis = BitMatrix(len(rows), total, tuple(rows)).kernel().data
-    else:
-        basis = BitMatrix.identity(total).data
-    out = []
-    for flat in basis:
-        comps = {}
-        for n, off in offsets.items():
-            da = x.dim(n)
-            mask = (1 << da) - 1
-            comps[n] = BitMatrix(y.dim(n), da, tuple((flat >> (off + i * da)) & mask
-                                                     for i in range(y.dim(n))))
-        out.append(ChainMap.of(x, y, comps, check=False))
-    return out
+    degs = range(min(x.d_min, y.d_min), max(x.d_max, y.d_max) + 1)
+    system, blocks = _graded_system(x, y, degs, 0)
+    return [ChainMap.of(x, y, {n: system.matrix(b, v) for n, b in blocks.items()}, check=False)
+            for v in system.kernel()]
 
 
 def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):

@@ -17,8 +17,11 @@ from typing import Optional
 from .gf2 import (
     BitMatrix,
     C2Module,
+    LinearSystem,
     Subspace,
+    _bits,
     equivariance_rows,
+    induced_map,
     quotient_module,
 )
 
@@ -259,17 +262,15 @@ def tensor(a: FiltModule, b: FiltModule) -> FiltModule:
     for w in range(w_min, w_max + 2):
         vecs: list[int] = []
         for p in range(a.w_min, a.w_max + 1):
-            la = a.layer(p)
-            lb = b.layer(w - p)
-            for u in la.basis.data:
-                for v in lb.basis.data:
-                    vec = 0
-                    x = u
-                    while x:
-                        low = x & -x
-                        vec |= v << ((low.bit_length() - 1) * b.dim)
-                        x ^= low
-                    vecs.append(vec)
+            lb = b.layer(w - p).basis.data
+            if not lb:
+                continue
+            for u in a.layer(p).basis.data:
+                # u (x) v: a copy of v at offset k * b.dim for each set bit k of u
+                spread = 0
+                for k in _bits(u):
+                    spread |= 1 << (k * b.dim)
+                vecs.extend([v * spread for v in lb])
         layers.append(Subspace.span(mod.dim, vecs))
     return FiltModule.build(mod, w_min, layers)
 
@@ -361,47 +362,23 @@ class FiltMorphism:
         return FiltMorphism(a, a, BitMatrix.identity(a.dim))
 
 
-def morphism_rows(source: FiltModule, target: FiltModule) -> list[int]:
-    """GF(2) constraints (over target.dim x source.dim unknowns, row-major)
-    cutting out the filtered equivariant maps source -> target."""
-    da, db = source.dim, target.dim
-    rows = list(equivariance_rows(target.module, source.module))
+def morphism_equations(system: LinearSystem, x: int, source: FiltModule, target: FiltModule) -> None:
+    """Constrain the block x (target.dim x source.dim) of system to the
+    filtered equivariant maps source -> target."""
+    if source.is_zero() or target.is_zero():
+        return
+    system.constrain(x, equivariance_rows(target.module, source.module))
+    # the annihilator of the target layer kills the image of the source layer
     for w in range(target.w_min + 1, source.w_max + 1):
-        src_lay = source.layer(w)
-        if src_lay.is_zero():
-            continue
-        tgt_perp = target.layer(w).perp()
-        if tgt_perp.is_zero():
-            continue
-        for v in src_lay.basis.data:
-            for c in tgt_perp.basis.data:
-                r = 0
-                ci = c
-                while ci:
-                    low = ci & -ci
-                    r |= v << ((low.bit_length() - 1) * da)
-                    ci ^= low
-                rows.append(r)
-    return rows
+        system.equation([(target.layer(w).perp().basis, x, source.layer(w).basis.data)])
 
 
 def hom_basis(source: FiltModule, target: FiltModule) -> list[FiltMorphism]:
     """Basis of the space of filtration-preserving equivariant maps."""
-    da, db = source.dim, target.dim
-    if da == 0 or db == 0:
-        return []
-    rows = morphism_rows(source, target)
-    if rows:
-        sol = BitMatrix(len(rows), db * da, tuple(rows)).kernel()
-        vecs = sol.data
-    else:
-        vecs = BitMatrix.identity(db * da).data
-    mask = (1 << da) - 1
-    out = []
-    for v in vecs:
-        mat = BitMatrix(db, da, tuple((v >> (i * da)) & mask for i in range(db)))
-        out.append(FiltMorphism(source, target, mat))
-    return out
+    system = LinearSystem()
+    x = system.block(target.dim, source.dim)
+    morphism_equations(system, x, source, target)
+    return [FiltMorphism(source, target, system.matrix(x, v)) for v in system.kernel()]
 
 
 def beta_map(a: FiltModule) -> FiltMorphism:
@@ -537,19 +514,8 @@ def decompose(a: FiltModule) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
-def _gr_data(a: FiltModule):
-    """Per-weight graded pieces with representative bases, for all weights in range."""
-    out = {}
-    for w in range(a.w_min, a.w_max + 1):
-        piece, reps = quotient_module(a.module, a.layer(w), a.layer(w + 1))
-        out[w] = (piece, reps)
-    return out
-
-
 def gr_map(f: FiltMorphism, w: int) -> BitMatrix:
     """Weight-w component of the graded map induced by f."""
-    from .gf2 import induced_map
-
     src, s_reps = quotient_module(f.source.module, f.source.layer(w), f.source.layer(w + 1))
     tgt, t_reps = quotient_module(f.target.module, f.target.layer(w), f.target.layer(w + 1))
     return induced_map(s_reps, t_reps, f.target.layer(w + 1), f.matrix)
@@ -581,66 +547,15 @@ def _split_exact_equivariant(amod, bmod, cmod, gf: BitMatrix, gg: BitMatrix) -> 
     da, db, dc = amod.dim, bmod.dim, cmod.dim
     if db != da + dc:
         return False
-    n_r, n_s = da * db, db * dc
-    rows: list[int] = []
-    rhs: list[int] = []
-
-    def r_idx(i, j):
-        return i * db + j
-
-    def s_idx(i, j):
-        return n_r + i * dc + j
-
-    for row in equivariance_rows(amod, bmod):
-        rows.append(row)
-        rhs.append(0)
-    for row in equivariance_rows(bmod, cmod):
-        shifted = 0
-        x = row
-        while x:
-            low = x & -x
-            shifted |= 1 << (n_r + low.bit_length() - 1)
-            x ^= low
-        rows.append(shifted)
-        rhs.append(0)
-    # r . gf = id_A
-    gf_t = gf.transpose()
-    for i in range(da):
-        for j in range(da):
-            row = 0
-            for k in _bit_positions(gf_t.data[j]):
-                row ^= 1 << r_idx(i, k)
-            rows.append(row)
-            rhs.append(1 if i == j else 0)
-    # gg . s = id_C
-    for i in range(dc):
-        for j in range(dc):
-            row = 0
-            for k in _bit_positions(gg.data[i]):
-                row ^= 1 << s_idx(k, j)
-            rows.append(row)
-            rhs.append(1 if i == j else 0)
-    # gf . r + s . gg = id_B
-    gg_t = gg.transpose()
-    for i in range(db):
-        for j in range(db):
-            row = 0
-            for k in _bit_positions(gf.data[i]):
-                row ^= 1 << r_idx(k, j)
-            for k in _bit_positions(gg_t.data[j]):
-                row ^= 1 << s_idx(i, k)
-            rows.append(row)
-            rhs.append(1 if i == j else 0)
-    mat = BitMatrix(len(rows), n_r + n_s, tuple(rows))
-    b = sum((v & 1) << i for i, v in enumerate(rhs))
-    return mat.solve(b) is not None
-
-
-def _bit_positions(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    system = LinearSystem()
+    r = system.block(da, db)
+    s = system.block(db, dc)
+    system.constrain(r, equivariance_rows(amod, bmod))
+    system.constrain(s, equivariance_rows(bmod, cmod))
+    system.equation([(None, r, gf.transpose().data)], BitMatrix.identity(da))
+    system.equation([(gg, s, None)], BitMatrix.identity(dc))
+    system.equation([(gf, r, None), (None, s, gg.transpose().data)], BitMatrix.identity(db))
+    return system.solve() is not None
 
 
 def is_projective(a: FiltModule) -> bool:

@@ -8,7 +8,7 @@ derived weight-zero functors rwz / tfgt.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, C2Module, Subspace, image, kernel_space, quotient_module, induced_map
+from .gf2 import BitMatrix, C2Module, LinearSystem, Subspace, image, kernel_space, quotient_module, induced_map
 from .filtmod import FiltModule, MathEngineError, pwz_module
 from .chains import (
     C2,
@@ -292,20 +292,12 @@ def is_zero_DE(x: Complex) -> bool:
 
 def _express(basis: list[BitMatrix], target: BitMatrix):
     """Coefficients of target in a basis of matrices, or None."""
-    if not basis:
-        return 0 if target.is_zero() else None
-    rc = basis[0].rows * basis[0].cols
-    da = basis[0].cols
-    rows = []
-    for m in basis:
-        flat = 0
-        for i, r in enumerate(m.data):
-            flat |= r << (i * da)
-        rows.append(flat)
-    tflat = 0
-    for i, r in enumerate(target.data):
-        tflat |= r << (i * da)
-    return BitMatrix(len(rows), rc, tuple(rows)).transpose().solve(tflat)
+    system = LinearSystem()
+    c = system.block(1, len(basis))
+    # c . B = target, with row k of B the entries of basis[k]
+    b_mat = BitMatrix(len(basis), target.rows * target.cols, tuple(m.flat() for m in basis))
+    system.equation([(None, c, b_mat.transpose().data)], BitMatrix(1, b_mat.cols, (target.flat(),)))
+    return system.solve()
 
 
 def hom_DE(x: Complex, y: Complex) -> dict[int, int]:

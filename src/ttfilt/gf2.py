@@ -20,6 +20,25 @@ def _bits(x: int):
         x ^= low
 
 
+def _spread(x: int, offset: int, width: int) -> int:
+    """Bit offset + k * width for each set bit k of x.
+
+    For 0 <= v < 2**width, v * _spread(x, offset, width) places a copy of v
+    at each of those positions, without carries."""
+    table = _spread_bytes(width)
+    out = 0
+    while x:
+        out |= table[x & 255] << offset
+        x >>= 8
+        offset += 8 * width
+    return out
+
+
+@lru_cache(maxsize=256)
+def _spread_bytes(width: int) -> tuple[int, ...]:
+    return tuple(sum(1 << (k * width) for k in _bits(b)) for b in range(256))
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     rows: int
@@ -76,6 +95,10 @@ class BitMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.data)
+
+    def flat(self) -> int:
+        """Entries as one int, row-major: entry (i, j) is bit i * cols + j."""
+        return sum(r << (i * self.cols) for i, r in enumerate(self.data))
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and all(r == 1 << i for i, r in enumerate(self.data))
@@ -141,14 +164,8 @@ class BitMatrix:
         """Kronecker product; index (i1, i2) maps to i1 * other.rows + i2."""
         data = []
         for r1 in self.data:
-            expand = 0
-            for j in _bits(r1):
-                expand |= ((1 << other.cols) - 1) << (j * other.cols)
-            for r2 in other.data:
-                row = 0
-                for j in _bits(r1):
-                    row |= r2 << (j * other.cols)
-                data.append(row)
+            spread = _spread(r1, 0, other.cols)
+            data.extend(r2 * spread for r2 in other.data)
         return BitMatrix(self.rows * other.rows, self.cols * other.cols, tuple(data))
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "BitMatrix":
@@ -279,13 +296,84 @@ class BitMatrix:
         return BitMatrix(n, n, tuple((r >> n) & mask for r in red.data[:n]))
 
 
-def solve_system(rows: list[int], n_unknowns: int, rhs: Optional[list[int]] = None) -> Optional[int]:
-    """Solve a sparse GF(2) system given as bitmask rows; rhs defaults to 0."""
-    if rhs is None:
-        rhs = [0] * len(rows)
-    mat = BitMatrix(len(rows), n_unknowns, tuple(rows))
-    b = sum((v & 1) << i for i, v in enumerate(rhs))
-    return mat.solve(b)
+class LinearSystem:
+    """Unknown matrices over GF(2) and linear equations on them.
+
+    block() allocates an unknown matrix X_b; its entries are packed
+    row-major, blocks in allocation order, into one flat unknown vector (an
+    int).  equation() adds the entrywise equations sum L . X_b . R = C.
+    kernel() and solve() come from reduced echelon form, so they depend only
+    on the layout and the span of the equations, not on their order.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.rows: list[int] = []
+        self.rhs = 0  # bit i is the right-hand side of rows[i]
+        self._blocks: list[tuple[int, int, int]] = []  # (offset, rows, cols)
+
+    def block(self, rows: int, cols: int) -> int:
+        """Allocate a rows x cols unknown matrix and return its id."""
+        self._blocks.append((self.n, rows, cols))
+        self.n += rows * cols
+        return len(self._blocks) - 1
+
+    def equation(self, terms, rhs: Optional[BitMatrix] = None) -> None:
+        """Add sum over terms (L, b, R) of L . X_b . R = rhs (zero if None).
+
+        L is a BitMatrix, or None for the identity.  R is given by its
+        columns (ints over the columns of X_b), or None for the identity, so
+        each equation row is one shifted copy of a column of R per set bit
+        of a row of L."""
+        acc, shape = [], None
+        for left, b, right in terms:
+            off, nr, nc = self._blocks[b]
+            if right is None:
+                right = [1 << j for j in range(nc)]
+            elif max(right, default=0) >> nc:
+                raise ValueError("right factor does not match the block")
+            if left is None:
+                spreads = [1 << (off + i * nc) for i in range(nr)]
+            elif left.cols != nr:
+                raise ValueError("left factor does not match the block")
+            else:
+                spreads = [_spread(r, off, nc) for r in left.data]
+            if shape not in (None, (len(spreads), len(right))):
+                raise ValueError("equation terms differ in shape")
+            rows = [s * c for s in spreads for c in right]
+            acc = rows if shape is None else [a ^ r for a, r in zip(acc, rows)]
+            shape = (len(spreads), len(right))
+        if rhs is None:
+            self.rows.extend(filter(None, acc))
+            return
+        if shape is None:  # no terms: the equation reads 0 = rhs
+            acc = [0] * (rhs.rows * rhs.cols)
+        elif (rhs.rows, rhs.cols) != shape:
+            raise ValueError("right-hand side does not match the equation")
+        self.rhs |= rhs.flat() << len(self.rows)
+        self.rows.extend(acc)
+
+    def constrain(self, b: int, rows) -> None:
+        """Add homogeneous rows already packed over the entries of X_b."""
+        off = self._blocks[b][0]
+        self.rows.extend([r << off for r in rows] if off else rows)
+
+    def _coefficients(self) -> BitMatrix:
+        return BitMatrix(len(self.rows), self.n, tuple(self.rows))
+
+    def kernel(self) -> tuple[int, ...]:
+        """Basis of the homogeneous solutions, as flat unknown vectors."""
+        return self._coefficients().kernel().data
+
+    def solve(self) -> Optional[int]:
+        """A flat solution (free unknowns zero), or None if inconsistent."""
+        return self._coefficients().solve(self.rhs)
+
+    def matrix(self, b: int, flat: int) -> BitMatrix:
+        """The value of X_b in a flat unknown vector."""
+        off, nr, nc = self._blocks[b]
+        mask = (1 << nc) - 1
+        return BitMatrix(nr, nc, tuple((flat >> (off + i * nc)) & mask for i in range(nr)))
 
 
 @dataclass(frozen=True)
@@ -493,34 +581,18 @@ def _equivariance_rows_cached(target, source):
 
 
 def _equivariance_rows_raw(target: C2Module, source: C2Module) -> tuple[int, ...]:
-    da, db = source.dim, target.dim
-    sa, sb = source.sigma, target.sigma
-    sa_t = sa.transpose()
-    rows = []
-    for i in range(db):
-        for j in range(da):
-            r = 0
-            for k in _bits(sb.data[i]):
-                r ^= 1 << (k * da + j)
-            for k in _bits(sa_t.data[j]):
-                r ^= 1 << (i * da + k)
-            if r:
-                rows.append(r)
-    return tuple(rows)
+    system = LinearSystem()
+    x = system.block(target.dim, source.dim)
+    system.equation([(target.sigma, x, None), (None, x, source.sigma.transpose().data)])
+    return tuple(system.rows)
 
 
 def hom_basis_c2(source: C2Module, target: C2Module) -> list[BitMatrix]:
     """Basis of the space of equivariant matrices source -> target."""
-    da, db = source.dim, target.dim
-    if da == 0 or db == 0:
-        return []
-    rows = equivariance_rows(target, source)
-    sol = BitMatrix(len(rows), db * da, tuple(rows)).kernel() if rows \
-        else BitMatrix.identity(db * da)
-    out = []
-    for v in sol.data:
-        out.append(BitMatrix(db, da, tuple((v >> (i * da)) & ((1 << da) - 1) for i in range(db))))
-    return out
+    system = LinearSystem()
+    x = system.block(target.dim, source.dim)
+    system.constrain(x, equivariance_rows(target, source))
+    return [system.matrix(x, v) for v in system.kernel()]
 
 
 def quotient_module(module: C2Module, sub: Subspace, below: Subspace) -> tuple[C2Module, BitMatrix]:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix
 from .chains import (
     FILT,
+    _EPS,
+    _ETA,
     ChainMap,
     Complex,
     cone,
@@ -79,10 +80,6 @@ class MotiveExpr:
 
     def __mul__(self, other: "MotiveExpr") -> "MotiveExpr":
         return MotiveExpr("tensor", (self, other))
-
-
-_ETA = BitMatrix.from_rows([[1], [1]])
-_EPS = BitMatrix.from_rows([[1, 1]])
 
 
 def _cone_named(name: str) -> Complex:

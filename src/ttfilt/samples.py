@@ -7,16 +7,16 @@ random.Random so runs are reproducible.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
-from .gf2 import BitMatrix, C2Module
+from .gf2 import BitMatrix, C2Module, LinearSystem
 from .chains import (
     C2,
     FILT,
     ChainMap,
     Complex,
+    _hom_block,
     build_complex,
-    cell_constraint_rows,
-    cell_dim,
 )
 from .filtmod import FiltModule, FormalSum, IndecLabel, e_label, realize_sum, unit_label
 
@@ -60,24 +60,17 @@ def random_c2_module(rng: random.Random, max_dim: int = 4) -> C2Module:
     return C2Module.standard(a, b)
 
 
-def _random_in_hom(rng: random.Random, kind, src, tgt, extra_rows=None) -> BitMatrix:
-    """Random element of the hom space, optionally inside extra constraints."""
-    rows = list(cell_constraint_rows(kind, src, tgt))
-    if extra_rows:
-        rows.extend(extra_rows)
-    da, db = cell_dim(kind, src), cell_dim(kind, tgt)
-    if da == 0 or db == 0:
-        return BitMatrix.zero(db, da)
-    if rows:
-        basis = BitMatrix(len(rows), db * da, tuple(rows)).kernel().data
-    else:
-        basis = BitMatrix.identity(db * da).data
+def _random_in_hom(rng: random.Random, kind, src, tgt, prev: Optional[BitMatrix] = None) -> BitMatrix:
+    """Random element of the hom space, composing to zero with prev if given."""
+    system = LinearSystem()
+    d = _hom_block(system, kind, src, tgt)
+    if prev is not None:
+        system.equation([(prev, d, None)])
     flat = 0
-    for v in basis:
+    for v in system.kernel():
         if rng.getrandbits(1):
             flat ^= v
-    mask = (1 << da) - 1
-    return BitMatrix(db, da, tuple((flat >> (i * da)) & mask for i in range(db)))
+    return system.matrix(d, flat)
 
 
 def random_complex(rng: random.Random, kind: str, n_degrees: int = 3,
@@ -95,29 +88,8 @@ def random_complex(rng: random.Random, kind: str, n_degrees: int = 3,
     diffs: dict[int, BitMatrix] = {}
     prev = None  # differential out of degree n-1
     for n in range(d_min + 1, d_min + n_degrees):
-        src, tgt = terms[n], terms[n - 1]
-        da, db = cell_dim(kind, src), cell_dim(kind, tgt)
-        extra = []
-        if prev is not None and not prev.is_zero():
-            # entries of prev @ d must vanish: row per (i, j) entry
-            for i in range(prev.rows):
-                for j in range(da):
-                    row = 0
-                    for k in _bits(prev.data[i]):
-                        row ^= 1 << (k * da + j)
-                    if row:
-                        extra.append(row)
-        d = _random_in_hom(rng, kind, src, tgt, extra)
-        diffs[n] = d
-        prev = d
+        prev = diffs[n] = _random_in_hom(rng, kind, terms[n], terms[n - 1], prev)
     return build_complex(kind, terms, diffs)
-
-
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:

@@ -46,6 +46,7 @@ from .chains import (
     dual_complex,
     fund0,
     fund_seq,
+    fundpur,
     koszul_T,
     lpure,
     minimize,
@@ -56,6 +57,7 @@ from .chains import (
     tensor_complex,
     twist_complex,
 )
+from .functors import fgt_complex
 from .motives import MotiveExpr, to_filtered
 
 
@@ -586,7 +588,7 @@ def _supp_report(command: str, query: str, x: Complex) -> Report:
 def run(command: str, args: list[str]) -> Report:
     """Execute one engine query; deterministic output for fixed input."""
     from . import spectrum
-    from .functors import fgt_complex, gr_complex, hom_DE, tate_dim, tfgt
+    from .functors import gr_complex, hom_DE, tate_dim, tfgt
 
     if command == "decompose":
         (text,) = _args(args, 1)
@@ -749,12 +751,12 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
 
     for n in (-2, 2):
         add(f"tfgt/unit-twist{n}", tfgt(_eval_arg(f"1({n})")) == invertpur_pow(-n), True)
-    add("tfgt/conebeta", signature(tfgt(cone_beta())) == signature(shift(_fundpur(), -1)), True)
-    add("tfgt/fgt-homology", homology(tfgt(fund0())) == homology(_fgt(fund0())), True)
+    add("tfgt/conebeta", signature(tfgt(cone_beta())) == signature(shift(fundpur(), -1)), True)
+    add("tfgt/fgt-homology", homology(tfgt(fund0())) == homology(fgt_complex(fund0())), True)
 
     # nilpotence of the counit collapse on the basic acyclic complex
     eps1 = _eps_power(3)
-    f = tensor_map(eps1, ChainMap.identity(_fundpur()))
+    f = tensor_map(eps1, ChainMap.identity(fundpur()))
     checks.append(("nilpotence/fundpur", is_nullhomotopic(f) is not None, "power 3 kills"))
 
     rt = "E(2,0) * dual(twist(fund0, 1)) + shift(T, 2)"
@@ -764,18 +766,6 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
     add("io/roundtrip", serialize(deserialize(sample)), sample)
 
     return checks
-
-
-def _fundpur():
-    from .chains import fundpur
-
-    return fundpur()
-
-
-def _fgt(x):
-    from .functors import fgt_complex
-
-    return fgt_complex(x)
 
 
 def _eps_power(l: int):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttfilt.gf2 import BitMatrix, C2Module, Subspace, hom_basis_c2, image, kernel_space
+from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, hom_basis_c2, image, kernel_space
 
 from helpers import brute_rank
 
@@ -131,3 +131,100 @@ def test_image_and_kron():
             for j1 in range(2):
                 for j2 in range(2):
                     assert k.entry(i1 * 2 + i2, j1 * 2 + j2) == a.entry(i1, j1) * b.entry(i2, j2)
+
+
+def _random_linear_system(rng):
+    """A random system on one or two unknown blocks of shape up to 3 x 3,
+    plus the data to evaluate it by hand.  Returns (system, block ids,
+    shapes, equations, packed) where equations are (terms, rhs) with R as
+    a matrix and packed holds (block, row) constraints given as packed rows."""
+    while True:
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+        if sum(r * c for r, c in shapes) <= 12:
+            break
+    system = LinearSystem()
+    ids = [system.block(r, c) for r, c in shapes]
+    equations = []
+    for _ in range(rng.randint(1, 2)):
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        terms = []
+        for b in (rng.randrange(len(shapes)) for _ in range(rng.randint(1, 2))):
+            nr, nc = shapes[b]
+            left = None if p == nr and rng.random() < 0.5 else rand_matrix(rng, p, nr)
+            right = None if q == nc and rng.random() < 0.5 else rand_matrix(rng, nc, q)
+            terms.append((left, b, right))
+        rhs = rand_matrix(rng, p, q) if rng.random() < 0.7 else None
+        system.equation([(left, ids[b], None if right is None else right.transpose().data)
+                         for left, b, right in terms], rhs)
+        equations.append((terms, rhs))
+    packed = []
+    if rng.random() < 0.5:
+        b = rng.randrange(len(shapes))
+        packed = [(b, rng.getrandbits(shapes[b][0] * shapes[b][1])) for _ in range(rng.randint(1, 2))]
+        for b, row in packed:
+            system.constrain(ids[b], (row,))
+    return system, ids, shapes, equations, packed
+
+
+def _satisfies(xs, equations, packed, homogeneous):
+    for terms, rhs in equations:
+        total = None
+        for left, b, right in terms:
+            m = xs[b]
+            if left is not None:
+                m = left.mul(m)
+            if right is not None:
+                m = m.mul(right)
+            total = m if total is None else total.add(m)
+        want = BitMatrix.zero(total.rows, total.cols) if rhs is None or homogeneous else rhs
+        if total != want:
+            return False
+    # a packed row over a block's row-major entries is an even-parity condition
+    return all(sum(xs[b].entry(i, j) & (row >> (i * xs[b].cols + j)) & 1
+                   for i in range(xs[b].rows) for j in range(xs[b].cols)) % 2 == 0
+               for b, row in packed)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_linear_system_against_brute_force(seed):
+    rng = random.Random(seed)
+    system, ids, shapes, equations, packed = _random_linear_system(rng)
+    n = sum(r * c for r, c in shapes)
+    assert system.n == n
+    homogeneous, solutions = set(), set()
+    for flat in range(1 << n):
+        xs = [system.matrix(b, flat) for b in ids]
+        assert [(x.rows, x.cols) for x in xs] == shapes
+        if _satisfies(xs, equations, packed, True):
+            homogeneous.add(flat)
+        if _satisfies(xs, equations, packed, False):
+            solutions.add(flat)
+    kernel = system.kernel()
+    span = {0}
+    for v in kernel:
+        span |= {w ^ v for w in span}
+    assert len(span) == 1 << len(kernel)
+    assert span == homogeneous
+    sol = system.solve()
+    assert (sol is not None) == bool(solutions)
+    assert sol is None or sol in solutions
+
+
+def test_linear_system_unpacks_row_major():
+    system = LinearSystem()
+    a = system.block(2, 3)
+    b = system.block(1, 2)
+    flat = 0b10_101_011
+    assert system.matrix(a, flat) == BitMatrix.from_rows([[1, 1, 0], [1, 0, 1]])
+    assert system.matrix(b, flat) == BitMatrix.from_rows([[0, 1]])
+    assert BitMatrix.from_rows([[1, 1, 0], [1, 0, 1]]).flat() == 0b101_011
+
+
+def test_linear_system_without_unknowns():
+    system = LinearSystem()
+    system.block(0, 3)
+    assert system.kernel() == ()
+    assert system.solve() == 0
+    system.equation([], BitMatrix.identity(1))
+    assert system.solve() is None
