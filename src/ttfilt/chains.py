@@ -501,15 +501,15 @@ class MinimalForm:
 
 
 def _split_term(kind, obj):
-    """Standard-form presentation of one term: (labels, object, u) with
-    u : standard -> obj an isomorphism."""
+    """Standard-form presentation of one term: (labels, u) with
+    u : _rebuild_term(kind, labels) -> obj an isomorphism."""
     if kind == F2:
-        return ("k",) * obj, obj, BitMatrix.identity(obj)
+        return ("k",) * obj, BitMatrix.identity(obj)
     if kind == C2:
         a, b, u = obj.standard_split()
-        return ("k",) * a + ("kc2",) * b, C2Module.standard(a, b), u
+        return ("k",) * a + ("kc2",) * b, u
     dec = decompose(obj)
-    return dec.sum.labels, realize_sum(dec.sum), dec.iso.matrix
+    return dec.sum.labels, dec.iso.matrix
 
 
 def _label_dim(kind, lab) -> int:
@@ -527,12 +527,6 @@ def _offsets(kind, labels) -> list[int]:
         offs.append(off)
         off += _label_dim(kind, lab)
     return offs
-
-
-def _unit_block(kind, lab_s, lab_t, block: BitMatrix) -> bool:
-    if lab_s != lab_t:
-        return False
-    return block.inverse() is not None
 
 
 def _rebuild_term(kind, labels):
@@ -559,14 +553,12 @@ def minimize(x: Complex) -> MinimalForm:
         return MinimalForm(zc, ChainMap.of(zc, x, {}, check=False), ChainMap.of(x, zc, {}, check=False), ())
 
     labels: dict[int, list] = {}
-    terms: dict[int, object] = {}
     incl_comps: dict[int, BitMatrix] = {}
     proj_comps: dict[int, BitMatrix] = {}
     diffs: dict[int, BitMatrix] = {}
     for n in x.degrees():
-        labs, std, u = _split_term(kind, x.term(n))
+        labs, u = _split_term(kind, x.term(n))
         labels[n] = list(labs)
-        terms[n] = std
         incl_comps[n] = u
         uinv = u.inverse()
         if uinv is None:
@@ -683,10 +675,9 @@ def minimize(x: Complex) -> MinimalForm:
         proj_comps[n - 1] = sel_t_rows.mul(proj_comps[n - 1])
         del labels[n][j]
         del labels[n - 1][i]
-        terms[n] = _rebuild_term(kind, labels[n])
-        terms[n - 1] = _rebuild_term(kind, labels[n - 1])
         # zero-dimensional terms keep zero-size matrices; build_complex trims ends
 
+    terms = {n: _rebuild_term(kind, labs) for n, labs in labels.items()}
     live = {n: t for n, t in terms.items() if not cell_is_zero(kind, t)}
     mini = build_complex(kind, live, {n: d for n, d in diffs.items()
                                       if d.rows and d.cols}, check=False)

@@ -5,14 +5,16 @@ chain of invariant subspaces indexed by integer weights.  This module
 implements the tensor category structure (tensor, dual, twist), the weight
 functors (gr, fgt, weight parts), Krull-Schmidt decomposition with explicit
 isomorphism certificates, and the exactness/projectivity tests that the
-derived-category layer builds on.
+derived-category layer builds on.  The decomposition is a closed form: the
+summands and a basis adapted to them are read off the intersections
+N(V_m) & V_t and ker N & V_m, where N = 1 + sigma and V_w is the weight-w
+layer, with no search over candidate summands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from .gf2 import (
     BitMatrix,
@@ -22,6 +24,7 @@ from .gf2 import (
     _bits,
     equivariance_rows,
     induced_map,
+    kernel_space,
     quotient_module,
 )
 
@@ -404,100 +407,51 @@ class Decomposition:
                 and self.iso.matrix.mul(self.inv.matrix).is_identity())
 
 
-def _candidate_labels(a: FiltModule) -> list[IndecLabel]:
-    """Candidate summand labels, pruned by the graded dimensions of a.
-
-    Any summand has weights among the weights of a: a unit in weight n
-    needs a nonzero graded piece there; E(l, m) needs graded mass at both
-    m and m + l (two units' worth when l = 0)."""
-    grd = gr_dims(a)
-    a_mult, b_mult = a.module.module_split()
-    cands: list[IndecLabel] = []
-    if a_mult:
-        cands.extend(unit_label(n) for n in grd)
-    if b_mult:
-        for m, d in grd.items():
-            if d >= 2:
-                cands.append(e_label(0, m))
-            for l in range(1, a.w_max - m + 1):
-                if grd.get(m + l, 0) >= 1:
-                    cands.append(e_label(l, m))
-    return sorted(cands)
-
-
-def _find_summand(a: FiltModule, hint: Optional[IndecLabel] = None
-                  ) -> Optional[tuple[IndecLabel, FiltMorphism, FiltMorphism]]:
-    """Locate an indecomposable summand of a: a label I with maps f: I -> a and
-    r: a -> I whose composite is a unit in End(I).
-
-    The pairing (f, r) -> [r.f mod radical] is bilinear over GF(2), so if a
-    summand exists some basis pair composes to an invertible matrix."""
-    cands = _candidate_labels(a)
-    if hint is not None and hint in cands:
-        cands.remove(hint)
-        cands.insert(0, hint)
-    for label in cands:
-        model = realize(label)
-        ins = hom_basis(model, a)
-        if not ins:
-            continue
-        outs = hom_basis(a, model)
-        for f in ins:
-            for r in outs:
-                if r.matrix.mul(f.matrix).inverse() is not None:
-                    return label, f, r
-    return None
-
-
 def decompose(a: FiltModule) -> Decomposition:
     """Split a into indecomposables, with a certified isomorphism.
 
-    Greedy unit-composite peeling: find (f, r) with u = r.f invertible,
-    split off the summand along the idempotent f.u^{-1}.r, and recurse on
-    its kernel with the induced filtration.
+    Closed form in N = 1 + sigma and the layers V_w; only the drop weights,
+    where V_w != V_{w+1}, carry summands.  For drop weights m <= t, each
+    vector y extending N(V_{m+1}) & V_t + N(V_m) & V_{t+1} to a basis of
+    N(V_m) & V_t lifts to some e in V_m with N.e = y, and (e, sigma.e) spans
+    a summand E(t - m, m).  Each vector extending ker N & V_{m+1} +
+    N(V) & V_m to a basis of ker N & V_m spans a summand 1(m).
     """
-    labels: list[IndecLabel] = []
-    columns: list[BitMatrix] = []  # inclusion realize(label) -> a, in a-coordinates
-    current = a
-    # embed: current-coordinates -> a-coordinates (rows of the matrix)
-    embed = BitMatrix.identity(a.dim)
-    hint: Optional[IndecLabel] = None
-    while not current.is_zero():
-        found = _find_summand(current, hint)
-        if found is None:
-            raise MathEngineError("no summand found on a nonzero module")
-        label, f, r = found
-        hint = label
-        u_inv = r.matrix.mul(f.matrix).inverse()
-        proj = f.matrix.mul(u_inv).mul(r.matrix)  # idempotent onto the summand
-        labels.append(label)
-        columns.append(embed.mul(f.matrix))
-        # kernel of the idempotent = image of 1 + proj
-        ker = proj.add(BitMatrix.identity(current.dim)).transpose()
-        ker_space = Subspace.span(current.dim, ker.data)
-        kmod, reps = quotient_module(current.module, ker_space, Subspace.zero(current.dim))
-        if kmod.dim != current.dim - label.dim:
-            raise MathEngineError("idempotent splitting has wrong rank")
-        inject = reps.transpose()  # kernel coordinates -> current coordinates
-        layers = []
-        for w in range(current.w_min, current.w_max + 2):
-            # preimage of the layer: kernel of (annihilator of V_w) . inject
-            cut = current.layer(w).perp().basis.mul(inject)
-            layers.append(Subspace.span(kmod.dim, cut.kernel().data))
-        nxt = FiltModule.build(kmod, current.w_min, layers)
-        embed = embed.mul(inject)
-        current = nxt
-    order = sorted(range(len(labels)), key=lambda i: labels[i])
-    fs = FormalSum.from_iter(labels)
+    norm = a.module.norm()
+    drops = [w for w in range(a.w_min, a.w_max + 1) if a.layer(w).dim > a.layer(w + 1).dim]
+    k = len(drops)
+    zero = Subspace.zero(a.dim)
+    # index i < k stands for the layer at drops[i], index k for the zero layer above
+    layers = [a.layer(w) for w in drops] + [zero]
+    pushed = [tuple(norm.apply(v) for v in lay.basis.data) for lay in layers]
+    images = [Subspace.span(a.dim, vecs) for vecs in pushed]
+    meets = {(i, j): images[i].intersect(layers[j]) for i in range(k) for j in range(i + 1, k)}
+
+    def meet(i: int, j: int) -> Subspace:
+        """N(layers[i]) & layers[j]: N(layers[i]) itself for j <= i, as it
+        lies in layers[i], and zero for j = k."""
+        return images[i] if i >= j else meets.get((i, j), zero)
+
+    kernel = kernel_space(norm)
+    fixed = [kernel.intersect(lay) for lay in layers[:k]] + [zero]
+    pieces: list[tuple[IndecLabel, tuple[int, ...]]] = []
+    for i, m in enumerate(drops):
+        for u in fixed[i + 1].add(meet(0, i)).extension(fixed[i]):
+            pieces.append((unit_label(m), (u,)))
+        found = [(drops[j], y) for j in range(i, k)
+                 for y in meet(i + 1, j).add(meet(i, j + 1)).extension(meet(i, j))]
+        lift = BitMatrix(len(pushed[i]), a.dim, pushed[i]).transpose()
+        spread = layers[i].basis.transpose()
+        for (t, _), c in zip(found, lift.solve_many(y for _, y in found)):
+            e = spread.apply(c)
+            pieces.append((e_label(t - m, m), (e, a.module.sigma.apply(e))))
+    pieces.sort(key=lambda piece: piece[0])
+    fs = FormalSum(tuple(label for label, _ in pieces))
     model = realize_sum(fs)
     if model.dim != a.dim:
         raise MathEngineError("decomposition dimension mismatch")
-    if model.dim == 0:
-        ident = FiltMorphism(model, a, BitMatrix.zero(0, 0))
-        return Decomposition(fs, ident, FiltMorphism(a, model, BitMatrix.zero(0, 0)))
-    mat = columns[order[0]]
-    for i in order[1:]:
-        mat = mat.hstack(columns[i])
+    cols = tuple(c for _, piece_cols in pieces for c in piece_cols)
+    mat = BitMatrix(len(cols), a.dim, cols).transpose()
     iso = FiltMorphism(model, a, mat)
     inv_mat = mat.inverse()
     if inv_mat is None:

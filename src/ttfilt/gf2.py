@@ -78,14 +78,7 @@ class BitMatrix:
             width = 0
         return BitMatrix(len(data), width, tuple(data))
 
-    @staticmethod
-    def from_ints(rows: int, cols: int, data: Iterable[int]) -> "BitMatrix":
-        return BitMatrix(rows, cols, tuple(data))
-
     # -- basic access ------------------------------------------------------
-
-    def row(self, i: int) -> int:
-        return self.data[i]
 
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
@@ -418,9 +411,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient
 
-    def vectors(self) -> tuple[int, ...]:
-        return self.basis.data
-
     def reduce(self, v: int) -> int:
         """Canonical residue of v modulo this subspace."""
         for b in self.basis.data:
@@ -435,15 +425,24 @@ class Subspace:
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis.data)
 
-    def coords(self, v: int) -> Optional[int]:
-        """Coefficients of v in the stored basis, or None if v is outside."""
-        out = 0
-        for i, b in enumerate(self.basis.data):
-            pivot = b & -b
-            if v & pivot:
-                v ^= b
-                out |= 1 << i
-        return out if v == 0 else None
+    def extension(self, larger: "Subspace") -> list[int]:
+        """The basis vectors of larger, in stored order, that lie outside the
+        span of this subspace and of the vectors kept before them; for
+        self <= larger they extend a basis of self to one of larger."""
+        tops: dict[int, int] = {}  # independent vectors keyed by highest set bit
+
+        def insert(v: int) -> bool:
+            while v:
+                top = v.bit_length() - 1
+                if top not in tops:
+                    tops[top] = v
+                    return True
+                v ^= tops[top]
+            return False
+
+        for v in self.basis.data:
+            insert(v)
+        return [v for v in larger.basis.data if insert(v)]
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -552,14 +551,7 @@ class C2Module:
         free_cols = []
         for v in n.solve_many(img.basis.data):
             free_cols.append((v, self.sigma.apply(v)))
-        fixed = kernel_space(n)
-        # Extend the norm image to a basis of the fixed subspace.
-        seen = img
-        trivial_cols = []
-        for w in fixed.basis.data:
-            if not seen.contains(w):
-                trivial_cols.append(w)
-                seen = seen.add(Subspace.span(self.dim, (w,)))
+        trivial_cols = img.extension(kernel_space(n))
         cols = trivial_cols + [c for pair in free_cols for c in pair]
         u_mat = BitMatrix(len(cols), self.dim, tuple(cols)).transpose()
         if u_mat.inverse() is None:
@@ -603,12 +595,7 @@ def quotient_module(module: C2Module, sub: Subspace, below: Subspace) -> tuple[C
     """
     if not sub.contains_space(below):
         raise ValueError("not a subquotient: below is not contained in sub")
-    reps = []
-    residue = below
-    for v in sub.basis.data:
-        if residue.reduce(v):
-            reps.append(v)
-            residue = residue.add(Subspace.span(module.dim, (v,)))
+    reps = below.extension(sub)
     k = len(reps)
     solver = BitMatrix(k + below.dim, module.dim, tuple(reps) + below.basis.data).transpose()
     coeffs = solver.solve_many(module.sigma.apply(v) for v in reps)

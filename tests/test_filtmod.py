@@ -202,14 +202,31 @@ def test_decompose_realize_roundtrip():
         assert decompose(realize_sum(fs)).sum == fs
 
 
+def _corpus_sum(rng: random.Random) -> FormalSum:
+    """Up to 12 summands, l <= 4, m in a random subset of -3..3 (so weights
+    have gaps), with labels drawn again from a smaller pool (so they repeat)."""
+    weights = rng.sample(range(-3, 4), rng.randint(1, 7))
+    pool = [unit_label(rng.choice(weights)) if rng.random() < 0.4
+            else e_label(rng.randint(0, 4), rng.choice(weights))
+            for _ in range(rng.randint(1, 6))]
+    return FormalSum.from_iter(rng.choice(pool) for _ in range(rng.randint(1, 12)))
+
+
 def test_decompose_scrambled():
     rng = random.Random(29)
-    fs = FormalSum.of(e_label(2, 0), unit_label(1))
-    for _ in range(5):
-        a = scrambled_module(rng, fs)
-        dec = decompose(a)
+    sums = [FormalSum.of(e_label(2, 0), unit_label(1))] * 5
+    sums += [_corpus_sum(rng) for _ in range(200)]
+    for fs in sums:
+        dec = decompose(scrambled_module(rng, fs))
         assert dec.sum == fs
         assert dec.validate()
+
+
+def test_decompose_wide_weight_span():
+    # E(l,m) * E(l',m') = E(a, m+m') + E(a, m+m'+b) with a = min(l,l'), b = max(l,l')
+    dec = decompose(tensor(realize(e_label(40, 0)), realize(e_label(25, 3))))
+    assert dec.sum == FormalSum.of(e_label(25, 3), e_label(25, 43))
+    assert dec.validate()
 
 
 def test_decompose_additive():

@@ -70,6 +70,22 @@ def test_subspace_ops():
     assert s.complement().intersect(s).is_zero()
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_subspace_extension_is_the_greedy_basis_extension(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    sub = Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(0, 3))])
+    larger = sub.add(Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]))
+    expected, seen = [], sub
+    for v in larger.basis.data:
+        if not seen.contains(v):
+            expected.append(v)
+            seen = seen.add(Subspace.span(n, (v,)))
+    assert sub.extension(larger) == expected
+    assert seen == larger
+
+
 def test_kernel_of_norm_on_regular_module():
     reg = C2Module.free(1)
     assert kernel_space(reg.norm()) == Subspace.span(2, (0b11,))
