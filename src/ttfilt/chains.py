@@ -14,6 +14,7 @@ from typing import Optional
 from .gf2 import BitMatrix, C2Module, LinearSystem, equivariance_rows
 from .filtmod import (
     FiltModule,
+    FiltMorphism,
     FormalSum,
     MathEngineError,
     decompose,
@@ -97,14 +98,7 @@ def cell_is_morphism(kind, source, target, m: BitMatrix) -> bool:
         return True
     if kind == C2:
         return m.mul(source.sigma) == target.sigma.mul(m)
-    if m.mul(source.module.sigma) != target.module.sigma.mul(m):
-        return False
-    for w in range(source.w_min, source.w_max + 1):
-        tgt_lay = target.layer(w)
-        for v in source.layer(w).basis.data:
-            if not tgt_lay.contains(m.apply(v)):
-                return False
-    return True
+    return FiltMorphism(source, target, m).is_valid()
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +862,16 @@ def cone_omega() -> Complex:
     )
 
 
+def cone_eta() -> Complex:
+    """Cone of the unit 1(0) -> E(0,0) of the extension point."""
+    return cone(ChainMap.of(unit_complex(), single(FILT, realize(e_label(0, 0))), {0: _ETA}))
+
+
+def cone_eps() -> Complex:
+    """Cone of the counit E(0,0) -> 1(0) of the extension point."""
+    return cone(ChainMap.of(single(FILT, realize(e_label(0, 0))), unit_complex(), {0: _EPS}))
+
+
 def cone_beta_rho() -> Complex:
     """Cone of the composite weight-two class, via the standard roof resolution."""
     src = build_complex(
@@ -924,6 +928,8 @@ NAMED = {
     "conebeta": cone_beta,
     "conerho": cone_rho,
     "coneomega": cone_omega,
+    "coneeta": cone_eta,
+    "coneeps": cone_eps,
     "conebetarho": cone_beta_rho,
     "epstilde": eps_tilde,
     "etatilde": eta_tilde,

@@ -217,7 +217,11 @@ def pwz_module(m: C2Module) -> FiltModule:
     return FiltModule(m, 0, 0, (Subspace.full(m.dim), Subspace.zero(m.dim)))
 
 
-@lru_cache(maxsize=None)
+# Entries kept by each of the realize and realize_sum caches.
+_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def realize(label: IndecLabel) -> FiltModule:
     """Canonical concrete model of an indecomposable label."""
     if label.kind == UNIT:
@@ -230,28 +234,28 @@ def realize(label: IndecLabel) -> FiltModule:
     return FiltModule(mod, label.m, label.m + label.l, tuple(layers))
 
 
-def direct_sum(a: FiltModule, b: FiltModule) -> FiltModule:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    mod = a.module.direct_sum(b.module)
-    w_min = min(a.w_min, b.w_min)
-    w_max = max(a.w_max, b.w_max)
+def direct_sum(*mods: FiltModule) -> FiltModule:
+    """Direct sum of any number of filtered modules, in the given order."""
+    live = [a for a in mods if not a.is_zero()]
+    if len(live) <= 1:
+        # one of the inputs when it is the sum, so no new object is built
+        return (live or mods or [FiltModule.zero()])[0]
+    mod = C2Module(sum(a.dim for a in live), BitMatrix.block_diag(a.module.sigma for a in live))
+    w_min = min(a.w_min for a in live)
+    w_max = max(a.w_max for a in live)
     layers = []
     for w in range(w_min, w_max + 2):
-        la, lb = a.layer(w), b.layer(w)
-        vecs = list(la.basis.data) + [v << a.dim for v in lb.basis.data]
+        vecs, offset = [], 0
+        for a in live:
+            vecs.extend(v << offset for v in a.layer(w).basis.data)
+            offset += a.dim
         layers.append(Subspace.span(mod.dim, vecs))
     return FiltModule(mod, w_min, w_max, tuple(layers))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def realize_sum(fs: FormalSum) -> FiltModule:
-    out = FiltModule.zero()
-    for lab in fs.labels:
-        out = direct_sum(out, realize(lab))
-    return out
+    return direct_sum(*map(realize, fs.labels))
 
 
 def tensor(a: FiltModule, b: FiltModule) -> FiltModule:
@@ -342,6 +346,8 @@ class FiltMorphism:
             raise ValueError("morphism shape mismatch")
 
     def is_valid(self) -> bool:
+        """True iff the matrix commutes with sigma and maps each weight layer
+        of the source into the same layer of the target."""
         m = self.matrix
         lhs = m.mul(self.source.module.sigma)
         rhs = self.target.module.sigma.mul(m)

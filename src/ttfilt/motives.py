@@ -1,11 +1,15 @@
-"""Motivic naming layer.
+"""Motivic naming layer: the one expression tree and its evaluator.
 
-Expressions over the two generating motives translate structurally into
-filtered complexes; all questions about them (supports, classes, hom
-dimensions) are answered by the engine on the translated object.  The
-translation is a hard-coded dictionary on generators: the base point goes
-to the unit, the quadratic extension point to the pure regular module.
-Only support-level statements are exposed for tensor expressions.
+Every expression over the two generating motives M(R) and M(C), the named
+complexes of the `chains` catalog and the cones of the named maps is a
+`MotiveExpr` tree; the grammar in `shell` parses text into the same tree.
+`to_filtered` translates a tree structurally into a filtered complex, and
+all questions about it (supports, classes, hom dimensions) are answered by
+the engine on the translated object.  The translation is a hard-coded
+dictionary on generators: the base point goes to the unit, the quadratic
+extension point to the pure regular module; every other named atom is an
+entry of `chains.named`.  Only support-level statements are exposed for
+tensor expressions.
 """
 
 from __future__ import annotations
@@ -14,15 +18,10 @@ from dataclasses import dataclass
 
 from .chains import (
     FILT,
-    _EPS,
-    _ETA,
-    ChainMap,
     Complex,
-    cone,
-    cone_beta,
-    cone_rho,
     direct_sum_complex,
-    fund0,
+    dual_complex,
+    named,
     shift,
     single,
     tensor_complex,
@@ -37,79 +36,78 @@ from .spectrum import supp
 # Expression trees
 # ---------------------------------------------------------------------------
 
+MAPNAMES = ("beta", "rho", "eta", "eps")
+
 
 @dataclass(frozen=True)
 class MotiveExpr:
     """Node of a motivic expression.
 
-    op is one of: "R", "C" (generators), "fund0", "cone" (of a named map),
-    "twist", "shift", "sum", "tensor".
+    op is one of: "atom" (name with integer params: "0", "1", "E", a
+    generator "M(R)"/"M(C)", or a catalog name such as "fund0"), "cone" (of
+    the named map in name), "twist", "shift" (one child, one param),
+    "dual" (one child), "sum", "tensor" (two children).
     """
 
     op: str
-    args: tuple = ()
-    param: int = 0
-    name: str = ""
+    name: str = ""          # atom/cone identifier
+    params: tuple = ()      # integer parameters
+    args: tuple = ()        # child expressions
 
     @staticmethod
     def base() -> "MotiveExpr":
-        return MotiveExpr("R")
+        return MotiveExpr("atom", "M(R)")
 
     @staticmethod
     def extension() -> "MotiveExpr":
-        return MotiveExpr("C")
+        return MotiveExpr("atom", "M(C)")
 
     @staticmethod
     def fundamental() -> "MotiveExpr":
-        return MotiveExpr("fund0")
+        return MotiveExpr("atom", "fund0")
 
     @staticmethod
     def cone_of(name: str) -> "MotiveExpr":
-        if name not in ("beta", "rho", "eta", "eps"):
+        if name not in MAPNAMES:
             raise ValueError(f"unknown named map: {name}")
-        return MotiveExpr("cone", name=name)
+        return MotiveExpr("cone", name)
 
     def twist(self, i: int) -> "MotiveExpr":
-        return MotiveExpr("twist", (self,), i)
+        return MotiveExpr("twist", params=(i,), args=(self,))
 
     def shift(self, n: int) -> "MotiveExpr":
-        return MotiveExpr("shift", (self,), n)
+        return MotiveExpr("shift", params=(n,), args=(self,))
 
     def __add__(self, other: "MotiveExpr") -> "MotiveExpr":
-        return MotiveExpr("sum", (self, other))
+        return MotiveExpr("sum", args=(self, other))
 
     def __mul__(self, other: "MotiveExpr") -> "MotiveExpr":
-        return MotiveExpr("tensor", (self, other))
+        return MotiveExpr("tensor", args=(self, other))
 
 
-def _cone_named(name: str) -> Complex:
-    if name == "beta":
-        return cone_beta()
-    if name == "rho":
-        return cone_rho()
-    unit = single(FILT, realize(unit_label(0)))
-    ext = single(FILT, realize(e_label(0, 0)))
-    if name == "eta":
-        return cone(ChainMap.of(unit, ext, {0: _ETA}))
-    if name == "eps":
-        return cone(ChainMap.of(ext, unit, {0: _EPS}))
-    raise ValueError(f"unknown named map: {name}")
+GENERATORS = {"M(R)": unit_label(0), "M(C)": e_label(0, 0)}
+# atoms 1(n) and E(l, m): one indecomposable, named by its label
+_LABELS = {"1": unit_label, "E": e_label}
 
 
 def to_filtered(e: MotiveExpr) -> Complex:
     """Structural translation into a filtered complex."""
-    if e.op == "R":
-        return single(FILT, realize(unit_label(0)))
-    if e.op == "C":
-        return single(FILT, realize(e_label(0, 0)))
-    if e.op == "fund0":
-        return fund0()
+    if e.op == "atom":
+        if e.name == "0":
+            return Complex(FILT, 0, (), ())
+        if e.name in _LABELS:
+            return single(FILT, realize(_LABELS[e.name](*e.params)))
+        if e.name in GENERATORS:
+            return single(FILT, realize(GENERATORS[e.name]))
+        return named(e.name, *e.params)
     if e.op == "cone":
-        return _cone_named(e.name)
+        return named("cone" + e.name)
     if e.op == "twist":
-        return twist_complex(to_filtered(e.args[0]), e.param)
+        return twist_complex(to_filtered(e.args[0]), e.params[0])
     if e.op == "shift":
-        return shift(to_filtered(e.args[0]), e.param)
+        return shift(to_filtered(e.args[0]), e.params[0])
+    if e.op == "dual":
+        return dual_complex(to_filtered(e.args[0]))
     if e.op == "sum":
         return direct_sum_complex(to_filtered(e.args[0]), to_filtered(e.args[1]))
     if e.op == "tensor":

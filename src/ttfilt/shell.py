@@ -1,6 +1,8 @@
-"""Expression language, canonical serialization, and the query engine.
+"""Expression grammar, canonical serialization, and the query engine.
 
-Grammar (whitespace-insensitive, integers signed):
+`parse` reads text into the expression tree of `motives` (`Expr` is
+`motives.MotiveExpr`), `print_expr` writes it back, and `evaluate` is
+`motives.to_filtered`.  Grammar (whitespace-insensitive, integers signed):
 
     expr    := term ('+' term)*
     term    := factor ('*' factor)*
@@ -40,25 +42,16 @@ from .chains import (
     Complex,
     build_complex,
     cone_beta,
-    cone_omega,
-    cone_rho,
-    direct_sum_complex,
     dual_complex,
     fund0,
-    fund_seq,
     fundpur,
-    koszul_T,
-    lpure,
     minimize,
-    realize,
     shift,
     signature,
-    single,
     tensor_complex,
-    twist_complex,
 )
 from .functors import fgt_complex
-from .motives import MotiveExpr, to_filtered
+from .motives import MAPNAMES, MotiveExpr as Expr, to_filtered as evaluate
 
 
 class ParseError(Exception):
@@ -79,20 +72,7 @@ class UsageError(Exception):
 # Expressions
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Expr:
-    op: str                 # atom | sum | tensor | twist | shift | dual | cone
-    name: str = ""          # atom/cone identifier
-    params: tuple = ()      # integer parameters
-    args: tuple = ()        # child expressions
-
-    def text(self) -> str:
-        return print_expr(self)
-
-
 _CONSTANTS = ("fund0", "T", "conebeta", "conerho", "coneomega")
-_MAPNAMES = ("beta", "rho", "eta", "eps")
 
 
 class _Parser:
@@ -188,7 +168,7 @@ class _Parser:
                 self.expect(")")
                 if gen not in ("R", "C"):
                     self.error("expected R or C")
-                return Expr("atom", "M", (), (Expr("atom", gen),))
+                return Expr("atom", f"M({gen})")
             if name in _CONSTANTS:
                 return Expr("atom", name)
             if name in ("fundl", "Lpure"):
@@ -212,7 +192,7 @@ class _Parser:
                 self.expect("(")
                 m = self.ident()
                 self.expect(")")
-                if m not in _MAPNAMES:
+                if m not in MAPNAMES:
                     self.error(f"unknown map name '{m}'")
                 return Expr("cone", m)
             self.error(f"unknown identifier '{name}'")
@@ -231,8 +211,6 @@ def print_expr(e: Expr) -> str:
             return f"1({e.params[0]})"
         if e.name == "E":
             return f"E({e.params[0]},{e.params[1]})"
-        if e.name == "M":
-            return f"M({e.args[0].name})"
         if e.params:
             return f"{e.name}({e.params[0]})"
         return e.name
@@ -251,48 +229,6 @@ def print_expr(e: Expr) -> str:
     if e.op == "cone":
         return f"cone({e.name})"
     raise ValueError(f"bad expression node {e.op}")
-
-
-def evaluate(e: Expr) -> Complex:
-    """Evaluate an expression to a filtered complex."""
-    if e.op == "atom":
-        if e.name == "0":
-            return Complex(FILT, 0, (), ())
-        if e.name == "1":
-            return single(FILT, realize(unit_label(e.params[0])))
-        if e.name == "E":
-            return single(FILT, realize(e_label(e.params[0], e.params[1])))
-        if e.name == "M":
-            gen = MotiveExpr.base() if e.args[0].name == "R" else MotiveExpr.extension()
-            return to_filtered(gen)
-        if e.name == "fund0":
-            return fund0()
-        if e.name == "T":
-            return koszul_T()
-        if e.name == "conebeta":
-            return cone_beta()
-        if e.name == "conerho":
-            return cone_rho()
-        if e.name == "coneomega":
-            return cone_omega()
-        if e.name == "fundl":
-            return fund_seq(e.params[0])
-        if e.name == "Lpure":
-            return lpure(e.params[0])
-        raise UsageError(f"unknown atom {e.name}")
-    if e.op == "sum":
-        return direct_sum_complex(evaluate(e.args[0]), evaluate(e.args[1]))
-    if e.op == "tensor":
-        return tensor_complex(evaluate(e.args[0]), evaluate(e.args[1]))
-    if e.op == "twist":
-        return twist_complex(evaluate(e.args[0]), e.params[0])
-    if e.op == "shift":
-        return shift(evaluate(e.args[0]), e.params[0])
-    if e.op == "dual":
-        return dual_complex(evaluate(e.args[0]))
-    if e.op == "cone":
-        return to_filtered(MotiveExpr.cone_of(e.name))
-    raise UsageError(f"bad expression node {e.op}")
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +333,19 @@ class _LineReader:
             raise SchemaError(f"expected field '{key}', got '{line}'")
         return line[len(key) + 1:]
 
+    def integer(self, key: str, minimum: int | None = None) -> int:
+        text = self.field(key)
+        try:
+            value = int(text)
+        except ValueError:
+            raise SchemaError(f"field '{key}': expected an integer, got '{text}'") from None
+        if minimum is not None and value < minimum:
+            raise SchemaError(f"field '{key}': {value} is below {minimum}")
+        return value
+
 
 def _filtmodule_read(r: _LineReader) -> FiltModule:
-    dim = int(r.field("dim"))
+    dim = r.integer("dim", 0)
     sigma_rows = _rows_parse(r.field("sigma"), dim)
     if len(sigma_rows) != dim:
         raise SchemaError("sigma must be square")
@@ -407,8 +353,8 @@ def _filtmodule_read(r: _LineReader) -> FiltModule:
         mod = C2Module(dim, BitMatrix(dim, dim, tuple(sigma_rows)))
     except ValueError as exc:
         raise SchemaError(str(exc))
-    w_min = int(r.field("wmin"))
-    w_max = int(r.field("wmax"))
+    w_min = r.integer("wmin")
+    w_max = r.integer("wmax", w_min - 1)
     layers = []
     for _ in range(w_max - w_min + 2):
         layers.append(Subspace.span(dim, _rows_parse(r.field("layer"), dim)))
@@ -472,9 +418,18 @@ def _label_parse(text: str) -> IndecLabel:
 
 
 def deserialize(text: str):
+    """Parse and revalidate a serialized value; SchemaError on any defect,
+    including text left over after the value."""
     r = _LineReader(text.splitlines())
     if r.next() != SCHEMA:
         raise SchemaError("missing or unsupported schema header")
+    value = _value_read(r)
+    if r.peek():
+        raise SchemaError(f"trailing input '{r.peek()}'")
+    return value
+
+
+def _value_read(r: _LineReader):
     kind = r.field("type")
     if kind == "filtmodule":
         return _filtmodule_read(r)
@@ -496,19 +451,17 @@ def deserialize(text: str):
         cell = r.field("kind")
         if cell not in (FILT, C2, F2):
             raise SchemaError(f"unknown cell kind '{cell}'")
-        d_min = int(r.field("dmin"))
-        nterms = int(r.field("nterms"))
+        d_min = r.integer("dmin")
+        nterms = r.integer("nterms", 0)
         terms = {}
         diffs = {}
-        for _ in range(nterms):
-            head = r.next()
-            if not head.startswith("begin term "):
-                raise SchemaError("expected a term block")
-            deg = int(head.split()[2])
+        for deg in range(d_min, d_min + nterms):
+            if r.next() != f"begin term {deg}":
+                raise SchemaError(f"expected the term block of degree {deg}")
             if cell == F2:
-                terms[deg] = int(r.field("dim"))
+                terms[deg] = r.integer("dim", 0)
             elif cell == C2:
-                dim = int(r.field("dim"))
+                dim = r.integer("dim", 0)
                 rows = _rows_parse(r.field("sigma"), dim)
                 try:
                     terms[deg] = C2Module(dim, BitMatrix(dim, dim, tuple(rows)))
@@ -519,10 +472,11 @@ def deserialize(text: str):
             if r.next() != "end term":
                 raise SchemaError("unterminated term block")
         while r.peek().startswith("begin diff "):
-            head = r.next()
-            deg = int(head.split()[2])
-            rows = int(r.field("rows"))
-            cols = int(r.field("cols"))
+            deg = r.integer("begin diff")
+            if deg in diffs:
+                raise SchemaError(f"duplicate diff block of degree {deg}")
+            rows = r.integer("rows", 0)
+            cols = r.integer("cols", 0)
             data = _rows_parse(r.field("mat"), cols)
             if len(data) != rows:
                 raise SchemaError("matrix row count mismatch")

@@ -237,6 +237,20 @@ def test_decompose_additive():
         assert decompose(a).sum == f1 + f2
 
 
+def test_direct_sum_of_many_is_the_pairwise_fold():
+    rng = random.Random(37)
+    for _ in range(25):
+        sums = [_corpus_sum(rng) if rng.random() < 0.8 else FormalSum(())
+                for _ in range(rng.randint(0, 4))]
+        mods = [scrambled_module(rng, fs) for fs in sums]
+        folded = FiltModule.zero()
+        for a in mods:
+            folded = direct_sum(folded, a)
+        whole = direct_sum(*mods)
+        assert whole == folded
+        assert decompose(whole).sum == sum(sums, FormalSum(()))
+
+
 def test_decompose_zero():
     dec = decompose(FiltModule.zero())
     assert dec.sum.is_zero()

@@ -1,4 +1,7 @@
-"""Smoke test: the command-line scripts import and run against the current API."""
+"""Smoke tests in a fresh interpreter: the command-line scripts and the
+`ttfilt` command run against the current API, and every engine module
+imports on its own (an import cycle that the in-process test order hides
+shows up here)."""
 
 import os
 import subprocess
@@ -8,6 +11,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p.stem for p in (ROOT / "src" / "ttfilt").glob("*.py") if p.stem != "__init__")
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("argv", [
@@ -16,8 +26,23 @@ ROOT = Path(__file__).resolve().parents[1]
     ["random_stress.py", "0", "0"],  # zero rounds: imports only; one round takes ~10 s
 ])
 def test_script_exits_zero(argv):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-                          timeout=120)
+    proc = _python(str(ROOT / "scripts" / argv[0]), *argv[1:])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    proc = _python("-c", f"import ttfilt.{module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_module_verify_exits_zero():
+    proc = _python("-m", "ttfilt.cli", "verify")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
+
+
+def test_cli_import_loads_motives():
+    # the benchmark tracer imports ttfilt.cli, then wraps ttfilt.motives from sys.modules
+    proc = _python("-c", "import sys, ttfilt.cli; sys.exit('ttfilt.motives' not in sys.modules)")
     assert proc.returncode == 0, proc.stderr

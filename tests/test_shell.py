@@ -3,8 +3,23 @@ import random
 import pytest
 
 from ttfilt.cli import main
-from ttfilt.chains import fund0, single, FILT
+from ttfilt.chains import (
+    _EPS,
+    _ETA,
+    FILT,
+    ChainMap,
+    cone,
+    cone_beta,
+    cone_omega,
+    cone_rho,
+    fund0,
+    fund_seq,
+    koszul_T,
+    lpure,
+    single,
+)
 from ttfilt.filtmod import FormalSum, e_label, realize, unit_label
+from ttfilt.motives import MotiveExpr
 from ttfilt.shell import (
     ParseError,
     SchemaError,
@@ -89,6 +104,32 @@ def test_evaluate_atoms():
     assert evaluate(parse("1")) == single(FILT, realize(unit_label(0)))
     assert evaluate(parse("fund0")) == fund0()
     assert evaluate(parse("0")).is_zero()
+    unit, ext = single(FILT, realize(unit_label(0))), single(FILT, realize(e_label(0, 0)))
+    expected = {
+        "1(-3)": single(FILT, realize(unit_label(-3))),
+        "E(2,1)": single(FILT, realize(e_label(2, 1))),
+        "M(R)": unit,
+        "M(C)": ext,
+        "T": koszul_T(),
+        "conebeta": cone_beta(),
+        "conerho": cone_rho(),
+        "coneomega": cone_omega(),
+        "fundl(2)": fund_seq(2),
+        "Lpure(-1)": lpure(-1),
+        "cone(beta)": evaluate(parse("conebeta")),
+        "cone(rho)": evaluate(parse("conerho")),
+        "cone(eta)": cone(ChainMap.of(unit, ext, {0: _ETA})),
+        "cone(eps)": cone(ChainMap.of(ext, unit, {0: _EPS})),
+    }
+    for text, x in expected.items():
+        assert evaluate(parse(text)) == x, text
+
+
+def test_motive_expr_is_the_grammar_tree():
+    gen_r, gen_c = MotiveExpr.base(), MotiveExpr.extension()
+    e = (gen_c.twist(2) + gen_r.shift(1)) * MotiveExpr.cone_of("eta") + MotiveExpr.fundamental()
+    assert print_expr(e) == "(twist(M(C), 2) + shift(M(R), 1)) * cone(eta) + fund0"
+    assert parse(print_expr(e)) == e
 
 
 # -- serialization ---------------------------------------------------------------
@@ -138,6 +179,25 @@ def test_deserialize_rejects_bad_sigma():
     ])
     with pytest.raises(SchemaError):
         deserialize(blob)
+
+
+def _fund0_blob() -> str:
+    return serialize(evaluate(parse("fund0")))
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(lambda: _fund0_blob().replace("dmin 0", "dmin 7"), id="dmin-off-the-term-degrees"),
+    pytest.param(lambda: _fund0_blob().replace("nterms 3", "nterms 2"), id="more-term-blocks-than-nterms"),
+    pytest.param(lambda: _fund0_blob() + "end diff\n", id="trailing-text-after-complex"),
+    pytest.param(lambda: serialize(FormalSum.of(unit_label(0))) + "labels -\n", id="trailing-text-after-labels"),
+    pytest.param(lambda: _fund0_blob().replace("dmin 0", "dmin zero"), id="non-integer-field"),
+    pytest.param(lambda: _fund0_blob().replace("wmax 0", "wmax -2", 1), id="weight-range-below-empty"),
+    pytest.param(lambda: _fund0_blob() + "begin diff 1\nrows 1\ncols 2\nmat 00\nend diff\n",
+                 id="duplicate-diff-block"),
+])
+def test_deserialize_rejects_malformed_text(blob):
+    with pytest.raises(SchemaError):
+        deserialize(blob())
 
 
 def test_deserialize_rejects_bad_header():
