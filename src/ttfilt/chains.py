@@ -44,12 +44,12 @@ def cell_dim(kind, obj) -> int:
     return obj.dim
 
 
+# One zero object per cell kind, shared: cells are immutable.
+_ZERO_CELLS = {F2: 0, C2: C2Module.trivial(0), FILT: FiltModule.zero()}
+
+
 def cell_zero(kind):
-    if kind == F2:
-        return 0
-    if kind == C2:
-        return C2Module.trivial(0)
-    return FiltModule.zero()
+    return _ZERO_CELLS[kind]
 
 
 def cell_is_zero(kind, obj) -> bool:
@@ -341,6 +341,30 @@ def tensor_layout(x: Complex, y: Complex, n: int) -> TensorLayout:
     return TensorLayout(tuple(pairs))
 
 
+def _tensor_diff(x: Complex, y: Complex, n: int) -> BitMatrix:
+    """Differential of x (x) y out of degree n, in the summand order of
+    tensor_layout: d_x (x) 1 + 1 (x) d_y on each pair of terms."""
+    src = tensor_layout(x, y, n)
+    tgt = tensor_layout(x, y, n - 1)
+    tgt_off = {(p, q): off for p, q, off in tgt.pairs}
+    rows_total = sum(x.dim(p) * y.dim(q) for p, q, _ in tgt.pairs)
+    cols_total = sum(x.dim(p) * y.dim(q) for p, q, _ in src.pairs)
+    data = [0] * rows_total
+    for p, q, off in src.pairs:
+        dx, dy = x.dim(p), y.dim(q)
+        if (p - 1, q) in tgt_off:
+            block = x.diff(p).kron(BitMatrix.identity(dy))
+            r0 = tgt_off[(p - 1, q)]
+            for i, r in enumerate(block.data):
+                data[r0 + i] ^= r << off
+        if (p, q - 1) in tgt_off:
+            block = BitMatrix.identity(dx).kron(y.diff(q))
+            r0 = tgt_off[(p, q - 1)]
+            for i, r in enumerate(block.data):
+                data[r0 + i] ^= r << off
+    return BitMatrix(rows_total, cols_total, tuple(data))
+
+
 def tensor_complex(x: Complex, y: Complex) -> Complex:
     if x.kind != y.kind:
         raise ValueError("cell-kind mismatch")
@@ -354,27 +378,7 @@ def tensor_complex(x: Complex, y: Complex) -> Complex:
         for p, q, _ in tensor_layout(x, y, n).pairs:
             t = cell_sum(kind, t, cell_tensor(kind, x.term(p), y.term(q)))
         terms[n] = t
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        src = tensor_layout(x, y, n)
-        tgt = tensor_layout(x, y, n - 1)
-        tgt_off = {(p, q): off for p, q, off in tgt.pairs}
-        rows_total = sum(x.dim(p) * y.dim(q) for p, q, _ in tgt.pairs)
-        cols_total = sum(x.dim(p) * y.dim(q) for p, q, _ in src.pairs)
-        data = [0] * rows_total
-        for p, q, off in src.pairs:
-            dx, dy = x.dim(p), y.dim(q)
-            if (p - 1, q) in tgt_off:
-                block = x.diff(p).kron(BitMatrix.identity(dy))
-                r0 = tgt_off[(p - 1, q)]
-                for i, r in enumerate(block.data):
-                    data[r0 + i] ^= r << off
-            if (p, q - 1) in tgt_off:
-                block = BitMatrix.identity(dx).kron(y.diff(q))
-                r0 = tgt_off[(p, q - 1)]
-                for i, r in enumerate(block.data):
-                    data[r0 + i] ^= r << off
-        diffs[n] = BitMatrix(rows_total, cols_total, tuple(data))
+    diffs = {n: _tensor_diff(x, y, n) for n in range(lo + 1, hi + 1)}
     return build_complex(kind, terms, diffs)
 
 
@@ -469,10 +473,6 @@ def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
     if not h.certifies(f):
         raise MathEngineError("homotopy solution failed certification")
     return h
-
-
-def homotopic(f: ChainMap, g: ChainMap) -> bool:
-    return is_nullhomotopic(f.add(g)) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,23 @@ def realize_sum(fs: FormalSum) -> FiltModule:
     return direct_sum(*map(realize, fs.labels))
 
 
+def _tensor_layer(a: FiltModule, b: FiltModule, w: int) -> list[int]:
+    """Spanning vectors of the weight-w layer of a (x) b: the sum over p of
+    a.layer(p) (x) b.layer(w - p), in Kronecker coordinates."""
+    vecs: list[int] = []
+    for p in range(a.w_min, a.w_max + 1):
+        lb = b.layer(w - p).basis.data
+        if not lb:
+            continue
+        for u in a.layer(p).basis.data:
+            # u (x) v: a copy of v at offset k * b.dim for each set bit k of u
+            spread = 0
+            for k in _bits(u):
+                spread |= 1 << (k * b.dim)
+            vecs.extend([v * spread for v in lb])
+    return vecs
+
+
 def tensor(a: FiltModule, b: FiltModule) -> FiltModule:
     """Kronecker tensor with the convolved filtration."""
     if a.is_zero() or b.is_zero():
@@ -265,20 +282,7 @@ def tensor(a: FiltModule, b: FiltModule) -> FiltModule:
     mod = a.module.tensor(b.module)
     w_min = a.w_min + b.w_min
     w_max = a.w_max + b.w_max
-    layers = []
-    for w in range(w_min, w_max + 2):
-        vecs: list[int] = []
-        for p in range(a.w_min, a.w_max + 1):
-            lb = b.layer(w - p).basis.data
-            if not lb:
-                continue
-            for u in a.layer(p).basis.data:
-                # u (x) v: a copy of v at offset k * b.dim for each set bit k of u
-                spread = 0
-                for k in _bits(u):
-                    spread |= 1 << (k * b.dim)
-                vecs.extend([v * spread for v in lb])
-        layers.append(Subspace.span(mod.dim, vecs))
+    layers = [Subspace.span(mod.dim, _tensor_layer(a, b, w)) for w in range(w_min, w_max + 2)]
     return FiltModule.build(mod, w_min, layers)
 
 

@@ -9,18 +9,20 @@ derived weight-zero functors rwz / tfgt.
 from __future__ import annotations
 
 from .gf2 import BitMatrix, C2Module, LinearSystem, Subspace, image, kernel_space, quotient_module, induced_map
-from .filtmod import FiltModule, MathEngineError, pwz_module
+from .filtmod import FiltModule, MathEngineError, _tensor_layer, pwz_module
 from .chains import (
     C2,
     F2,
     FILT,
     ChainMap,
     Complex,
+    _tensor_diff,
     build_complex,
     injres_trunc,
     invertpur_pow,
     minimize,
     tensor_complex,
+    tensor_layout,
     twist_complex,
 )
 
@@ -234,38 +236,40 @@ def min_weight(x: Complex) -> int:
     return min((t.w_min for t in x.terms if not t.is_zero()), default=0)
 
 
-def _weight_zero_part(x: Complex) -> Complex:
-    """Degreewise weight-zero subobject with restricted differentials."""
-    terms = {}
-    reps = {}
-    for n in x.degrees():
-        t = x.term(n)
-        mod, rep = quotient_module(t.module, t.layer(0), Subspace.zero(t.dim))
-        terms[n] = mod
-        reps[n] = rep
-    diffs = {}
-    for n in x.degrees():
-        if n > x.d_min and terms[n].dim and terms[n - 1].dim:
-            diffs[n] = induced_map(reps[n], reps[n - 1], Subspace.zero(x.term(n - 1).dim), x.diff(n))
-    return build_complex(C2, terms, diffs)
-
-
 def rwz(x: Complex) -> Complex:
     """Right-derived weight-zero part.
 
-    Tensors with the truncated injective resolution of the unit and takes
-    degreewise weight-zero parts.  The truncation length max-weight + 1 is
-    exact: all omitted resolution terms have vanishing weight-zero part
-    against x.
+    The degreewise weight-zero part of injres_trunc(j) (x) x, for the
+    truncation length j = max-weight + 1.  That length is exact: all
+    omitted resolution terms have vanishing weight-zero part against x.
+    The L residue test applies rwz at minimum weight 0, where j is the
+    weight span + 1.  Only the weight-zero layer of each term is spanned,
+    in the coordinates and summand order of tensor_complex; the filtered
+    tensor complex itself is never built.
     """
     if x.kind != FILT:
         raise ValueError("rwz applies to filtered complexes")
-    if x.is_zero():
-        return Complex(C2, 0, (), ())
     j = max_weight(x) + 1
-    if j <= 0:
+    if x.is_zero() or j <= 0:
         return Complex(C2, 0, (), ())
-    return _weight_zero_part(tensor_complex(injres_trunc(j), x))
+    inj = injres_trunc(j)
+    degs = range(inj.d_min + x.d_min, inj.d_max + x.d_max + 1)
+    terms, reps = {}, {}
+    for n in degs:
+        sigmas, vecs = [], []
+        for p, q, off in tensor_layout(inj, x, n).pairs:
+            a, b = inj.term(p), x.term(q)
+            sigmas.append(a.module.sigma.kron(b.module.sigma))
+            vecs.extend(v << off for v in _tensor_layer(a, b, 0))
+        sigma = BitMatrix.block_diag(sigmas)
+        terms[n], reps[n] = quotient_module(C2Module(sigma.rows, sigma), Subspace.span(sigma.rows, vecs),
+                                            Subspace.zero(sigma.rows))
+    diffs = {}
+    for n in degs[1:]:
+        if terms[n].dim and terms[n - 1].dim:
+            below = Subspace.zero(reps[n - 1].cols)
+            diffs[n] = induced_map(reps[n], reps[n - 1], below, _tensor_diff(inj, x, n))
+    return build_complex(C2, terms, diffs)
 
 
 def tfgt(x: Complex) -> Complex:

@@ -454,9 +454,15 @@ class Subspace:
         return _perp_cached(self)
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: row-reduce [u|u] for u in this basis and [v|0] for v
+        in the other's, left half in the low bits; the reduced rows whose
+        left half vanishes carry a basis of the intersection on the right."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return self.perp().add(other.perp()).perp()
+        n = self.ambient
+        rows = tuple(u | (u << n) for u in self.basis.data) + other.basis.data
+        red, pivots = BitMatrix(len(rows), 2 * n, rows).rref()
+        return Subspace.span(n, (red.data[i] >> n for i, p in enumerate(pivots) if p >= n))
 
     def complement(self) -> "Subspace":
         """Complement spanned by the non-pivot coordinates (deterministic)."""

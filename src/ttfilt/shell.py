@@ -214,14 +214,16 @@ def print_expr(e: Expr) -> str:
         if e.params:
             return f"{e.name}({e.params[0]})"
         return e.name
-    if e.op == "sum":
-        return f"{print_expr(e.args[0])} + {print_expr(e.args[1])}"
-    if e.op == "tensor":
-        parts = []
-        for a in e.args:
-            t = print_expr(a)
-            parts.append(f"({t})" if a.op == "sum" else t)
-        return " * ".join(parts)
+    if e.op in ("sum", "tensor"):
+        # both operators parse left-nested and '*' binds tighter: parenthesize
+        # a sum under a tensor, and a right operand of the same operator
+        left, right = e.args
+        lt, rt = print_expr(left), print_expr(right)
+        if e.op == "tensor" and left.op == "sum":
+            lt = f"({lt})"
+        if right.op == e.op or (e.op == "tensor" and right.op == "sum"):
+            rt = f"({rt})"
+        return f"{lt} {'+' if e.op == 'sum' else '*'} {rt}"
     if e.op in ("twist", "shift"):
         return f"{e.op}({print_expr(e.args[0])}, {e.params[0]})"
     if e.op == "dual":

@@ -23,6 +23,7 @@ from .chains import (
     fund0,
     koszul_T,
     single,
+    twist_complex,
     upsilon,
 )
 from .filtmod import MathEngineError, e_label, realize
@@ -32,9 +33,10 @@ from .functors import (
     is_exact_F2,
     pwz_complex,
     res_complex,
+    min_weight,
+    rwz,
     sta_complex,
     tate_dim,
-    tfgt,
 )
 from .chains import cone
 
@@ -80,12 +82,24 @@ def supp_KbA(y: Complex) -> frozenset:
 
 
 def supp_detail(x: Complex) -> dict[str, bool]:
-    """All six residue tests on a filtered complex, keyed by prime."""
+    """All six residue tests on a filtered complex, keyed by prime.
+
+    The L test is the exactness of sta(tfgt(x)), computed as the exactness
+    of sta(rwz(x(-w))) with w the minimum weight of x, so the rwz
+    truncation length is the weight span + 1.  Three facts make that the
+    same answer:
+      - support is twist-invariant: it is a support datum, and twisting is
+        tensoring with the invertible 1(-w);
+      - at minimum weight 0, tfgt is minimize(rwz(.)), because the untwist
+        by invertpur_pow(0) is the unit;
+      - sta is additive in each degree, so it preserves homotopy
+        equivalences and its exactness does not need the minimal form.
+    """
     if x.kind != FILT:
         raise ValueError("supp applies to filtered complexes")
     g = gr_complex(x)
     f = fgt_complex(x)
-    t = tfgt(x)
+    t = rwz(twist_complex(x, -min_weight(x)))
     return {
         "Ns": not is_exact_F2(res_complex(g)),
         "Ms": tate_dim(g) != 0,

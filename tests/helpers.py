@@ -1,14 +1,16 @@
-"""Brute-force oracles, independent of the engine's linear-algebra paths.
+"""Test oracles: brute force, and the slow paths that fast paths replace.
 
-Everything here enumerates vectors or matrices exhaustively, so it is only
-usable for tiny dimensions; that is the point.
+The brute-force helpers enumerate vectors or matrices exhaustively, so
+they are independent of the engine's linear-algebra paths and only usable
+for tiny dimensions; that is the point.  `weight_zero_part` is the
+construction `rwz` used before it stopped building the filtered tensor.
 """
 
 from __future__ import annotations
 
 
-from ttfilt.gf2 import BitMatrix
-from ttfilt.chains import Complex
+from ttfilt.gf2 import BitMatrix, Subspace, induced_map, quotient_module
+from ttfilt.chains import C2, Complex, build_complex
 
 
 def brute_rank(entries: list[list[int]]) -> int:
@@ -81,3 +83,20 @@ def brute_tate_dim(y: Complex) -> int:
     k = len(kern).bit_length() - 1
     i = len(img).bit_length() - 1
     return k - i
+
+
+def weight_zero_part(x: Complex) -> Complex:
+    """Degreewise weight-zero subobject of a filtered complex, with the
+    restricted differentials: rwz(x) is this part of injres_trunc(j) (x) x."""
+    terms = {}
+    reps = {}
+    for n in x.degrees():
+        t = x.term(n)
+        mod, rep = quotient_module(t.module, t.layer(0), Subspace.zero(t.dim))
+        terms[n] = mod
+        reps[n] = rep
+    diffs = {}
+    for n in x.degrees():
+        if n > x.d_min and terms[n].dim and terms[n - 1].dim:
+            diffs[n] = induced_map(reps[n], reps[n - 1], Subspace.zero(x.term(n - 1).dim), x.diff(n))
+    return build_complex(C2, terms, diffs)

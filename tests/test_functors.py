@@ -8,6 +8,7 @@ from ttfilt.chains import (
     C2,
     FILT,
     ChainMap,
+    Complex,
     cone,
     cone_beta,
     direct_sum_complex,
@@ -15,6 +16,7 @@ from ttfilt.chains import (
     fund_seq,
     fundpur,
     fundpur_splice,
+    injres_trunc,
     invertpur_pow,
     koszul_T,
     minimize,
@@ -36,6 +38,7 @@ from ttfilt.functors import (
     homology,
     is_exact_F2,
     is_zero_DE,
+    max_weight,
     pwz_complex,
     res_complex,
     rwz,
@@ -45,7 +48,7 @@ from ttfilt.functors import (
 )
 from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
 
-from helpers import brute_exact_f2, brute_tate_dim
+from helpers import brute_exact_f2, brute_tate_dim, weight_zero_part
 
 
 def unit_c2():
@@ -275,3 +278,22 @@ def test_gr_component_complex():
     assert g0 == fundpur()
     g1 = gr_component_complex(fund0(), 1)
     assert g1.is_zero()
+
+
+def _rwz_oracle(x):
+    """rwz the long way: the weight-zero part of the whole filtered tensor."""
+    j = max_weight(x) + 1
+    if x.is_zero() or j <= 0:
+        return Complex(C2, 0, (), ())
+    return weight_zero_part(tensor_complex(injres_trunc(j), x))
+
+
+def test_rwz_matches_the_weight_zero_part_of_the_tensor():
+    rng = random.Random(79)
+    cases = [random_complex(rng, FILT, rng.randint(1, 3)) for _ in range(40)]
+    cases += [tensor_complex(random_complex(rng, FILT, 2), random_complex(rng, FILT, 2)) for _ in range(8)]
+    cases += [fund0(), koszul_T(), cone_beta(), single(FILT, realize(e_label(3, 1)))]
+    for x in cases:
+        for r in (-3, 0, 2):
+            y = twist_complex(x, r)
+            assert rwz(y) == _rwz_oracle(y)

@@ -71,6 +71,19 @@ def test_subspace_ops():
 
 
 @given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_subspace_intersect_matches_the_perp_formula(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 7)
+    s = Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(0, n + 1))])
+    t = Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(0, n + 1))])
+    got = s.intersect(t)
+    assert got == s.perp().add(t.perp()).perp()
+    assert got == t.intersect(s)
+    assert s.contains_space(got) and t.contains_space(got)
+
+
+@given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
 def test_subspace_extension_is_the_greedy_basis_extension(seed):
     rng = random.Random(seed)

@@ -14,10 +14,10 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p.stem for p in (ROOT / "src" / "ttfilt").glob("*.py") if p.stem != "__init__")
 
 
-def _python(*argv: str) -> subprocess.CompletedProcess:
+def _python(*argv: str, timeout: float = 120) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -46,3 +46,14 @@ def test_cli_import_loads_motives():
     # the benchmark tracer imports ttfilt.cli, then wraps ttfilt.motives from sys.modules
     proc = _python("-c", "import sys, ttfilt.cli; sys.exit('ttfilt.motives' not in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("expr,expected", [
+    ("twist(fund0, 100000)", "{L, Ls}"),
+    ("1(100000)", "{L, Ls, M, Ms, N, Ns}"),
+])
+def test_cli_support_of_a_large_twist_is_fast(expr, expected):
+    # the L test normalizes the twist away, so the size of the weight costs nothing
+    proc = _python("-m", "ttfilt.cli", "support", expr, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert expected in proc.stdout

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttfilt.cli import main
 from ttfilt.chains import (
@@ -98,6 +100,36 @@ def test_print_parse_print_roundtrip():
     for text in _expr_corpus():
         once = print_expr(parse(text))
         assert print_expr(parse(once)) == once
+
+
+_INTS = st.integers(-5, 5)
+_ATOMS = st.one_of(
+    st.sampled_from([MotiveExpr("atom", name) for name in
+                     ("0", "M(R)", "M(C)", "fund0", "T", "conebeta", "conerho", "coneomega")]),
+    st.builds(lambda n: MotiveExpr("atom", "1", (n,)), _INTS),
+    st.builds(lambda l, m: MotiveExpr("atom", "E", (l, m)), st.integers(0, 4), _INTS),
+    st.builds(lambda name, n: MotiveExpr("atom", name, (n,)), st.sampled_from(["fundl", "Lpure"]), _INTS),
+    st.builds(MotiveExpr.cone_of, st.sampled_from(["beta", "rho", "eta", "eps"])),
+)
+_TREES = st.recursive(_ATOMS, lambda sub: st.one_of(
+    st.builds(lambda op, a, b: MotiveExpr(op, args=(a, b)), st.sampled_from(["sum", "tensor"]), sub, sub),
+    st.builds(lambda op, a, n: MotiveExpr(op, params=(n,), args=(a,)),
+              st.sampled_from(["twist", "shift"]), sub, _INTS),
+    st.builds(lambda a: MotiveExpr("dual", args=(a,)), sub),
+), max_leaves=8)
+
+
+@given(_TREES)
+@settings(max_examples=200)
+def test_parse_inverts_print_expr(e):
+    assert parse(print_expr(e)) == e
+
+
+def test_print_expr_parenthesizes_right_nesting():
+    a, b, c = parse("E(1,0)"), parse("1(2)"), parse("E(0,1)")
+    assert print_expr(a + (b + c)) == "E(1,0) + (1(2) + E(0,1))"
+    assert print_expr(a * (b * c)) == "E(1,0) * (1(2) * E(0,1))"
+    assert print_expr((a + b) + c) == "E(1,0) + 1(2) + E(0,1)"
 
 
 def test_evaluate_atoms():

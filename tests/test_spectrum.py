@@ -12,9 +12,11 @@ from ttfilt.chains import (
     shift,
     single,
     tensor_complex,
+    twist_complex,
     unit_complex,
 )
-from ttfilt.functors import is_zero_DE
+from ttfilt.functors import is_exact_F2, is_zero_DE, min_weight, sta_complex, tfgt
+from ttfilt.samples import random_complex
 from ttfilt.spectrum import (
     CLASS_GENERATORS,
     PRIMES,
@@ -26,6 +28,7 @@ from ttfilt.spectrum import (
     is_specialization_closed,
     supp,
     supp_KbA,
+    supp_detail,
     support_text,
     verify_prime_generators,
 )
@@ -105,6 +108,37 @@ def test_gr_tfgt_image_consistency():
         s = supp(x)
         assert {relabel_pure[c] for c in supp_KbA(gr_complex(x))} == s & {"Ls", "Ms", "Ns"}
         assert {relabel_mixed[c] for c in supp_KbA(tfgt(x))} == s & {"L", "M", "N"}
+
+
+# the texts of acceptance tests 1, 2 and 12
+_L_CORPUS = sorted({"E(0,0)", "E(1,0)", "E(2,0)", "E(3,0)", "E(4,0)", "cone(beta)", "fund0", "T",
+                    "cone(beta) * E(0,0)", "fund0 * E(1,0)", "1(0)", "1(1)", "1(-1)", "E(1,-1)",
+                    "conerho", *CLASS_GENERATORS.values()})
+
+
+def _L_by_tfgt(x):
+    """The L residue test the long way: untwisted and minimized by tfgt."""
+    return not is_exact_F2(sta_complex(tfgt(x)))
+
+
+@pytest.mark.parametrize("text", _L_CORPUS)
+def test_L_test_matches_tfgt_on_the_acceptance_corpus(text):
+    for r in (-3, 0, 2):
+        x = twist_complex(ev(text), r)
+        assert supp_detail(x)["L"] == _L_by_tfgt(x)
+
+
+def test_L_test_matches_tfgt_on_random_complexes():
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(200):
+        x = random_complex(rng, FILT, rng.randint(2, 3))
+        # move the minimum weight to a random value in -3..3, zero excluded
+        x = twist_complex(x, rng.choice((-3, -2, -1, 1, 2, 3)) - min_weight(x))
+        got = supp_detail(x)["L"]
+        assert got == _L_by_tfgt(x)
+        seen.add((min_weight(x) > 0, got))
+    assert len(seen) == 4  # both answers, under both signs of the minimum weight
 
 
 def test_localization_pictures():
