@@ -20,7 +20,9 @@ from ttfilt.chains import (
 )
 from ttfilt.filtmod import decompose, dual, realize_sum
 from ttfilt.functors import fgt_complex, homology, is_zero_DE, pwz_complex, tfgt, gr_complex
-from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
+from ttfilt.motives import expr_support, to_filtered
+from ttfilt.shell import print_expr
+from ttfilt.samples import random_complex, random_expr, random_formal_sum, scrambled_module
 from ttfilt.spectrum import is_specialization_closed, supp
 
 
@@ -57,6 +59,10 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         mf = minimize(x)
         if is_nullhomotopic(mf.incl.compose(mf.proj).add(ChainMap.identity(x))) is None:
             print(f"[{i}] minimization certificate failed")
+            failures += 1
+        e = random_expr(rng)
+        if expr_support(e) != supp(to_filtered(e)):
+            print(f"[{i}] planned support differs from the evaluated one on {print_expr(e)}")
             failures += 1
         z = random_complex(rng, C2, 3)
         if gr_complex(pwz_complex(z)) != z:

@@ -8,7 +8,9 @@ derived weight-zero functors rwz / tfgt.
 
 from __future__ import annotations
 
-from .gf2 import BitMatrix, C2Module, LinearSystem, Subspace, image, kernel_space, quotient_module, induced_map
+from collections import defaultdict
+
+from .gf2 import BitMatrix, C2Module, Subspace, image, kernel_space, quotient_module, induced_map
 from .filtmod import FiltModule, MathEngineError, _tensor_layer, pwz_module
 from .chains import (
     C2,
@@ -294,14 +296,16 @@ def is_zero_DE(x: Complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _express(basis: list[BitMatrix], target: BitMatrix):
-    """Coefficients of target in a basis of matrices, or None."""
-    system = LinearSystem()
-    c = system.block(1, len(basis))
-    # c . B = target, with row k of B the entries of basis[k]
-    b_mat = BitMatrix(len(basis), target.rows * target.cols, tuple(m.flat() for m in basis))
-    system.equation([(None, c, b_mat.transpose().data)], BitMatrix(1, b_mat.cols, (target.flat(),)))
-    return system.solve()
+def _coords(basis: list[BitMatrix], targets: list[BitMatrix]) -> list[int]:
+    """Coefficients of each target in a basis of same-shape matrices, by one
+    elimination on the flattened basis; the basis is independent, so they
+    are unique."""
+    width = targets[0].rows * targets[0].cols
+    flat_basis = BitMatrix(len(basis), width, tuple(b.flat() for b in basis)).transpose()
+    out = flat_basis.solve_many(t.flat() for t in targets)
+    if None in out:
+        raise MathEngineError("hom differential left the hom space")
+    return out
 
 
 def hom_DE(x: Complex, y: Complex) -> dict[int, int]:
@@ -320,45 +324,32 @@ def hom_DE(x: Complex, y: Complex) -> dict[int, int]:
     if j <= 0:
         return {}
     z = tensor_complex(injres_trunc(j), y)
-    hom_bases = {}
+    # hom(x_i, z_k) sits in shift k - i; offsets within a shift go by i
+    hom_bases, offset, dims = {}, {}, {}
     for i in x.degrees():
         for k in z.degrees():
-            hom_bases[(i, k)] = hom_basis(x.term(i), z.term(k))
+            hom_bases[(i, k)] = [g.matrix for g in hom_basis(x.term(i), z.term(k))]
+            offset[(i, k)] = dims.get(k - i, 0)
+            dims[k - i] = offset[(i, k)] + len(hom_bases[(i, k)])
     lo = z.d_min - x.d_max
     hi = z.d_max - x.d_min
-    dims = {}
-    mats = {}
-    for n in range(lo, hi + 1):
-        pairs = [(i, i + n) for i in x.degrees() if z.d_min <= i + n <= z.d_max]
-        dims[n] = sum(len(hom_bases[p]) for p in pairs)
-    for n in range(lo + 1, hi + 1):
-        src_pairs = [(i, i + n) for i in x.degrees() if z.d_min <= i + n <= z.d_max]
-        tgt_pairs = [(i, i + n - 1) for i in x.degrees() if z.d_min <= i + n - 1 <= z.d_max]
-        tgt_index = {}
-        off = 0
-        for p in tgt_pairs:
-            tgt_index[p] = off
-            off += len(hom_bases[p])
-        rows_out = []
-        for (i, k) in src_pairs:
-            for g in hom_bases[(i, k)]:
-                col = 0
-                # component d_z . g lands in hom(x_i, z_{k-1})
-                if (i, k - 1) in tgt_index:
-                    coeff = _express([b.matrix for b in hom_bases[(i, k - 1)]],
-                                     z.diff(k).mul(g.matrix))
-                    if coeff is None:
-                        raise MathEngineError("hom differential left the hom space")
-                    col |= coeff << tgt_index[(i, k - 1)]
-                # component g . d_x lands in hom(x_{i+1}, z_k)
-                if (i + 1, k) in tgt_index:
-                    coeff = _express([b.matrix for b in hom_bases[(i + 1, k)]],
-                                     g.matrix.mul(x.diff(i + 1)))
-                    if coeff is None:
-                        raise MathEngineError("hom differential left the hom space")
-                    col |= coeff << tgt_index[(i + 1, k)]
-                rows_out.append(col)
-        mats[n] = BitMatrix(len(rows_out), dims.get(n - 1, 0), tuple(rows_out)).transpose()
+    # d(g) for g in hom(x_i, z_k) has the components d_z.g in hom(x_i, z_{k-1})
+    # and g.d_x in hom(x_{i+1}, z_k); all components landing in one hom
+    # space are read off its basis by one elimination
+    parts = []
+    targets = defaultdict(list)
+    for (i, k), basis in hom_bases.items():
+        for g in basis:
+            keys = [key for key in ((i, k - 1), (i + 1, k)) if key in hom_bases]
+            for key in keys:
+                targets[key].append(z.diff(k).mul(g) if key[0] == i else g.mul(x.diff(i + 1)))
+            parts.append((k - i, keys))
+    coords = {key: iter(_coords(hom_bases[key], mats)) for key, mats in targets.items()}
+    columns = defaultdict(list)
+    for n, keys in parts:
+        columns[n].append(sum(next(coords[key]) << offset[key] for key in keys))
+    mats = {n: BitMatrix(len(columns[n]), dims.get(n - 1, 0), tuple(columns[n])).transpose()
+            for n in range(lo + 1, hi + 1)}
     out = {}
     for n in range(lo, hi + 1):
         d_out = mats.get(n, BitMatrix.zero(0, dims.get(n, 0)))

@@ -4,17 +4,19 @@ Every expression over the two generating motives M(R) and M(C), the named
 complexes of the `chains` catalog and the cones of the named maps is a
 `MotiveExpr` tree; the grammar in `shell` parses text into the same tree.
 `to_filtered` translates a tree structurally into a filtered complex, and
-all questions about it (supports, classes, hom dimensions) are answered by
-the engine on the translated object.  The translation is a hard-coded
-dictionary on generators: the base point goes to the unit, the quadratic
-extension point to the pure regular module; every other named atom is an
-entry of `chains.named`.  Only support-level statements are exposed for
-tensor expressions.
+hom dimensions and realizations are answered by the engine on the
+translated object; `expr_support` computes supports (and so classes and
+ideal membership) on the tree, with residue tests on the leaves only.  The
+translation is a hard-coded dictionary on generators: the base point goes
+to the unit, the quadratic extension point to the pure regular module;
+every other named atom is an entry of `chains.named`.  Only support-level
+statements are exposed for tensor expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chains import (
     FILT,
@@ -27,9 +29,9 @@ from .chains import (
     tensor_complex,
     twist_complex,
 )
-from .filtmod import e_label, realize, unit_label
+from .filtmod import _CACHE_SIZE, e_label, realize, unit_label
 from .functors import fgt_complex, hom_DE, homology, res_complex
-from .spectrum import supp
+from .spectrum import check_support, supp
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +117,50 @@ def to_filtered(e: MotiveExpr) -> Complex:
     raise ValueError(f"malformed expression: {e.op}")
 
 
+def expr_support(e: MotiveExpr) -> frozenset:
+    """Support of to_filtered(e), computed on the tree.
+
+    Support is a support datum, so
+      - supp(a + b) = supp a | supp b and supp(a * b) = supp a & supp b;
+      - twist, shift and dual leave the support unchanged.
+    The residue tests run only on the leaves (atoms and cones), each
+    through spectrum.supp on its own evaluated complex, memoized by a leaf
+    key with the twist normalized away: E(l,m) is keyed as E(l,0) and 1(n)
+    as 1(0), since realize(e_label(l, m)) is realize(e_label(l, 0)) twisted
+    by m; every other leaf is its own key.  Every leaf is evaluated, left to
+    right, even after an empty support has decided a product, so that an
+    invalid leaf raises as it does when the whole tree is evaluated.  No
+    tensor product is built.  The result passes the specialization-closed
+    check once more.
+    """
+    return check_support(_tree_support(e))
+
+
+def _tree_support(e: MotiveExpr) -> frozenset:
+    if e.op in ("atom", "cone"):
+        return _leaf_support(_leaf_key(e))
+    if e.op in ("twist", "shift", "dual"):
+        return _tree_support(e.args[0])
+    if e.op == "sum":
+        return _tree_support(e.args[0]) | _tree_support(e.args[1])
+    if e.op == "tensor":
+        return _tree_support(e.args[0]) & _tree_support(e.args[1])
+    raise ValueError(f"malformed expression: {e.op}")
+
+
+def _leaf_key(e: MotiveExpr) -> MotiveExpr:
+    if e.op == "atom" and e.name == "E":
+        return MotiveExpr("atom", "E", (e.params[0], 0))
+    if e.op == "atom" and e.name == "1":
+        return MotiveExpr("atom", "1", (0,))
+    return e
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _leaf_support(leaf: MotiveExpr) -> frozenset:
+    return supp(to_filtered(leaf))
+
+
 # ---------------------------------------------------------------------------
 # Cohomology and realizations
 # ---------------------------------------------------------------------------
@@ -137,11 +183,10 @@ class RealizationResult:
 
 def realization(name: str, e: MotiveExpr) -> RealizationResult:
     """Support- or homology-level shadows of the three classical realizations."""
-    x = to_filtered(e)
     if name == "etale":
-        return RealizationResult("etale", homology_splits=homology(fgt_complex(x)))
+        return RealizationResult("etale", homology_splits=homology(fgt_complex(to_filtered(e))))
     if name == "base_change":
-        z = res_complex(fgt_complex(x))
+        z = res_complex(fgt_complex(to_filtered(e)))
         dims = {n: z.dim(n) for n in z.degrees()}
         hdims = {}
         for n in z.degrees():
@@ -149,7 +194,7 @@ def realization(name: str, e: MotiveExpr) -> RealizationResult:
             if h:
                 hdims[n] = h
         return RealizationResult("base_change", dims=dims, homology_dims=hdims,
-                                 support_shadow=supp(x) & {"N", "Ns"})
+                                 support_shadow=expr_support(e) & {"N", "Ns"})
     if name == "real":
-        return RealizationResult("real", support_shadow=supp(x) & {"L", "M"})
+        return RealizationResult("real", support_shadow=expr_support(e) & {"L", "M"})
     raise ValueError(f"unknown realization: {name}")

@@ -19,6 +19,7 @@ from .chains import (
     build_complex,
 )
 from .filtmod import FiltModule, FormalSum, IndecLabel, e_label, realize_sum, unit_label
+from .motives import MAPNAMES, MotiveExpr, to_filtered
 
 
 def random_label(rng: random.Random, max_l: int = 3, weight_span: tuple[int, int] = (-2, 2)) -> IndecLabel:
@@ -103,3 +104,39 @@ def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:
             f = f.add(b)
     f.validate()
     return f
+
+
+_CONSTANT_LEAVES = ("0", "M(R)", "M(C)", "fund0", "T", "conebeta", "conerho", "coneomega")
+
+
+def random_expr(rng: random.Random, depth: int = 3, max_dim: int = 16) -> MotiveExpr:
+    """A grammar tree with at most `depth` operator levels over small leaves,
+    redrawn until its evaluated complex has total dimension at most max_dim."""
+    while True:
+        e = _random_tree(rng, depth)
+        if to_filtered(e).total_dim() <= max_dim:
+            return e
+
+
+def _random_tree(rng: random.Random, depth: int) -> MotiveExpr:
+    if depth == 0 or rng.random() < 0.3:
+        return _random_leaf(rng)
+    op = rng.choice(("sum", "tensor", "twist", "shift", "dual"))
+    if op in ("sum", "tensor"):
+        return MotiveExpr(op, args=(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
+    if op == "dual":
+        return MotiveExpr(op, args=(_random_tree(rng, depth - 1),))
+    return MotiveExpr(op, params=(rng.randint(-3, 3),), args=(_random_tree(rng, depth - 1),))
+
+
+def _random_leaf(rng: random.Random) -> MotiveExpr:
+    kind = rng.randrange(8)
+    if kind == 0:
+        return MotiveExpr("atom", "1", (rng.randint(-3, 3),))
+    if kind <= 2:
+        return MotiveExpr("atom", "E", (rng.randint(0, 3), rng.randint(-3, 3)))
+    if kind == 3:
+        return MotiveExpr("atom", rng.choice(("fundl", "Lpure")), (rng.randint(1, 2),))
+    if kind == 4:
+        return MotiveExpr.cone_of(rng.choice(MAPNAMES))
+    return MotiveExpr("atom", rng.choice(_CONSTANT_LEAVES))

@@ -17,6 +17,11 @@
 
 '*' binds tighter than '+'.  Sums are direct sums, '*' is the tensor.
 
+`run` answers `support`, `classify` and `member` from `expr_support` on
+the parsed tree: residue tests run on the leaves only, so no tensor
+product is built; the `--trace` line lists each prime as nonzero iff it
+lies in the support.  Every other command evaluates its arguments.
+
 Serialized values carry the versioned schema field "ttfilt-io 1" and use
 one line per field; subspace and matrix rows are 0/1 strings, '|'-joined,
 with '-' for an empty list of rows.
@@ -51,7 +56,7 @@ from .chains import (
     tensor_complex,
 )
 from .functors import fgt_complex
-from .motives import MAPNAMES, MotiveExpr as Expr, to_filtered as evaluate
+from .motives import MAPNAMES, MotiveExpr as Expr, expr_support, to_filtered as evaluate
 
 
 class ParseError(Exception):
@@ -531,13 +536,15 @@ def _as_module(x: Complex) -> FiltModule:
     return x.term(x.d_min)
 
 
-def _supp_report(command: str, query: str, x: Complex) -> Report:
-    from .spectrum import supp_detail, support_text
+def _support(text: str) -> frozenset:
+    return expr_support(parse(text))
 
-    detail = supp_detail(x)
-    points = frozenset(p for p, hit in detail.items() if hit)
+
+def _supp_report(command: str, query: str, points: frozenset) -> Report:
+    from .spectrum import PRIMES, support_text
+
     rep = Report(command, query, [support_text(points)])
-    rep.trace = [f"{p}:{'nonzero' if hit else 'zero'}" for p, hit in sorted(detail.items())]
+    rep.trace = [f"{p}:{'nonzero' if p in points else 'zero'}" for p in sorted(PRIMES)]
     return rep
 
 
@@ -569,19 +576,19 @@ def run(command: str, args: list[str]) -> Report:
         return Report(command, text, [complex_text(minimize(_eval_arg(text)).complex)])
     if command == "support":
         (text,) = _args(args, 1)
-        return _supp_report(command, text, _eval_arg(text))
+        return _supp_report(command, text, _support(text))
     if command == "classify":
         (text,) = _args(args, 1)
-        cls = spectrum.classify(_eval_arg(text))
+        cls = spectrum.classify_support(_support(text))
         return Report(command, text,
                       [f"support {cls.name}", f"ideal generated by: {cls.generator}"])
     if command == "member":
         if len(args) < 2:
             raise UsageError("member needs a candidate and at least one generator")
-        x = _eval_arg(args[0])
-        gens = [_eval_arg(t) for t in args[1:]]
-        verdict = spectrum.ideal_contains(gens, x)
-        return Report(command, " ".join(args), [str(verdict).lower()])
+        # the thick tensor ideal of the generators is cut out by the union of their supports
+        x = _support(args[0])
+        union = frozenset().union(*(_support(t) for t in args[1:]))
+        return Report(command, " ".join(args), [str(x <= union).lower()])
     if command == "hom":
         a_text, b_text = _args(args, 2)
         dims = hom_DE(_eval_arg(a_text), _eval_arg(b_text))

@@ -111,10 +111,14 @@ def supp_detail(x: Complex) -> dict[str, bool]:
 
 
 def supp(x: Complex) -> frozenset:
-    result = frozenset(p for p, hit in supp_detail(x).items() if hit)
-    if not is_specialization_closed(result):
+    return check_support(frozenset(p for p, hit in supp_detail(x).items() if hit))
+
+
+def check_support(points: frozenset) -> frozenset:
+    """The computed support itself, once it passes the specialization-closed check."""
+    if not is_specialization_closed(points):
         raise MathEngineError("computed support is not specialization-closed")
-    return result
+    return points
 
 
 def is_specialization_closed(points: Iterable[str], closure=None) -> bool:
@@ -161,7 +165,11 @@ class Classification:
 
 def classify(x: Complex) -> Classification:
     """Match the support against the fourteen closed subsets."""
-    s = supp(x)
+    return classify_support(supp(x))
+
+
+def classify_support(s: frozenset) -> Classification:
+    """The class of a support among the fourteen closed subsets."""
     if s not in CLASS_GENERATORS:
         raise MathEngineError("support is not one of the fourteen closed subsets")
     return Classification(s, support_text(s), CLASS_GENERATORS[s])

@@ -3,14 +3,18 @@
 The brute-force helpers enumerate vectors or matrices exhaustively, so
 they are independent of the engine's linear-algebra paths and only usable
 for tiny dimensions; that is the point.  `weight_zero_part` is the
-construction `rwz` used before it stopped building the filtered tensor.
+construction `rwz` used before it stopped building the filtered tensor,
+and `hom_DE_by_single_solves` is `hom_DE` as it was before it read all the
+coefficients landing in one hom space off a single elimination.
 """
 
 from __future__ import annotations
 
 
-from ttfilt.gf2 import BitMatrix, Subspace, induced_map, quotient_module
-from ttfilt.chains import C2, Complex, build_complex
+from ttfilt.gf2 import BitMatrix, LinearSystem, Subspace, induced_map, quotient_module
+from ttfilt.chains import C2, Complex, build_complex, injres_trunc, tensor_complex
+from ttfilt.filtmod import hom_basis
+from ttfilt.functors import max_weight, min_weight
 
 
 def brute_rank(entries: list[list[int]]) -> int:
@@ -100,3 +104,55 @@ def weight_zero_part(x: Complex) -> Complex:
         if n > x.d_min and terms[n].dim and terms[n - 1].dim:
             diffs[n] = induced_map(reps[n], reps[n - 1], Subspace.zero(x.term(n - 1).dim), x.diff(n))
     return build_complex(C2, terms, diffs)
+
+
+def _express(basis: list[BitMatrix], target: BitMatrix):
+    """Coefficients of target in a basis of matrices, or None."""
+    system = LinearSystem()
+    c = system.block(1, len(basis))
+    b_mat = BitMatrix(len(basis), target.rows * target.cols, tuple(m.flat() for m in basis))
+    system.equation([(None, c, b_mat.transpose().data)], BitMatrix(1, b_mat.cols, (target.flat(),)))
+    return system.solve()
+
+
+def hom_DE_by_single_solves(x: Complex, y: Complex) -> dict[int, int]:
+    """Derived hom dimensions, with one linear solve per component of d(g)."""
+    if x.is_zero() or y.is_zero():
+        return {}
+    j = max_weight(y) - min_weight(x) + 1
+    if j <= 0:
+        return {}
+    z = tensor_complex(injres_trunc(j), y)
+    hom_bases = {(i, k): hom_basis(x.term(i), z.term(k)) for i in x.degrees() for k in z.degrees()}
+    lo, hi = z.d_min - x.d_max, z.d_max - x.d_min
+    dims, mats = {}, {}
+    for n in range(lo, hi + 1):
+        pairs = [(i, i + n) for i in x.degrees() if z.d_min <= i + n <= z.d_max]
+        dims[n] = sum(len(hom_bases[p]) for p in pairs)
+    for n in range(lo + 1, hi + 1):
+        src_pairs = [(i, i + n) for i in x.degrees() if z.d_min <= i + n <= z.d_max]
+        tgt_pairs = [(i, i + n - 1) for i in x.degrees() if z.d_min <= i + n - 1 <= z.d_max]
+        tgt_index, off = {}, 0
+        for p in tgt_pairs:
+            tgt_index[p] = off
+            off += len(hom_bases[p])
+        rows_out = []
+        for (i, k) in src_pairs:
+            for g in hom_bases[(i, k)]:
+                col = 0
+                if (i, k - 1) in tgt_index:
+                    coeff = _express([b.matrix for b in hom_bases[(i, k - 1)]], z.diff(k).mul(g.matrix))
+                    col |= coeff << tgt_index[(i, k - 1)]
+                if (i + 1, k) in tgt_index:
+                    coeff = _express([b.matrix for b in hom_bases[(i + 1, k)]], g.matrix.mul(x.diff(i + 1)))
+                    col |= coeff << tgt_index[(i + 1, k)]
+                rows_out.append(col)
+        mats[n] = BitMatrix(len(rows_out), dims.get(n - 1, 0), tuple(rows_out)).transpose()
+    out = {}
+    for n in range(lo, hi + 1):
+        d_out = mats.get(n, BitMatrix.zero(0, dims.get(n, 0)))
+        d_in = mats.get(n + 1, BitMatrix.zero(dims.get(n, 0), 0))
+        h = dims[n] - d_out.rank() - d_in.rank()
+        if h:
+            out[-n] = h
+    return out

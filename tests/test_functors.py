@@ -48,7 +48,7 @@ from ttfilt.functors import (
 )
 from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
 
-from helpers import brute_exact_f2, brute_tate_dim, weight_zero_part
+from helpers import brute_exact_f2, brute_tate_dim, hom_DE_by_single_solves, weight_zero_part
 
 
 def unit_c2():
@@ -243,6 +243,20 @@ def test_hom_DE_projective_target():
     e1 = single(FILT, realize(e_label(1, 0)))
     dims = hom_DE(u, e1)
     assert set(dims) <= {0}
+
+
+def test_hom_DE_matches_single_solves_on_random_complexes():
+    # sources with several degrees and nonzero differentials, so every hom
+    # space in a shift gets an offset and both components of d(g) occur
+    rng = random.Random(2024)
+    nonzero = 0
+    for _ in range(40):
+        x = random_complex(rng, FILT, rng.randint(1, 3), d_min=rng.randint(-1, 1))
+        y = random_complex(rng, FILT, rng.randint(1, 2))
+        dims = hom_DE(x, y)
+        assert dims == hom_DE_by_single_solves(x, y)
+        nonzero += bool(dims)
+    assert nonzero >= 20
 
 
 # -- key lemma instances --------------------------------------------------------------

@@ -57,3 +57,14 @@ def test_cli_support_of_a_large_twist_is_fast(expr, expected):
     proc = _python("-m", "ttfilt.cli", "support", expr, timeout=30)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert expected in proc.stdout
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["support", "T * T * T * T * T * T * T * T"], "{Ls, Ms, Ns}"),
+    (["member", "fund0 * fund0 * fund0 * fund0 * fund0 * fund0", "fund0"], "true"),
+])
+def test_cli_support_of_a_large_product_is_planned(argv, expected):
+    # the planner intersects leaf supports; the products (65,536 and 4,096 dims) are never built
+    proc = _python("-m", "ttfilt.cli", *argv, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert expected in proc.stdout
