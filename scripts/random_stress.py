@@ -57,6 +57,9 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             print(f"[{i}] twisted forgetful homology mismatch")
             failures += 1
         mf = minimize(x)
+        if mf.proj.compose(mf.incl) != ChainMap.identity(mf.complex):
+            print(f"[{i}] minimization proj . incl is not the identity")
+            failures += 1
         if is_nullhomotopic(mf.incl.compose(mf.proj).add(ChainMap.identity(x))) is None:
             print(f"[{i}] minimization certificate failed")
             failures += 1

@@ -9,6 +9,7 @@ the homological degree by one.  The coefficient field has characteristic
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .gf2 import BitMatrix, C2Module, LinearSystem, equivariance_rows
@@ -37,11 +38,7 @@ FILT, C2, F2 = "filt", "c2", "f2"
 
 
 def cell_dim(kind, obj) -> int:
-    if kind == F2:
-        return obj
-    if kind == C2:
-        return obj.dim
-    return obj.dim
+    return obj if kind == F2 else obj.dim
 
 
 # One zero object per cell kind, shared: cells are immutable.
@@ -495,15 +492,16 @@ class MinimalForm:
 
 
 def _split_term(kind, obj):
-    """Standard-form presentation of one term: (labels, u) with
+    """Standard-form presentation of one term: (labels, u, u_inv) with
     u : _rebuild_term(kind, labels) -> obj an isomorphism."""
     if kind == F2:
-        return ("k",) * obj, BitMatrix.identity(obj)
+        ident = BitMatrix.identity(obj)
+        return ("k",) * obj, ident, ident
     if kind == C2:
         a, b, u = obj.standard_split()
-        return ("k",) * a + ("kc2",) * b, u
+        return ("k",) * a + ("kc2",) * b, u, u.inverse()
     dec = decompose(obj)
-    return dec.sum.labels, dec.iso.matrix
+    return dec.sum.labels, dec.iso.matrix, dec.inv.matrix
 
 
 def _label_dim(kind, lab) -> int:
@@ -515,12 +513,15 @@ def _label_dim(kind, lab) -> int:
 
 
 def _offsets(kind, labels) -> list[int]:
-    offs = []
-    off = 0
-    for lab in labels:
-        offs.append(off)
-        off += _label_dim(kind, lab)
-    return offs
+    return [0, *accumulate(_label_dim(kind, lab) for lab in labels)][:-1]
+
+
+def _rows(m: BitMatrix, idx) -> BitMatrix:
+    return m.submatrix(idx, range(m.cols))
+
+
+def _cols(m: BitMatrix, idx) -> BitMatrix:
+    return m.submatrix(range(m.rows), idx)
 
 
 def _rebuild_term(kind, labels):
@@ -540,24 +541,22 @@ def minimize(x: Complex) -> MinimalForm:
     maps i, p with p.i = id on the minimal form; i.p is homotopic to the
     identity.  Unit entries are searched lowest degree first, then in
     lexicographic summand order, so the output is deterministic.
+
+    Each elimination is the Gaussian reduction of a based complex
+    (Skoldberg, Trans. AMS 358, 2006), in place: for the unit block a in
+    d_n = [[a, b], [c, e]], d_n becomes the Schur complement e + c.a^-1.b,
+    i_n becomes i_n[:, other] + i_n[:, a].a^-1.b, p_{n-1} becomes
+    p_{n-1}[other, :] + c.a^-1.p_{n-1}[a, :], and d_{n+1}, d_{n-1},
+    i_{n-1} and p_n only lose the rows or columns of the eliminated pair.
     """
     kind = x.kind
-    if x.is_zero():
-        zc = Complex(kind, 0, (), ())
-        return MinimalForm(zc, ChainMap.of(zc, x, {}, check=False), ChainMap.of(x, zc, {}, check=False), ())
-
     labels: dict[int, list] = {}
     incl_comps: dict[int, BitMatrix] = {}
     proj_comps: dict[int, BitMatrix] = {}
     diffs: dict[int, BitMatrix] = {}
     for n in x.degrees():
-        labs, u = _split_term(kind, x.term(n))
+        labs, incl_comps[n], proj_comps[n] = _split_term(kind, x.term(n))
         labels[n] = list(labs)
-        incl_comps[n] = u
-        uinv = u.inverse()
-        if uinv is None:
-            raise MathEngineError("term splitting produced a singular basis change")
-        proj_comps[n] = uinv
     for n in x.degrees():
         if n > x.d_min:
             diffs[n] = proj_comps[n - 1].mul(x.diff(n)).mul(incl_comps[n])
@@ -599,74 +598,32 @@ def minimize(x: Complex) -> MinimalForm:
         n, i, j = hit
         clean.difference_update({n - 1, n, n + 1})
         d = diffs[n]
-        labs_t, labs_s = labels[n - 1], labels[n]
-        offs_t, offs_s = _offsets(kind, labs_t), _offsets(kind, labs_s)
-        dt = _label_dim(kind, labs_t[i])
-        t0, s0 = offs_t[i], offs_s[j]
-        t_idx = list(range(t0, t0 + dt))
-        s_idx = list(range(s0, s0 + dt))
-        dim_s = sum(_label_dim(kind, l) for l in labs_s)
-        dim_t = sum(_label_dim(kind, l) for l in labs_t)
-        other_s = [c for c in range(dim_s) if c not in s_idx]
-        other_t = [r for r in range(dim_t) if r not in t_idx]
+        dt = _label_dim(kind, labels[n - 1][i])
+        t0, s0 = _offsets(kind, labels[n - 1])[i], _offsets(kind, labels[n])[j]
+        t_idx, s_idx = range(t0, t0 + dt), range(s0, s0 + dt)
+        other_t = [r for r in range(d.rows) if r not in t_idx]
+        other_s = [c for c in range(d.cols) if c not in s_idx]
+        # d_n = [[a, b], [c, e]] with a the unit block at (t_idx, s_idx)
         a = d.submatrix(t_idx, s_idx)
         ainv = a.inverse()
-        b = d.submatrix(t_idx, other_s)
-        c = d.submatrix(other_t, s_idx)
-        # P = I + E on the source term, E supported on (block rows, other cols)
-        ab = ainv.mul(b)
-        p_data = list(BitMatrix.identity(dim_s).data)
-        for bi, r in enumerate(ab.data):
-            add = 0
-            for k, col in enumerate(other_s):
-                if (r >> k) & 1:
-                    add |= 1 << col
-            p_data[s_idx[bi]] ^= add
-        p_mat = BitMatrix(dim_s, dim_s, tuple(p_data))
-        # Q = I + E' on the target term, E' supported on (other rows, block cols)
-        ca = c.mul(ainv)
-        q_data = list(BitMatrix.identity(dim_t).data)
-        for k, row_i in enumerate(other_t):
-            add = 0
-            for bi in range(dt):
-                if ca.entry(k, bi):
-                    add |= 1 << t_idx[bi]
-            q_data[row_i] ^= add
-        q_mat = BitMatrix(dim_t, dim_t, tuple(q_data))
-        # conjugate the differentials (P and Q are self-inverse)
-        diffs[n] = q_mat.mul(d).mul(p_mat)
-        if n + 1 in diffs:
-            diffs[n + 1] = p_mat.mul(diffs[n + 1])
-        if n - 1 in diffs:
-            diffs[n - 1] = diffs[n - 1].mul(q_mat)
-        incl_comps[n] = incl_comps[n].mul(p_mat)
-        incl_comps[n - 1] = incl_comps[n - 1].mul(q_mat)
-        proj_comps[n] = p_mat.mul(proj_comps[n])
-        proj_comps[n - 1] = q_mat.mul(proj_comps[n - 1])
-        # split off the contractible (L = L') pair and restrict everything
-        sel_s = BitMatrix.identity(dim_s).submatrix(range(dim_s), other_s)
-        sel_s_rows = BitMatrix.identity(dim_s).submatrix(other_s, range(dim_s))
-        sel_t = BitMatrix.identity(dim_t).submatrix(range(dim_t), other_t)
-        sel_t_rows = BitMatrix.identity(dim_t).submatrix(other_t, range(dim_t))
-        new_dn = diffs[n].submatrix(other_t, other_s)
-        leak = diffs[n].submatrix(t_idx, other_s)
-        if not leak.is_zero() or not diffs[n].submatrix(other_t, s_idx).is_zero():
+        if ainv is None or not a.mul(ainv).is_identity():
             raise MathEngineError("elimination failed to isolate the unit block")
-        diffs[n] = new_dn
+        if n + 1 in diffs and not _rows(d, t_idx).mul(diffs[n + 1]).is_zero():
+            raise MathEngineError("incoming differential leaks into eliminated summand")
+        if n - 1 in diffs and not diffs[n - 1].mul(_cols(d, s_idx)).is_zero():
+            raise MathEngineError("outgoing differential leaks from eliminated summand")
+        b, c = d.submatrix(t_idx, other_s), d.submatrix(other_t, s_idx)
+        ab, ca = ainv.mul(b), c.mul(ainv)
+        diffs[n] = d.submatrix(other_t, other_s).add(c.mul(ab))
         if n + 1 in diffs:
-            kept = diffs[n + 1].submatrix(other_s, range(diffs[n + 1].cols))
-            if not diffs[n + 1].submatrix(s_idx, range(diffs[n + 1].cols)).is_zero():
-                raise MathEngineError("incoming differential leaks into eliminated summand")
-            diffs[n + 1] = kept
+            diffs[n + 1] = _rows(diffs[n + 1], other_s)
         if n - 1 in diffs:
-            kept = diffs[n - 1].submatrix(range(diffs[n - 1].rows), other_t)
-            if not diffs[n - 1].submatrix(range(diffs[n - 1].rows), t_idx).is_zero():
-                raise MathEngineError("outgoing differential leaks from eliminated summand")
-            diffs[n - 1] = kept
-        incl_comps[n] = incl_comps[n].mul(sel_s)
-        incl_comps[n - 1] = incl_comps[n - 1].mul(sel_t)
-        proj_comps[n] = sel_s_rows.mul(proj_comps[n])
-        proj_comps[n - 1] = sel_t_rows.mul(proj_comps[n - 1])
+            diffs[n - 1] = _cols(diffs[n - 1], other_t)
+        incl_n, proj_t = incl_comps[n], proj_comps[n - 1]
+        incl_comps[n] = _cols(incl_n, other_s).add(_cols(incl_n, s_idx).mul(ab))
+        incl_comps[n - 1] = _cols(incl_comps[n - 1], other_t)
+        proj_comps[n] = _rows(proj_comps[n], other_s)
+        proj_comps[n - 1] = _rows(proj_t, other_t).add(ca.mul(_rows(proj_t, t_idx)))
         del labels[n][j]
         del labels[n - 1][i]
         # zero-dimensional terms keep zero-size matrices; build_complex trims ends
@@ -695,13 +652,18 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
             for v in system.kernel()]
 
 
+class SearchExhausted(Exception):
+    """A bounded search gave up without deciding its question."""
+
+
 def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
     """Bounded search for an isomorphism of complexes x -> y.
 
     Returns a validated pair (u, u_inv) of mutually inverse chain maps, or
-    None if the search fails.  Components must be invertible in the cell
-    category, which for filtered terms includes the inverse preserving
-    filtrations."""
+    None when none exists (term dimensions differ, or no nonzero chain map).
+    Raises SearchExhausted when the basis and `tries` random sums of it hold
+    no isomorphism.  Components must be invertible in the cell category,
+    which for filtered terms includes the inverse preserving filtrations."""
     import random as _random
 
     if x.is_zero() and y.is_zero():
@@ -744,7 +706,7 @@ def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
         hit = try_map(u)
         if hit:
             return hit
-    return None
+    raise SearchExhausted(f"no chain isomorphism among {len(basis)} basis maps and {tries} random sums")
 
 
 def signature(x: Complex):

@@ -197,6 +197,11 @@ class FiltModule:
             return Subspace.zero(self.dim)
         return self.layers[w - self.w_min]
 
+    def graded(self, w: int) -> tuple[C2Module, BitMatrix]:
+        """The weight-w graded piece layer(w) / layer(w + 1), with the coset
+        representatives of `quotient_module`."""
+        return quotient_module(self.module, self.layer(w), self.layer(w + 1))
+
     def is_effective(self) -> bool:
         return self.is_zero() or self.layer(0).is_full()
 
@@ -324,7 +329,7 @@ def gr(a: FiltModule) -> list[tuple[int, C2Module]]:
     """Graded pieces: list of (weight, layer mod next layer), nonzero ones only."""
     out = []
     for w in range(a.w_min, a.w_max + 1):
-        piece, _ = quotient_module(a.module, a.layer(w), a.layer(w + 1))
+        piece, _ = a.graded(w)
         if piece.dim > 0:
             out.append((w, piece))
     return out
@@ -480,8 +485,8 @@ def decompose(a: FiltModule) -> Decomposition:
 
 def gr_map(f: FiltMorphism, w: int) -> BitMatrix:
     """Weight-w component of the graded map induced by f."""
-    src, s_reps = quotient_module(f.source.module, f.source.layer(w), f.source.layer(w + 1))
-    tgt, t_reps = quotient_module(f.target.module, f.target.layer(w), f.target.layer(w + 1))
+    _, s_reps = f.source.graded(w)
+    _, t_reps = f.target.graded(w)
     return induced_map(s_reps, t_reps, f.target.layer(w + 1), f.matrix)
 
 
@@ -495,12 +500,8 @@ def is_admissible(f: FiltMorphism, g: FiltMorphism) -> bool:
     a, b, c = f.source, f.target, g.target
     weights = range(min(a.w_min, b.w_min, c.w_min), max(a.w_max, b.w_max, c.w_max) + 1)
     for w in weights:
-        amod, _ = quotient_module(a.module, a.layer(w), a.layer(w + 1))
-        bmod, _ = quotient_module(b.module, b.layer(w), b.layer(w + 1))
-        cmod, _ = quotient_module(c.module, c.layer(w), c.layer(w + 1))
-        gf = gr_map(f, w)
-        gg = gr_map(g, w)
-        if not _split_exact_equivariant(amod, bmod, cmod, gf, gg):
+        amod, bmod, cmod = (m.graded(w)[0] for m in (a, b, c))
+        if not _split_exact_equivariant(amod, bmod, cmod, gr_map(f, w), gr_map(g, w)):
             return False
     return True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .gf2 import BitMatrix, C2Module, Subspace, image, kernel_space, quotient_module, induced_map
-from .filtmod import FiltModule, MathEngineError, _tensor_layer, pwz_module
+from .filtmod import FiltModule, FiltMorphism, MathEngineError, _tensor_layer, gr_map, pwz_module
 from .chains import (
     C2,
     F2,
@@ -40,7 +40,7 @@ def _gr_total(a: FiltModule):
     reps_rows: list[int] = []
     sigma_blocks = []
     for w in range(a.w_min, a.w_max + 1):
-        piece, reps = quotient_module(a.module, a.layer(w), a.layer(w + 1))
+        piece, reps = a.graded(w)
         if piece.dim == 0:
             continue
         pieces.append((w, piece, reps))
@@ -86,10 +86,7 @@ def gr_component_complex(x: Complex, w: int) -> Complex:
     terms = {}
     reps = {}
     for n in x.degrees():
-        t = x.term(n)
-        piece, rep = quotient_module(t.module, t.layer(w), t.layer(w + 1))
-        terms[n] = piece
-        reps[n] = rep
+        terms[n], reps[n] = x.term(n).graded(w)
     diffs = {}
     for n in x.degrees():
         if n > x.d_min and terms[n].dim and terms[n - 1].dim:
@@ -104,11 +101,9 @@ def gr_component_map(f: ChainMap, w: int) -> ChainMap:
     tgt = gr_component_complex(f.target, w)
     comps = {}
     for n, mat in f.comps:
-        s_t, t_t = f.source.term(n), f.target.term(n)
-        _, s_rep = quotient_module(s_t.module, s_t.layer(w), s_t.layer(w + 1))
-        _, t_rep = quotient_module(t_t.module, t_t.layer(w), t_t.layer(w + 1))
-        if s_rep.rows and t_rep.rows:
-            comps[n] = induced_map(s_rep, t_rep, t_t.layer(w + 1), mat)
+        comp = gr_map(FiltMorphism(f.source.term(n), f.target.term(n), mat), w)
+        if comp.rows and comp.cols:
+            comps[n] = comp
     return ChainMap.of(src, tgt, comps, check=False)
 
 

@@ -4,16 +4,31 @@ The brute-force helpers enumerate vectors or matrices exhaustively, so
 they are independent of the engine's linear-algebra paths and only usable
 for tiny dimensions; that is the point.  `weight_zero_part` is the
 construction `rwz` used before it stopped building the filtered tensor,
-and `hom_DE_by_single_solves` is `hom_DE` as it was before it read all the
-coefficients landing in one hom space off a single elimination.
+`hom_DE_by_single_solves` is `hom_DE` as it was before it read all the
+coefficients landing in one hom space off a single elimination, and
+`minimize_by_conjugation` is `minimize` as it was before each elimination
+became a Schur complement.
 """
 
 from __future__ import annotations
 
 
 from ttfilt.gf2 import BitMatrix, LinearSystem, Subspace, induced_map, quotient_module
-from ttfilt.chains import C2, Complex, build_complex, injres_trunc, tensor_complex
-from ttfilt.filtmod import hom_basis
+from ttfilt.chains import (
+    C2,
+    ChainMap,
+    Complex,
+    MinimalForm,
+    _label_dim,
+    _offsets,
+    _rebuild_term,
+    _split_term,
+    build_complex,
+    cell_is_zero,
+    injres_trunc,
+    tensor_complex,
+)
+from ttfilt.filtmod import MathEngineError, hom_basis
 from ttfilt.functors import max_weight, min_weight
 
 
@@ -156,3 +171,147 @@ def hom_DE_by_single_solves(x: Complex, y: Complex) -> dict[int, int]:
         if h:
             out[-n] = h
     return out
+
+
+def minimize_by_conjugation(x: Complex) -> MinimalForm:
+    """`chains.minimize` as it was before its elimination step became a
+    Schur complement: each step conjugates the differentials by dense
+    matrices P and Q and then restricts by selection matrices."""
+    kind = x.kind
+    if x.is_zero():
+        zc = Complex(kind, 0, (), ())
+        return MinimalForm(zc, ChainMap.of(zc, x, {}, check=False), ChainMap.of(x, zc, {}, check=False), ())
+
+    labels: dict[int, list] = {}
+    incl_comps: dict[int, BitMatrix] = {}
+    proj_comps: dict[int, BitMatrix] = {}
+    diffs: dict[int, BitMatrix] = {}
+    for n in x.degrees():
+        labs, u = _split_term(kind, x.term(n))[:2]
+        labels[n] = list(labs)
+        incl_comps[n] = u
+        uinv = u.inverse()
+        if uinv is None:
+            raise MathEngineError("term splitting produced a singular basis change")
+        proj_comps[n] = uinv
+    for n in x.degrees():
+        if n > x.d_min:
+            diffs[n] = proj_comps[n - 1].mul(x.diff(n)).mul(incl_comps[n])
+
+    def find_unit_at(n):
+        d = diffs[n]
+        labs_t, labs_s = labels[n - 1], labels[n]
+        offs_t, offs_s = _offsets(kind, labs_t), _offsets(kind, labs_s)
+        for i, lt in enumerate(labs_t):
+            for j, ls in enumerate(labs_s):
+                if lt != ls:
+                    continue
+                dt = _label_dim(kind, lt)
+                block = d.submatrix(range(offs_t[i], offs_t[i] + dt),
+                                    range(offs_s[j], offs_s[j] + dt))
+                if block.inverse() is not None:
+                    return i, j
+        return None
+
+    # a degree once verified unit-free can only change when a neighboring
+    # elimination touches its differential, so track clean degrees
+    clean: set = set()
+
+    def find_unit():
+        # lowest differential degree first, then lexicographic (target, source)
+        for n in sorted(diffs):
+            if n in clean:
+                continue
+            hit = find_unit_at(n)
+            if hit is not None:
+                return (n,) + hit
+            clean.add(n)
+        return None
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        n, i, j = hit
+        clean.difference_update({n - 1, n, n + 1})
+        d = diffs[n]
+        labs_t, labs_s = labels[n - 1], labels[n]
+        offs_t, offs_s = _offsets(kind, labs_t), _offsets(kind, labs_s)
+        dt = _label_dim(kind, labs_t[i])
+        t0, s0 = offs_t[i], offs_s[j]
+        t_idx = list(range(t0, t0 + dt))
+        s_idx = list(range(s0, s0 + dt))
+        dim_s = sum(_label_dim(kind, l) for l in labs_s)
+        dim_t = sum(_label_dim(kind, l) for l in labs_t)
+        other_s = [c for c in range(dim_s) if c not in s_idx]
+        other_t = [r for r in range(dim_t) if r not in t_idx]
+        a = d.submatrix(t_idx, s_idx)
+        ainv = a.inverse()
+        b = d.submatrix(t_idx, other_s)
+        c = d.submatrix(other_t, s_idx)
+        # P = I + E on the source term, E supported on (block rows, other cols)
+        ab = ainv.mul(b)
+        p_data = list(BitMatrix.identity(dim_s).data)
+        for bi, r in enumerate(ab.data):
+            add = 0
+            for k, col in enumerate(other_s):
+                if (r >> k) & 1:
+                    add |= 1 << col
+            p_data[s_idx[bi]] ^= add
+        p_mat = BitMatrix(dim_s, dim_s, tuple(p_data))
+        # Q = I + E' on the target term, E' supported on (other rows, block cols)
+        ca = c.mul(ainv)
+        q_data = list(BitMatrix.identity(dim_t).data)
+        for k, row_i in enumerate(other_t):
+            add = 0
+            for bi in range(dt):
+                if ca.entry(k, bi):
+                    add |= 1 << t_idx[bi]
+            q_data[row_i] ^= add
+        q_mat = BitMatrix(dim_t, dim_t, tuple(q_data))
+        # conjugate the differentials (P and Q are self-inverse)
+        diffs[n] = q_mat.mul(d).mul(p_mat)
+        if n + 1 in diffs:
+            diffs[n + 1] = p_mat.mul(diffs[n + 1])
+        if n - 1 in diffs:
+            diffs[n - 1] = diffs[n - 1].mul(q_mat)
+        incl_comps[n] = incl_comps[n].mul(p_mat)
+        incl_comps[n - 1] = incl_comps[n - 1].mul(q_mat)
+        proj_comps[n] = p_mat.mul(proj_comps[n])
+        proj_comps[n - 1] = q_mat.mul(proj_comps[n - 1])
+        # split off the contractible (L = L') pair and restrict everything
+        sel_s = BitMatrix.identity(dim_s).submatrix(range(dim_s), other_s)
+        sel_s_rows = BitMatrix.identity(dim_s).submatrix(other_s, range(dim_s))
+        sel_t = BitMatrix.identity(dim_t).submatrix(range(dim_t), other_t)
+        sel_t_rows = BitMatrix.identity(dim_t).submatrix(other_t, range(dim_t))
+        new_dn = diffs[n].submatrix(other_t, other_s)
+        leak = diffs[n].submatrix(t_idx, other_s)
+        if not leak.is_zero() or not diffs[n].submatrix(other_t, s_idx).is_zero():
+            raise MathEngineError("elimination failed to isolate the unit block")
+        diffs[n] = new_dn
+        if n + 1 in diffs:
+            kept = diffs[n + 1].submatrix(other_s, range(diffs[n + 1].cols))
+            if not diffs[n + 1].submatrix(s_idx, range(diffs[n + 1].cols)).is_zero():
+                raise MathEngineError("incoming differential leaks into eliminated summand")
+            diffs[n + 1] = kept
+        if n - 1 in diffs:
+            kept = diffs[n - 1].submatrix(range(diffs[n - 1].rows), other_t)
+            if not diffs[n - 1].submatrix(range(diffs[n - 1].rows), t_idx).is_zero():
+                raise MathEngineError("outgoing differential leaks from eliminated summand")
+            diffs[n - 1] = kept
+        incl_comps[n] = incl_comps[n].mul(sel_s)
+        incl_comps[n - 1] = incl_comps[n - 1].mul(sel_t)
+        proj_comps[n] = sel_s_rows.mul(proj_comps[n])
+        proj_comps[n - 1] = sel_t_rows.mul(proj_comps[n - 1])
+        del labels[n][j]
+        del labels[n - 1][i]
+        # zero-dimensional terms keep zero-size matrices; build_complex trims ends
+
+    terms = {n: _rebuild_term(kind, labs) for n, labs in labels.items()}
+    live = {n: t for n, t in terms.items() if not cell_is_zero(kind, t)}
+    mini = build_complex(kind, live, {n: d for n, d in diffs.items()
+                                      if d.rows and d.cols}, check=False)
+    incl = ChainMap.of(mini, x, {n: incl_comps[n] for n in mini.degrees()}, check=False)
+    proj = ChainMap.of(x, mini, {n: proj_comps[n] for n in mini.degrees()}, check=False)
+    labs = tuple(sorted((n, tuple(labels[n])) for n in mini.degrees()))
+    return MinimalForm(mini, incl, proj, labs)

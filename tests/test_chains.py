@@ -3,18 +3,20 @@ import random
 import pytest
 
 from ttfilt.gf2 import BitMatrix, C2Module
-from ttfilt.filtmod import FormalSum, e_label, realize
+from ttfilt.filtmod import FormalSum, e_label, realize, unit_label
 from ttfilt.chains import (
     C2,
     F2,
     FILT,
     ChainMap,
+    SearchExhausted,
     cone,
     cone_beta,
     cone_rho,
     direct_sum_complex,
     dual_complex,
     eps_tilde,
+    find_chain_iso,
     fund0,
     fund_seq,
     fundpur,
@@ -167,6 +169,25 @@ def test_minimal_form_has_no_unit_entries():
                     block = d.submatrix(range(offs_t[i], offs_t[i] + dt),
                                         range(offs_s[j], offs_s[j] + dt))
                     assert block.inverse() is None
+
+
+def test_find_chain_iso_none_only_when_proved():
+    # term dimensions differ
+    assert find_chain_iso(single(F2, 2), single(F2, 1)) is None
+    assert find_chain_iso(single(F2, 1), single(F2, 1, 1)) is None
+    # equal dimensions, but hom(1(1), 1(0)) = 0: there is no chain map at all
+    x, y = (single(FILT, realize(unit_label(m))) for m in (1, 0))
+    assert find_chain_iso(x, y) is None
+
+
+def test_find_chain_iso_raises_when_it_gives_up():
+    # every basis map of single(F2, 2) is a rank-one matrix, so only the
+    # random sums can find the identity, and tries=0 allows none
+    x = single(F2, 2)
+    with pytest.raises(SearchExhausted):
+        find_chain_iso(x, x, tries=0)
+    u, uinv = find_chain_iso(x, x)
+    assert uinv.compose(u) == ChainMap.identity(x)
 
 
 def test_contractible_summand_invariance():
