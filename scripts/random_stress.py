@@ -11,15 +11,14 @@ from ttfilt.chains import (
     C2,
     FILT,
     ChainMap,
-    cone,
     direct_sum_complex,
     is_nullhomotopic,
     minimize,
-    shift,
+    single,
     tensor_complex,
 )
-from ttfilt.filtmod import decompose, dual, realize_sum
-from ttfilt.functors import fgt_complex, homology, is_zero_DE, pwz_complex, tfgt, gr_complex
+from ttfilt.filtmod import decompose, dual, hom_basis
+from ttfilt.functors import fgt_complex, gr_complex, hom_DE, homology, is_zero_DE, pwz_complex, tfgt
 from ttfilt.motives import expr_support, to_filtered
 from ttfilt.shell import print_expr
 from ttfilt.samples import random_complex, random_expr, random_formal_sum, scrambled_module
@@ -37,6 +36,10 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             failures += 1
         if decompose(dual(dual(a))).sum != fs:
             print(f"[{i}] double dual mismatch on {fs.text()}")
+            failures += 1
+        b = scrambled_module(rng, random_formal_sum(rng, max_summands=4))
+        if hom_DE(single(FILT, a), single(FILT, b)).get(0, 0) != len(hom_basis(a, b)):
+            print(f"[{i}] shift-0 derived hom differs from the hom space on {fs.text()} -> {decompose(b).sum.text()}")
             failures += 1
         x = random_complex(rng, FILT, rng.randint(2, 3))
         y = random_complex(rng, FILT, 2)
@@ -56,13 +59,15 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         if homology(tfgt(x)) != homology(fgt_complex(x)):
             print(f"[{i}] twisted forgetful homology mismatch")
             failures += 1
-        mf = minimize(x)
-        if mf.proj.compose(mf.incl) != ChainMap.identity(mf.complex):
-            print(f"[{i}] minimization proj . incl is not the identity")
-            failures += 1
-        if is_nullhomotopic(mf.incl.compose(mf.proj).add(ChainMap.identity(x))) is None:
-            print(f"[{i}] minimization certificate failed")
-            failures += 1
+        # a tensor product is large enough for eliminations with off-block entries
+        for name, c in (("x", x), ("x * y", tensor_complex(x, y))):
+            mf = minimize(c)
+            if mf.proj.compose(mf.incl) != ChainMap.identity(mf.complex):
+                print(f"[{i}] minimization proj . incl of {name} is not the identity")
+                failures += 1
+            if is_nullhomotopic(mf.incl.compose(mf.proj).add(ChainMap.identity(c))) is None:
+                print(f"[{i}] minimization certificate of {name} failed")
+                failures += 1
         e = random_expr(rng)
         if expr_support(e) != supp(to_filtered(e)):
             print(f"[{i}] planned support differs from the evaluated one on {print_expr(e)}")

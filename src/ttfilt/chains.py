@@ -498,8 +498,8 @@ def _split_term(kind, obj):
         ident = BitMatrix.identity(obj)
         return ("k",) * obj, ident, ident
     if kind == C2:
-        a, b, u = obj.standard_split()
-        return ("k",) * a + ("kc2",) * b, u, u.inverse()
+        a, b, u, u_inv = obj.standard_split()
+        return ("k",) * a + ("kc2",) * b, u, u_inv
     dec = decompose(obj)
     return dec.sum.labels, dec.iso.matrix, dec.inv.matrix
 
@@ -660,7 +660,7 @@ def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
     """Bounded search for an isomorphism of complexes x -> y.
 
     Returns a validated pair (u, u_inv) of mutually inverse chain maps, or
-    None when none exists (term dimensions differ, or no nonzero chain map).
+    None when none exists (term signatures differ, or no nonzero chain map).
     Raises SearchExhausted when the basis and `tries` random sums of it hold
     no isomorphism.  Components must be invertible in the cell category,
     which for filtered terms includes the inverse preserving filtrations."""
@@ -668,7 +668,8 @@ def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
 
     if x.is_zero() and y.is_zero():
         return ChainMap.of(x, y, {}, check=False), ChainMap.of(y, x, {}, check=False)
-    if {n: x.dim(n) for n in x.degrees()} != {n: y.dim(n) for n in y.degrees()}:
+    if signature(x) != signature(y):
+        # a chain isomorphism is an isomorphism in each degree
         return None
     basis = chain_map_basis(x, y)
     if not basis:

@@ -21,7 +21,7 @@ from .gf2 import (
     C2Module,
     LinearSystem,
     Subspace,
-    _bits,
+    _spread,
     equivariance_rows,
     induced_map,
     kernel_space,
@@ -273,9 +273,7 @@ def _tensor_layer(a: FiltModule, b: FiltModule, w: int) -> list[int]:
             continue
         for u in a.layer(p).basis.data:
             # u (x) v: a copy of v at offset k * b.dim for each set bit k of u
-            spread = 0
-            for k in _bits(u):
-                spread |= 1 << (k * b.dim)
+            spread = _spread(u, 0, b.dim)
             vecs.extend([v * spread for v in lb])
     return vecs
 

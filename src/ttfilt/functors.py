@@ -8,8 +8,6 @@ derived weight-zero functors rwz / tfgt.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .gf2 import BitMatrix, C2Module, Subspace, image, kernel_space, quotient_module, induced_map
 from .filtmod import FiltModule, FiltMorphism, MathEngineError, _tensor_layer, gr_map, pwz_module
 from .chains import (
@@ -20,6 +18,7 @@ from .chains import (
     Complex,
     _tensor_diff,
     build_complex,
+    dual_complex,
     injres_trunc,
     invertpur_pow,
     minimize,
@@ -233,6 +232,23 @@ def min_weight(x: Complex) -> int:
     return min((t.w_min for t in x.terms if not t.is_zero()), default=0)
 
 
+def _weight_zero_blocks(x: Complex):
+    """injres_trunc(j) for j = max-weight + 1, and per degree of its tensor
+    with x one (offset, Kronecker sigma, weight-zero layer span) block per
+    tensor_layout pair; no blocks when x is zero or j <= 0."""
+    j = max_weight(x) + 1
+    if x.is_zero() or j <= 0:
+        return None, {}
+    inj = injres_trunc(j)
+    blocks = {}
+    for n in range(inj.d_min + x.d_min, inj.d_max + x.d_max + 1):
+        blocks[n] = []
+        for p, q, off in tensor_layout(inj, x, n).pairs:
+            a, b = inj.term(p), x.term(q)
+            blocks[n].append((off, a.module.sigma.kron(b.module.sigma), _tensor_layer(a, b, 0)))
+    return inj, blocks
+
+
 def rwz(x: Complex) -> Complex:
     """Right-derived weight-zero part.
 
@@ -246,23 +262,17 @@ def rwz(x: Complex) -> Complex:
     """
     if x.kind != FILT:
         raise ValueError("rwz applies to filtered complexes")
-    j = max_weight(x) + 1
-    if x.is_zero() or j <= 0:
+    inj, blocks = _weight_zero_blocks(x)
+    if not blocks:
         return Complex(C2, 0, (), ())
-    inj = injres_trunc(j)
-    degs = range(inj.d_min + x.d_min, inj.d_max + x.d_max + 1)
     terms, reps = {}, {}
-    for n in degs:
-        sigmas, vecs = [], []
-        for p, q, off in tensor_layout(inj, x, n).pairs:
-            a, b = inj.term(p), x.term(q)
-            sigmas.append(a.module.sigma.kron(b.module.sigma))
-            vecs.extend(v << off for v in _tensor_layer(a, b, 0))
-        sigma = BitMatrix.block_diag(sigmas)
+    for n, parts in blocks.items():
+        sigma = BitMatrix.block_diag(s for _, s, _ in parts)
+        vecs = [v << off for off, _, layer in parts for v in layer]
         terms[n], reps[n] = quotient_module(C2Module(sigma.rows, sigma), Subspace.span(sigma.rows, vecs),
                                             Subspace.zero(sigma.rows))
     diffs = {}
-    for n in degs[1:]:
+    for n in list(blocks)[1:]:
         if terms[n].dim and terms[n - 1].dim:
             below = Subspace.zero(reps[n - 1].cols)
             diffs[n] = induced_map(reps[n], reps[n - 1], below, _tensor_diff(inj, x, n))
@@ -291,65 +301,43 @@ def is_zero_DE(x: Complex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _coords(basis: list[BitMatrix], targets: list[BitMatrix]) -> list[int]:
-    """Coefficients of each target in a basis of same-shape matrices, by one
-    elimination on the flattened basis; the basis is independent, so they
-    are unique."""
-    width = targets[0].rows * targets[0].cols
-    flat_basis = BitMatrix(len(basis), width, tuple(b.flat() for b in basis)).transpose()
-    out = flat_basis.solve_many(t.flat() for t in targets)
-    if None in out:
-        raise MathEngineError("hom differential left the hom space")
-    return out
-
-
 def hom_DE(x: Complex, y: Complex) -> dict[int, int]:
     """Graded dimensions of the derived hom from x to y.
 
     The dimension in shift n is the homology in degree -n of the total hom
-    complex from x into the truncated injective resolution tensored with y.
+    complex from x into injres_trunc(j) (x) y.  A filtered equivariant map
+    a -> b is a sigma-fixed vector of the weight-zero layer of dual(a) (x) b,
+    and in characteristic 2 the hom differential g -> d.g + g.d is the
+    tensor differential, so that complex is the sigma-fixed part of the
+    blocks of rwz on w = dual(x) (x) y.  As for rwz, j = max-weight(w) + 1
+    is exact: omitted resolution terms have no weight-zero part against w.
+    It is at most max-weight(y) - min-weight(x) + 1.
     """
-    from .filtmod import hom_basis
-
     if x.kind != FILT or y.kind != FILT:
         raise ValueError("hom_DE applies to filtered complexes")
-    if x.is_zero() or y.is_zero():
-        return {}
-    j = max_weight(y) - min_weight(x) + 1
-    if j <= 0:
-        return {}
-    z = tensor_complex(injres_trunc(j), y)
-    # hom(x_i, z_k) sits in shift k - i; offsets within a shift go by i
-    hom_bases, offset, dims = {}, {}, {}
-    for i in x.degrees():
-        for k in z.degrees():
-            hom_bases[(i, k)] = [g.matrix for g in hom_basis(x.term(i), z.term(k))]
-            offset[(i, k)] = dims.get(k - i, 0)
-            dims[k - i] = offset[(i, k)] + len(hom_bases[(i, k)])
-    lo = z.d_min - x.d_max
-    hi = z.d_max - x.d_min
-    # d(g) for g in hom(x_i, z_k) has the components d_z.g in hom(x_i, z_{k-1})
-    # and g.d_x in hom(x_{i+1}, z_k); all components landing in one hom
-    # space are read off its basis by one elimination
-    parts = []
-    targets = defaultdict(list)
-    for (i, k), basis in hom_bases.items():
-        for g in basis:
-            keys = [key for key in ((i, k - 1), (i + 1, k)) if key in hom_bases]
-            for key in keys:
-                targets[key].append(z.diff(k).mul(g) if key[0] == i else g.mul(x.diff(i + 1)))
-            parts.append((k - i, keys))
-    coords = {key: iter(_coords(hom_bases[key], mats)) for key, mats in targets.items()}
-    columns = defaultdict(list)
-    for n, keys in parts:
-        columns[n].append(sum(next(coords[key]) << offset[key] for key in keys))
-    mats = {n: BitMatrix(len(columns[n]), dims.get(n - 1, 0), tuple(columns[n])).transpose()
-            for n in range(lo + 1, hi + 1)}
+    w = tensor_complex(dual_complex(x), y)
+    inj, blocks = _weight_zero_blocks(w)
+    fixed = {n: [] for n in blocks}
+    for n, parts in blocks.items():
+        for off, sigma, layer in parts:
+            span = Subspace.span(sigma.rows, layer).basis
+            cols = span.transpose()
+            # the combinations of the span that N = 1 + sigma kills
+            fixed[n].extend(v << off for v in sigma.mul(cols).add(cols).kernel().mul(span).data)
+    ranks = {}
+    for n in list(blocks)[1:]:
+        if fixed[n]:
+            d = _tensor_diff(inj, w, n)
+            # the images of the fixed vectors are the columns of d.f
+            f = BitMatrix(len(fixed[n]), d.cols, tuple(fixed[n])).transpose()
+            images = list(d.mul(f).transpose().data)
+            # fixed[n - 1] is independent, so it spans the images iff they add no rank
+            if Subspace.span(d.rows, fixed[n - 1] + images).dim > len(fixed[n - 1]):
+                raise MathEngineError("hom differential left the hom space")
+            ranks[n] = Subspace.span(d.rows, images).dim
     out = {}
-    for n in range(lo, hi + 1):
-        d_out = mats.get(n, BitMatrix.zero(0, dims.get(n, 0)))
-        d_in = mats.get(n + 1, BitMatrix.zero(dims.get(n, 0), 0))
-        h = dims[n] - d_out.rank() - d_in.rank()
+    for n, vecs in fixed.items():
+        h = len(vecs) - ranks.get(n, 0) - ranks.get(n + 1, 0)
         if h:
             out[-n] = h
     return out

@@ -545,8 +545,8 @@ class C2Module:
         b = self.norm().rank()
         return self.dim - 2 * b, b
 
-    def standard_split(self) -> tuple[int, int, BitMatrix]:
-        """Explicit splitting: (a, b, U) with U an isomorphism standard(a, b) -> self.
+    def standard_split(self) -> tuple[int, int, BitMatrix, BitMatrix]:
+        """Explicit splitting: (a, b, U, U^-1) with U an isomorphism standard(a, b) -> self.
 
         Columns of U are the images of the standard basis vectors.
         """
@@ -560,9 +560,10 @@ class C2Module:
         trivial_cols = img.extension(kernel_space(n))
         cols = trivial_cols + [c for pair in free_cols for c in pair]
         u_mat = BitMatrix(len(cols), self.dim, tuple(cols)).transpose()
-        if u_mat.inverse() is None:
+        u_inv = u_mat.inverse()
+        if u_inv is None:
             raise AssertionError("standard_split produced a singular basis")
-        return a, b, u_mat
+        return a, b, u_mat, u_inv
 
 
 def equivariance_rows(target: C2Module, source: C2Module) -> tuple[int, ...]:

@@ -4,8 +4,10 @@ The brute-force helpers enumerate vectors or matrices exhaustively, so
 they are independent of the engine's linear-algebra paths and only usable
 for tiny dimensions; that is the point.  `weight_zero_part` is the
 construction `rwz` used before it stopped building the filtered tensor,
-`hom_DE_by_single_solves` is `hom_DE` as it was before it read all the
-coefficients landing in one hom space off a single elimination, and
+`hom_DE_by_single_solves` is the derived hom from a hom complex assembled
+by hand (one `hom_basis` per pair of terms, one linear solve per component
+of d(g)), which `hom_DE` replaced by the sigma-fixed part of rwz's
+weight-zero blocks on dual(x) (x) y, and
 `minimize_by_conjugation` is `minimize` as it was before each elimination
 became a Schur complement.
 """
@@ -131,7 +133,10 @@ def _express(basis: list[BitMatrix], target: BitMatrix):
 
 
 def hom_DE_by_single_solves(x: Complex, y: Complex) -> dict[int, int]:
-    """Derived hom dimensions, with one linear solve per component of d(g)."""
+    """Derived hom dimensions from the hand-assembled hom complex: a
+    `hom_basis` from each term of x to each term of injres_trunc(j) (x) y,
+    j = max-weight(y) - min-weight(x) + 1, and one linear solve per
+    component of d(g)."""
     if x.is_zero() or y.is_zero():
         return {}
     j = max_weight(y) - min_weight(x) + 1

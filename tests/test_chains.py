@@ -180,6 +180,13 @@ def test_find_chain_iso_none_only_when_proved():
     assert find_chain_iso(x, y) is None
 
 
+def test_find_chain_iso_decides_by_signature():
+    # the identity 1(0) -> 1(1) is a chain map, but its inverse is not
+    # filtered; the signatures 1(0) and 1(1) already prove there is no iso
+    x, y = (single(FILT, realize(unit_label(m))) for m in (0, 1))
+    assert find_chain_iso(x, y) is None
+
+
 def test_find_chain_iso_raises_when_it_gives_up():
     # every basis map of single(F2, 2) is a rank-one matrix, so only the
     # random sums can find the identity, and tries=0 allows none

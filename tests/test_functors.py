@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ttfilt.gf2 import BitMatrix, C2Module
-from ttfilt.filtmod import e_label, realize, unit_label
+from ttfilt.filtmod import e_label, hom_basis, realize, unit_label
 from ttfilt.chains import (
     C2,
     FILT,
@@ -252,11 +252,26 @@ def test_hom_DE_matches_single_solves_on_random_complexes():
     nonzero = 0
     for _ in range(40):
         x = random_complex(rng, FILT, rng.randint(1, 3), d_min=rng.randint(-1, 1))
-        y = random_complex(rng, FILT, rng.randint(1, 2))
+        y = random_complex(rng, FILT, rng.randint(1, 3))
+        x, y = twist_complex(x, rng.randint(-3, 3)), twist_complex(y, rng.randint(-3, 3))
         dims = hom_DE(x, y)
         assert dims == hom_DE_by_single_solves(x, y)
         nonzero += bool(dims)
     assert nonzero >= 20
+
+
+def test_hom_DE_shift_zero_of_modules_is_their_hom_space():
+    # a filtered equivariant map a -> b is a sigma-fixed vector of the
+    # weight-zero layer of dual(a) (x) b, and between modules in degree 0
+    # the derived hom in shift 0 is the hom space
+    rng = random.Random(2027)
+    nonzero = 0
+    for _ in range(200):
+        a, b = (scrambled_module(rng, random_formal_sum(rng, 3)) for _ in range(2))
+        count = len(hom_basis(a, b))
+        assert hom_DE(single(FILT, a), single(FILT, b)).get(0, 0) == count
+        nonzero += bool(count)
+    assert nonzero >= 150
 
 
 # -- key lemma instances --------------------------------------------------------------

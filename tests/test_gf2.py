@@ -131,7 +131,7 @@ def test_standard_split_roundtrip():
         while u.inverse() is None:
             u = rand_matrix(rng, std.dim, std.dim)
         scr = C2Module(std.dim, u.mul(std.sigma).mul(u.inverse()))
-        a2, b2, v = scr.standard_split()
+        a2, b2, v, _ = scr.standard_split()
         assert (a2, b2) == (a, b)
         assert v.mul(C2Module.standard(a2, b2).sigma) == scr.sigma.mul(v)
 
