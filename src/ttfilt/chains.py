@@ -53,12 +53,14 @@ def cell_is_zero(kind, obj) -> bool:
     return cell_dim(kind, obj) == 0
 
 
-def cell_sum(kind, a, b):
+def cell_sum(kind, *cells):
+    if not cells:
+        return cell_zero(kind)
     if kind == F2:
-        return a + b
+        return sum(cells)
     if kind == C2:
-        return a.direct_sum(b)
-    return filt_sum(a, b)
+        return C2Module(sum(c.dim for c in cells), BitMatrix.block_diag(c.sigma for c in cells))
+    return filt_sum(*cells)
 
 
 def cell_tensor(kind, a, b):
@@ -369,12 +371,9 @@ def tensor_complex(x: Complex, y: Complex) -> Complex:
         return Complex(x.kind, 0, (), ())
     kind = x.kind
     lo, hi = x.d_min + y.d_min, x.d_max + y.d_max
-    terms = {}
-    for n in range(lo, hi + 1):
-        t = cell_zero(kind)
-        for p, q, _ in tensor_layout(x, y, n).pairs:
-            t = cell_sum(kind, t, cell_tensor(kind, x.term(p), y.term(q)))
-        terms[n] = t
+    terms = {n: cell_sum(kind, *(cell_tensor(kind, x.term(p), y.term(q))
+                                 for p, q, _ in tensor_layout(x, y, n).pairs))
+             for n in range(lo, hi + 1)}
     diffs = {n: _tensor_diff(x, y, n) for n in range(lo + 1, hi + 1)}
     return build_complex(kind, terms, diffs)
 

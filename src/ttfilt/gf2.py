@@ -8,7 +8,7 @@ Everything is immutable; all operations return fresh values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 
@@ -107,27 +107,42 @@ class BitMatrix:
         """Matrix product self @ other over GF(2)."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in mul")
+        rows = other.data
         out = []
         for r in self.data:
             acc = 0
-            for j in _bits(r):
-                acc ^= other.data[j]
+            while r:
+                low = r & -r
+                acc ^= rows[low.bit_length() - 1]
+                r ^= low
             out.append(acc)
         return BitMatrix(self.rows, other.cols, tuple(out))
 
+    @cached_property
+    def _columns(self) -> tuple[int, ...]:
+        """Column j as an int over the rows, kept on this frozen matrix: it never
+        goes stale and is freed with the matrix, so it is no cache of its own."""
+        return self.transpose().data
+
     def apply(self, v: int) -> int:
-        """Matrix times column vector: bit i of the result is <row_i, v>."""
+        """Matrix times column vector: the sum of the columns at the set bits
+        of v, so bit i of the result is <row_i, v>."""
+        cols = self._columns
         out = 0
-        for i, r in enumerate(self.data):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
+        while v:
+            low = v & -v
+            out ^= cols[low.bit_length() - 1]
+            v ^= low
         return out
 
     def transpose(self) -> "BitMatrix":
         out = [0] * self.cols
         for i, r in enumerate(self.data):
-            for j in _bits(r):
-                out[j] |= 1 << i
+            bit = 1 << i
+            while r:
+                low = r & -r
+                out[low.bit_length() - 1] |= bit
+                r ^= low
         return BitMatrix(self.cols, self.rows, tuple(out))
 
     # -- block assembly ----------------------------------------------------
@@ -199,27 +214,30 @@ class BitMatrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple["BitMatrix", tuple[int, ...]]:
-        """Reduced row-echelon form and the pivot column indices."""
-        work = list(self.data)
-        pivots = []
-        prow = 0
-        for col in range(self.cols):
-            sel = None
-            for r in range(prow, len(work)):
-                if (work[r] >> col) & 1:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            work[prow], work[sel] = work[sel], work[prow]
-            for r in range(len(work)):
-                if r != prow and ((work[r] >> col) & 1):
-                    work[r] ^= work[prow]
-            pivots.append(col)
-            prow += 1
-            if prow == len(work):
-                break
-        return BitMatrix(self.rows, self.cols, tuple(work)), tuple(pivots)
+        """Reduced row-echelon form and the pivot column indices, pivoting on
+        lowest set bits.  Each row is cleared at its pivot bits in one pass (a
+        reduced row has no pivot bit but its own); a nonzero remainder is a new
+        pivot row, cleared from the earlier ones.  The form is unique."""
+        reduced: dict[int, int] = {}  # pivot bit (as 1 << col) -> reduced row
+        mask = 0
+        for r in self.data:
+            hit = r & mask
+            while hit:
+                low = hit & -hit
+                r ^= reduced[low]
+                hit ^= low
+            if r:
+                low = r & -r
+                for p, row in reduced.items():
+                    if row & low:
+                        reduced[p] = row ^ r
+                reduced[low] = r
+                mask |= low
+        order = sorted(reduced)
+        data = [reduced[p] for p in order] + [0] * (self.rows - len(order))
+        # from a list: tuple() of a generator sizes its block by guesses and raised peak RSS
+        pivots = tuple([p.bit_length() - 1 for p in order])
+        return BitMatrix(self.rows, self.cols, tuple(data)), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])

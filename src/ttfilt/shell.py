@@ -297,9 +297,10 @@ def _rows_parse(text: str, width: int) -> list[int]:
         return []
     out = []
     for chunk in text.split("|"):
-        if len(chunk) != width or any(c not in "01" for c in chunk):
+        # the character check comes first: int() also takes '_', signs and other digits
+        if len(chunk) != width or chunk.strip("01"):
             raise SchemaError(f"bad row '{chunk}' for width {width}")
-        out.append(sum((c == "1") << j for j, c in enumerate(chunk)))
+        out.append(int(chunk[::-1] or "0", 2))
     return out
 
 

@@ -9,7 +9,8 @@ by hand (one `hom_basis` per pair of terms, one linear solve per component
 of d(g)), which `hom_DE` replaced by the sigma-fixed part of rwz's
 weight-zero blocks on dual(x) (x) y, and
 `minimize_by_conjugation` is `minimize` as it was before each elimination
-became a Schur complement.
+became a Schur complement, and `rref_by_column_scan` is `BitMatrix.rref`
+as it was before it pivoted on lowest set bits.
 """
 
 from __future__ import annotations
@@ -41,6 +42,32 @@ def brute_rank(entries: list[list[int]]) -> int:
     for r in rows:
         span |= {v ^ r for v in span}
     return len(span).bit_length() - 1
+
+
+def rref_by_column_scan(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
+    """Reduced row-echelon form by scanning the columns in order: swap a row
+    with the column's bit into the next pivot position, clear the column
+    from every other row."""
+    work = list(m.data)
+    pivots = []
+    prow = 0
+    for col in range(m.cols):
+        sel = None
+        for r in range(prow, len(work)):
+            if (work[r] >> col) & 1:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[prow], work[sel] = work[sel], work[prow]
+        for r in range(len(work)):
+            if r != prow and ((work[r] >> col) & 1):
+                work[r] ^= work[prow]
+        pivots.append(col)
+        prow += 1
+        if prow == len(work):
+            break
+    return BitMatrix(m.rows, m.cols, tuple(work)), tuple(pivots)
 
 
 def brute_kernel_vectors(m: BitMatrix) -> set[int]:

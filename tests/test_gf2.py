@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, hom_basis_c2, image, kernel_space
 
-from helpers import brute_rank
+from helpers import brute_rank, rref_by_column_scan
 
 
 def rand_matrix(rng, rows, cols):
@@ -53,6 +53,75 @@ def test_rank_against_brute_force(rows, cols, seed):
     rng = random.Random(seed)
     m = rand_matrix(rng, rows, cols)
     assert m.rank() == brute_rank(m.to_lists())
+
+
+def sparse_matrix(rng, rows, cols, density):
+    return BitMatrix(rows, cols, tuple(sum((rng.random() < density) << j for j in range(cols))
+                                       for _ in range(rows)))
+
+
+def invertible_matrix(rng, n):
+    """The identity after random row additions, rows shuffled."""
+    data = [1 << i for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            data[i] ^= data[j]
+    rng.shuffle(data)
+    return BitMatrix(n, n, tuple(data))
+
+
+def assert_rref_matches_column_scan(m):
+    assert m.rref() == rref_by_column_scan(m)
+
+
+def test_rref_matches_the_column_scan_on_seeded_matrices():
+    rng = random.Random(20260)
+    for density in (0.0, 0.02, 0.1, 0.3, 0.5, 0.8, 1.0):
+        for _ in range(30):
+            m = sparse_matrix(rng, rng.randint(0, 40), rng.randint(0, 90), density)
+            assert_rref_matches_column_scan(m)
+            if m.rows:  # repeated and zero rows
+                data = tuple(rng.choice(m.data + (0,)) for _ in range(rng.randint(1, 40)))
+                assert_rref_matches_column_scan(BitMatrix(len(data), m.cols, data))
+    for n in range(0, 25):
+        inv = invertible_matrix(rng, n)
+        assert_rref_matches_column_scan(inv)
+        assert inv.rref() == (BitMatrix.identity(n), tuple(range(n)))
+    for _ in range(60):  # Zassenhaus rows: [u|u] over [v|0]
+        n = rng.randint(0, 30)
+        us = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))] if n else []
+        vs = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))] if n else []
+        rows = tuple(u | (u << n) for u in us) + tuple(vs)
+        assert_rref_matches_column_scan(BitMatrix(len(rows), 2 * n, rows))
+
+
+@given(st.integers(0, 40), st.integers(0, 90), st.floats(0, 1), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_the_column_scan(rows, cols, density, repeat, seed):
+    rng = random.Random(seed)
+    m = sparse_matrix(rng, rows, cols, density)
+    if repeat and rows:
+        m = BitMatrix(rows, cols, tuple(rng.choice(m.data + (0,)) for _ in range(rows)))
+    assert_rref_matches_column_scan(m)
+
+
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_apply_mul_transpose_against_entries(rows, cols, k, seed):
+    rng = random.Random(seed)
+    a, b = rand_matrix(rng, rows, cols), rand_matrix(rng, cols, k)
+    v = rng.getrandbits(cols) if cols else 0
+    parity = sum(((a.data[i] & v).bit_count() & 1) << i for i in range(rows))
+    assert a.apply(v) == parity
+    prod = a.mul(b)
+    assert (prod.rows, prod.cols) == (rows, k)
+    for i in range(rows):
+        for j in range(k):
+            assert prod.entry(i, j) == sum(a.entry(i, t) & b.entry(t, j) for t in range(cols)) % 2
+    t = a.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert all(t.entry(j, i) == a.entry(i, j) for i in range(rows) for j in range(cols))
 
 
 def test_subspace_canonical_equality():

@@ -14,13 +14,15 @@ from ttfilt.chains import (
     cone_beta,
     cone_omega,
     cone_rho,
+    direct_sum_complex,
     fund0,
     fund_seq,
     koszul_T,
     lpure,
+    shift,
     single,
 )
-from ttfilt.filtmod import FormalSum, e_label, realize, unit_label
+from ttfilt.filtmod import FiltModule, FormalSum, direct_sum, e_label, realize, unit_label
 from ttfilt.motives import MotiveExpr
 from ttfilt.shell import (
     ParseError,
@@ -171,6 +173,15 @@ def test_serialize_roundtrip_module():
     assert deserialize(serialize(a)) == a
 
 
+def test_serialize_roundtrip_width_zero_rows():
+    # the zero module, and a complex whose 2x0 differential is written as two empty rows
+    z = FiltModule.zero()
+    x = direct_sum_complex(single(FILT, realize(e_label(1, 0))), shift(single(FILT, realize(unit_label(0))), 2))
+    assert "mat |" in serialize(x)
+    for value in (z, x):
+        assert deserialize(serialize(value)) == value
+
+
 def test_serialize_roundtrip_complex():
     for text in ("fund0", "T", "E(1,0) * E(2,0)", "conebeta + E(0,0)"):
         x = evaluate(parse(text))
@@ -226,6 +237,12 @@ def _fund0_blob() -> str:
     pytest.param(lambda: _fund0_blob().replace("wmax 0", "wmax -2", 1), id="weight-range-below-empty"),
     pytest.param(lambda: _fund0_blob() + "begin diff 1\nrows 1\ncols 2\nmat 00\nend diff\n",
                  id="duplicate-diff-block"),
+    # rows of the right width; read reversed by int(_, 2), the last three would give the original row
+    pytest.param(lambda: _fund0_blob().replace("mat 11", "mat 12"), id="digit-2-in-row"),
+    pytest.param(lambda: _fund0_blob().replace("layer 10|01", "layer 1 |01"), id="space-in-row"),
+    pytest.param(lambda: serialize(direct_sum(realize(e_label(1, 0)), realize(unit_label(0))))
+                 .replace("layer 100|", "layer 1_0|"), id="underscore-in-row"),
+    pytest.param(lambda: _fund0_blob().replace("sigma 01|10", "sigma 01|1+"), id="sign-in-row"),
 ])
 def test_deserialize_rejects_malformed_text(blob):
     with pytest.raises(SchemaError):
