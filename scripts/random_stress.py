@@ -17,7 +17,7 @@ from ttfilt.chains import (
     single,
     tensor_complex,
 )
-from ttfilt.filtmod import decompose, dual, hom_basis
+from ttfilt.filtmod import decompose, dual, hom_basis, realize_sum, tensor
 from ttfilt.functors import fgt_complex, gr_complex, hom_DE, homology, is_zero_DE, pwz_complex, tfgt
 from ttfilt.motives import expr_support, to_filtered
 from ttfilt.shell import print_expr
@@ -37,9 +37,14 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         if decompose(dual(dual(a))).sum != fs:
             print(f"[{i}] double dual mismatch on {fs.text()}")
             failures += 1
-        b = scrambled_module(rng, random_formal_sum(rng, max_summands=4))
+        fb = random_formal_sum(rng, max_summands=4)
+        b = scrambled_module(rng, fb)
         if hom_DE(single(FILT, a), single(FILT, b)).get(0, 0) != len(hom_basis(a, b)):
-            print(f"[{i}] shift-0 derived hom differs from the hom space on {fs.text()} -> {decompose(b).sum.text()}")
+            print(f"[{i}] shift-0 derived hom differs from the hom space on {fs.text()} -> {fb.text()}")
+            failures += 1
+        # labels do not depend on the basis: a and b are realize_sum(fs), realize_sum(fb) scrambled
+        if decompose(tensor(a, b)).sum != decompose(tensor(realize_sum(fs), realize_sum(fb))).sum:
+            print(f"[{i}] tensor decomposition depends on the basis on {fs.text()} * {fb.text()}")
             failures += 1
         x = random_complex(rng, FILT, rng.randint(2, 3))
         y = random_complex(rng, FILT, 2)

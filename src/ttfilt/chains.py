@@ -331,7 +331,7 @@ class TensorLayout:
 def tensor_layout(x: Complex, y: Complex, n: int) -> TensorLayout:
     pairs = []
     off = 0
-    for p in x.degrees():
+    for p in range(max(x.d_min, n - y.d_max), min(x.d_max, n - y.d_min) + 1):
         q = n - p
         dx, dy = x.dim(p), y.dim(q)
         if dx and dy:
@@ -651,6 +651,28 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
             for v in system.kernel()]
 
 
+def chain_iso_inverse(u: ChainMap) -> Optional[ChainMap]:
+    """The inverse of u if u is a chain isomorphism, else None: every
+    component must be invertible in the cell category, which for filtered
+    terms includes the inverse preserving filtrations."""
+    x, y = u.source, u.target
+    inv_comps = {}
+    for n in x.degrees():
+        if x.dim(n) == 0:
+            continue
+        m = u.comp(n).inverse()
+        if m is None or not cell_is_morphism(x.kind, y.term(n), x.term(n), m):
+            return None
+        inv_comps[n] = m
+    uinv = ChainMap.of(y, x, inv_comps, check=False)
+    try:
+        u.validate()
+        uinv.validate()
+    except ValueError:
+        return None
+    return uinv
+
+
 class SearchExhausted(Exception):
     """A bounded search gave up without deciding its question."""
 
@@ -676,21 +698,8 @@ def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
     rng = _random.Random(seed)
 
     def try_map(u: ChainMap):
-        inv_comps = {}
-        for n in x.degrees():
-            if x.dim(n) == 0:
-                continue
-            m = u.comp(n).inverse()
-            if m is None or not cell_is_morphism(x.kind, y.term(n), x.term(n), m):
-                return None
-            inv_comps[n] = m
-        uinv = ChainMap.of(y, x, inv_comps, check=False)
-        try:
-            u.validate()
-            uinv.validate()
-        except ValueError:
-            return None
-        return u, uinv
+        uinv = chain_iso_inverse(u)
+        return None if uinv is None else (u, uinv)
 
     for u in basis:
         hit = try_map(u)

@@ -5,10 +5,10 @@ chain of invariant subspaces indexed by integer weights.  This module
 implements the tensor category structure (tensor, dual, twist), the weight
 functors (gr, fgt, weight parts), Krull-Schmidt decomposition with explicit
 isomorphism certificates, and the exactness/projectivity tests that the
-derived-category layer builds on.  The decomposition is a closed form: the
-summands and a basis adapted to them are read off the intersections
-N(V_m) & V_t and ker N & V_m, where N = 1 + sigma and V_w is the weight-w
-layer, with no search over candidate summands.
+derived-category layer builds on.  The decomposition is one persistence
+reduction of N = 1 + sigma on a basis adapted to the weight layers V_w: the
+summands and a basis adapted to them are read off its pairing, with no
+search over candidate summands.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .gf2 import (
     _spread,
     equivariance_rows,
     induced_map,
-    kernel_space,
+    insert_independent,
     quotient_module,
 )
 
@@ -423,41 +423,41 @@ class Decomposition:
 def decompose(a: FiltModule) -> Decomposition:
     """Split a into indecomposables, with a certified isomorphism.
 
-    Closed form in N = 1 + sigma and the layers V_w; only the drop weights,
-    where V_w != V_{w+1}, carry summands.  For drop weights m <= t, each
-    vector y extending N(V_{m+1}) & V_t + N(V_m) & V_{t+1} to a basis of
-    N(V_m) & V_t lifts to some e in V_m with N.e = y, and (e, sigma.e) spans
-    a summand E(t - m, m).  Each vector extending ker N & V_{m+1} +
-    N(V) & V_m to a basis of ker N & V_m spans a summand 1(m).
+    One persistence reduction of N = 1 + sigma, which has N.N = 0 and keeps
+    each layer V_w (Barannikov, Adv. Soviet Math. 21, 1994; Zomorodian and
+    Carlsson, "Computing persistent homology", DCG 33, 2005).  Down from the
+    top weight, N.v and then v for v in a basis of V_w are kept at weight w
+    when independent of the vectors kept before, which span V_{w+1}: so each
+    has weight w, and N is strictly upper triangular.  Reduced by lowest
+    ones, with column additions applied to the vectors e_j, a column j with
+    low i spans E(wt(i) - wt(j), wt(j)) by (e_j, sigma.e_j), and a zero
+    column that is nobody's low spans 1(wt(j)) by e_j.
     """
     norm = a.module.norm()
-    drops = [w for w in range(a.w_min, a.w_max + 1) if a.layer(w).dim > a.layer(w + 1).dim]
-    k = len(drops)
-    zero = Subspace.zero(a.dim)
-    # index i < k stands for the layer at drops[i], index k for the zero layer above
-    layers = [a.layer(w) for w in drops] + [zero]
-    pushed = [tuple(norm.apply(v) for v in lay.basis.data) for lay in layers]
-    images = [Subspace.span(a.dim, vecs) for vecs in pushed]
-    meets = {(i, j): images[i].intersect(layers[j]) for i in range(k) for j in range(i + 1, k)}
-
-    def meet(i: int, j: int) -> Subspace:
-        """N(layers[i]) & layers[j]: N(layers[i]) itself for j <= i, as it
-        lies in layers[i], and zero for j = k."""
-        return images[i] if i >= j else meets.get((i, j), zero)
-
-    kernel = kernel_space(norm)
-    fixed = [kernel.intersect(lay) for lay in layers[:k]] + [zero]
+    vecs, weights, tops = [], [], {}
+    for w in range(a.w_max, a.w_min - 1, -1):
+        layer = a.layer(w).basis.data
+        if len(layer) > a.layer(w + 1).dim:  # else V_w = V_{w+1} offers nothing new
+            for v in [norm.apply(u) for u in layer] + list(layer):
+                if insert_independent(tops, v):
+                    vecs.append(v)
+                    weights.append(w)
+    coords = BitMatrix(len(vecs), a.dim, tuple(vecs)).transpose().inverse()
+    reduced = [coords.apply(norm.apply(v)) for v in vecs]  # the columns of N
+    owner: dict[int, int] = {}  # low of a reduced nonzero column -> that column
     pieces: list[tuple[IndecLabel, tuple[int, ...]]] = []
-    for i, m in enumerate(drops):
-        for u in fixed[i + 1].add(meet(0, i)).extension(fixed[i]):
-            pieces.append((unit_label(m), (u,)))
-        found = [(drops[j], y) for j in range(i, k)
-                 for y in meet(i + 1, j).add(meet(i, j + 1)).extension(meet(i, j))]
-        lift = BitMatrix(len(pushed[i]), a.dim, pushed[i]).transpose()
-        spread = layers[i].basis.transpose()
-        for (t, _), c in zip(found, lift.solve_many(y for _, y in found)):
-            e = spread.apply(c)
-            pieces.append((e_label(t - m, m), (e, a.module.sigma.apply(e))))
+    for j, c in enumerate(reduced):
+        if c >> j:
+            raise MathEngineError("norm is not strictly triangular in the adapted basis")
+        while c and (k := owner.get(c.bit_length() - 1)) is not None:
+            c, vecs[j] = c ^ reduced[k], vecs[j] ^ vecs[k]
+        reduced[j] = c
+        if c:
+            owner[c.bit_length() - 1] = j
+            pieces.append((e_label(weights[c.bit_length() - 1] - weights[j], weights[j]),
+                           (vecs[j], a.module.sigma.apply(vecs[j]))))
+    pieces += [(unit_label(weights[j]), (vecs[j],))
+               for j, c in enumerate(reduced) if not c and j not in owner]
     pieces.sort(key=lambda piece: piece[0])
     fs = FormalSum(tuple(label for label, _ in pieces))
     model = realize_sum(fs)

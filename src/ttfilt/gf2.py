@@ -387,6 +387,18 @@ class LinearSystem:
         return BitMatrix(nr, nc, tuple((flat >> (off + i * nc)) & mask for i in range(nr)))
 
 
+def insert_independent(tops: dict[int, int], v: int) -> bool:
+    """Reduce v by independent vectors keyed by highest set bit and, if a
+    remainder is left, key it by its highest bit: True iff v was independent."""
+    while v:
+        top = v.bit_length() - 1
+        if top not in tops:
+            tops[top] = v
+            return True
+        v ^= tops[top]
+    return False
+
+
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of GF(2)^ambient with basis rows in reduced echelon form.
@@ -447,20 +459,10 @@ class Subspace:
         """The basis vectors of larger, in stored order, that lie outside the
         span of this subspace and of the vectors kept before them; for
         self <= larger they extend a basis of self to one of larger."""
-        tops: dict[int, int] = {}  # independent vectors keyed by highest set bit
-
-        def insert(v: int) -> bool:
-            while v:
-                top = v.bit_length() - 1
-                if top not in tops:
-                    tops[top] = v
-                    return True
-                v ^= tops[top]
-            return False
-
+        tops: dict[int, int] = {}
         for v in self.basis.data:
-            insert(v)
-        return [v for v in larger.basis.data if insert(v)]
+            insert_independent(tops, v)
+        return [v for v in larger.basis.data if insert_independent(tops, v)]
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:

@@ -337,6 +337,9 @@ class _LineReader:
 
     def field(self, key: str) -> str:
         line = self.next()
+        if line == key:
+            # an empty value (one row of width zero) loses its separator to next()
+            return ""
         if not line.startswith(key + " "):
             raise SchemaError(f"expected field '{key}', got '{line}'")
         return line[len(key) + 1:]

@@ -9,14 +9,16 @@ by hand (one `hom_basis` per pair of terms, one linear solve per component
 of d(g)), which `hom_DE` replaced by the sigma-fixed part of rwz's
 weight-zero blocks on dual(x) (x) y, and
 `minimize_by_conjugation` is `minimize` as it was before each elimination
-became a Schur complement, and `rref_by_column_scan` is `BitMatrix.rref`
-as it was before it pivoted on lowest set bits.
+became a Schur complement, `rref_by_column_scan` is `BitMatrix.rref`
+as it was before it pivoted on lowest set bits, and `decompose_by_meets`
+is `filtmod.decompose` as it was before it became one persistence
+reduction.
 """
 
 from __future__ import annotations
 
 
-from ttfilt.gf2 import BitMatrix, LinearSystem, Subspace, induced_map, quotient_module
+from ttfilt.gf2 import BitMatrix, LinearSystem, Subspace, induced_map, kernel_space, quotient_module
 from ttfilt.chains import (
     C2,
     ChainMap,
@@ -31,7 +33,18 @@ from ttfilt.chains import (
     injres_trunc,
     tensor_complex,
 )
-from ttfilt.filtmod import MathEngineError, hom_basis
+from ttfilt.filtmod import (
+    Decomposition,
+    FiltModule,
+    FiltMorphism,
+    FormalSum,
+    IndecLabel,
+    MathEngineError,
+    e_label,
+    hom_basis,
+    realize_sum,
+    unit_label,
+)
 from ttfilt.functors import max_weight, min_weight
 
 
@@ -347,3 +360,59 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
     proj = ChainMap.of(x, mini, {n: proj_comps[n] for n in mini.degrees()}, check=False)
     labs = tuple(sorted((n, tuple(labels[n])) for n in mini.degrees()))
     return MinimalForm(mini, incl, proj, labs)
+
+
+def decompose_by_meets(a: FiltModule) -> Decomposition:
+    """`filtmod.decompose` as it was before it became one persistence
+    reduction: a closed form in N = 1 + sigma and the layers V_w.  Only the
+    drop weights, where V_w != V_{w+1}, carry summands.  For drop weights
+    m <= t, each vector y extending N(V_{m+1}) & V_t + N(V_m) & V_{t+1} to a
+    basis of N(V_m) & V_t lifts to some e in V_m with N.e = y, and
+    (e, sigma.e) spans a summand E(t - m, m).  Each vector extending
+    ker N & V_{m+1} + N(V) & V_m to a basis of ker N & V_m spans a summand
+    1(m).
+    """
+    norm = a.module.norm()
+    drops = [w for w in range(a.w_min, a.w_max + 1) if a.layer(w).dim > a.layer(w + 1).dim]
+    k = len(drops)
+    zero = Subspace.zero(a.dim)
+    # index i < k stands for the layer at drops[i], index k for the zero layer above
+    layers = [a.layer(w) for w in drops] + [zero]
+    pushed = [tuple(norm.apply(v) for v in lay.basis.data) for lay in layers]
+    images = [Subspace.span(a.dim, vecs) for vecs in pushed]
+    meets = {(i, j): images[i].intersect(layers[j]) for i in range(k) for j in range(i + 1, k)}
+
+    def meet(i: int, j: int) -> Subspace:
+        """N(layers[i]) & layers[j]: N(layers[i]) itself for j <= i, as it
+        lies in layers[i], and zero for j = k."""
+        return images[i] if i >= j else meets.get((i, j), zero)
+
+    kernel = kernel_space(norm)
+    fixed = [kernel.intersect(lay) for lay in layers[:k]] + [zero]
+    pieces: list[tuple[IndecLabel, tuple[int, ...]]] = []
+    for i, m in enumerate(drops):
+        for u in fixed[i + 1].add(meet(0, i)).extension(fixed[i]):
+            pieces.append((unit_label(m), (u,)))
+        found = [(drops[j], y) for j in range(i, k)
+                 for y in meet(i + 1, j).add(meet(i, j + 1)).extension(meet(i, j))]
+        lift = BitMatrix(len(pushed[i]), a.dim, pushed[i]).transpose()
+        spread = layers[i].basis.transpose()
+        for (t, _), c in zip(found, lift.solve_many(y for _, y in found)):
+            e = spread.apply(c)
+            pieces.append((e_label(t - m, m), (e, a.module.sigma.apply(e))))
+    pieces.sort(key=lambda piece: piece[0])
+    fs = FormalSum(tuple(label for label, _ in pieces))
+    model = realize_sum(fs)
+    if model.dim != a.dim:
+        raise MathEngineError("decomposition dimension mismatch")
+    cols = tuple(c for _, piece_cols in pieces for c in piece_cols)
+    mat = BitMatrix(len(cols), a.dim, cols).transpose()
+    iso = FiltMorphism(model, a, mat)
+    inv_mat = mat.inverse()
+    if inv_mat is None:
+        raise MathEngineError("decomposition certificate is singular")
+    inv = FiltMorphism(a, model, inv_mat)
+    dec = Decomposition(fs, iso, inv)
+    if not dec.validate():
+        raise MathEngineError("decomposition certificate failed validation")
+    return dec

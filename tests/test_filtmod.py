@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttfilt.gf2 import BitMatrix
+from ttfilt.gf2 import BitMatrix, C2Module, Subspace
 from ttfilt.filtmod import (
     FiltModule,
     FiltMorphism,
     FormalSum,
+    MathEngineError,
     beta_map,
     decompose,
     direct_sum,
@@ -29,7 +30,7 @@ from ttfilt.filtmod import (
 )
 from ttfilt.samples import random_formal_sum, scrambled_module
 
-from helpers import brute_hom_count
+from helpers import brute_hom_count, decompose_by_meets
 
 ETA = BitMatrix.from_rows([[1], [1]])
 EPS = BitMatrix.from_rows([[1, 1]])
@@ -254,6 +255,39 @@ def test_direct_sum_of_many_is_the_pairwise_fold():
 def test_decompose_zero():
     dec = decompose(FiltModule.zero())
     assert dec.sum.is_zero()
+
+
+def _same_as_closed_form(a: FiltModule) -> FormalSum:
+    dec, oracle = decompose(a), decompose_by_meets(a)
+    assert dec.sum == oracle.sum
+    assert dec.validate() and oracle.validate()
+    return dec.sum
+
+
+def test_decompose_matches_the_closed_form_on_scrambled_modules():
+    rng = random.Random(41)
+    for _ in range(300):
+        fs = random_formal_sum(rng, max_summands=10, max_l=6, weight_span=(-5, 5))
+        assert _same_as_closed_form(scrambled_module(rng, fs)) == fs
+
+
+def test_decompose_matches_the_closed_form_on_tensors_and_duals():
+    rng = random.Random(43)
+    for _ in range(40):
+        a, b = (realize_sum(random_formal_sum(rng, max_summands=3, max_l=4)) for _ in range(2))
+        for m in (tensor(a, b), dual(a), tensor(dual(a), b), dual(tensor(a, b))):
+            _same_as_closed_form(m)
+
+
+def test_decompose_reports_a_norm_that_is_not_triangular():
+    # sigma of order 3, so N.N != 0: C2Module refuses it, so it is built around its check
+    sigma = BitMatrix.from_rows([[0, 1], [1, 1]])
+    mod = object.__new__(C2Module)
+    object.__setattr__(mod, "dim", 2)
+    object.__setattr__(mod, "sigma", sigma)
+    a = FiltModule(mod, 0, 0, (Subspace.full(2), Subspace.zero(2)))
+    with pytest.raises(MathEngineError, match="not strictly triangular"):
+        decompose(a)
 
 
 # -- exact structure ----------------------------------------------------------

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from helpers import minimize_by_conjugation
+from helpers import decompose_by_meets, minimize_by_conjugation
+from ttfilt import chains
 from ttfilt.gf2 import BitMatrix, C2Module
 from ttfilt.filtmod import MathEngineError, e_label, realize
 from ttfilt.chains import (
@@ -13,13 +14,14 @@ from ttfilt.chains import (
     FILT,
     Complex,
     build_complex,
+    chain_iso_inverse,
     invertpur_pow,
     minimize,
     single,
     tensor_complex,
 )
 from ttfilt.functors import rwz
-from ttfilt.samples import random_complex
+from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
 
 
 def _same_as_oracle(x):
@@ -35,6 +37,28 @@ def test_minimize_matches_oracle_on_random_complexes(kind):
         _same_as_oracle(x)
     for x, y in zip(xs[::2], xs[1::2]):
         _same_as_oracle(tensor_complex(x, y))
+
+
+def test_minimize_with_the_closed_form_decomposition_is_isomorphic(monkeypatch):
+    # the two decompositions agree on labels but not on the iso matrices, so the
+    # minimal complexes agree up to a chain isomorphism; its witness is the
+    # comparison map p . i' between the two minimal forms of one complex, as the
+    # bounded search of find_chain_iso gives up on most of the tensor products
+    rng = random.Random("minimize/decompose")
+
+    def term():
+        return scrambled_module(rng, random_formal_sum(rng, max_summands=3, max_l=3))
+
+    xs = [random_complex(rng, FILT, rng.randint(2, 4), term_gen=term, d_min=rng.randint(-1, 1))
+          for _ in range(20)]
+    xs += [tensor_complex(x, y) for x, y in zip(xs[::2], xs[1::2])]
+    new = [minimize(x) for x in xs]
+    monkeypatch.setattr(chains, "decompose", decompose_by_meets)
+    old = [minimize(x) for x in xs]
+    monkeypatch.undo()
+    for a, b in zip(new, old):
+        assert a.labels == b.labels
+        assert chain_iso_inverse(a.proj.compose(b.incl)) is not None
 
 
 @pytest.mark.parametrize("l", range(1, 8))

@@ -51,9 +51,11 @@ def test_cli_import_loads_motives():
 @pytest.mark.parametrize("expr,expected", [
     ("twist(fund0, 100000)", "{L, Ls}"),
     ("1(100000)", "{L, Ls, M, Ms, N, Ns}"),
+    ("E(4000,0)", "{L, Ls, Ms, N, Ns}"),
 ])
 def test_cli_support_of_a_large_twist_is_fast(expr, expected):
-    # the L test normalizes the twist away, so the size of the weight costs nothing
+    # the L test normalizes the twist away, so the size of the weight costs nothing;
+    # a long E(l,0) is tensored over its live degrees only (about 2 s at l = 4000)
     proc = _python("-m", "ttfilt.cli", "support", expr, timeout=30)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert expected in proc.stdout

@@ -182,6 +182,15 @@ def test_serialize_roundtrip_width_zero_rows():
         assert deserialize(serialize(value)) == value
 
 
+def test_serialize_roundtrip_one_row_of_width_zero():
+    # the 1x0 differential out of the zero degree-1 term is written as `mat ` with an empty value
+    one = single(FILT, realize(unit_label(0)))
+    x = direct_sum_complex(one, shift(one, 2))
+    assert "mat \n" in serialize(x)
+    assert deserialize(serialize(x)) == x
+    assert serialize(deserialize(serialize(x))) == serialize(x)
+
+
 def test_serialize_roundtrip_complex():
     for text in ("fund0", "T", "E(1,0) * E(2,0)", "conebeta + E(0,0)"):
         x = evaluate(parse(text))
