@@ -16,9 +16,10 @@ from ttfilt.chains import (
     minimize,
     single,
     tensor_complex,
+    tensor_map,
 )
 from ttfilt.filtmod import decompose, dual, hom_basis, realize_sum, tensor
-from ttfilt.functors import fgt_complex, gr_complex, hom_DE, homology, is_zero_DE, pwz_complex, tfgt
+from ttfilt.functors import fgt_complex, gr_complex, hom_DE, homology, is_zero_DE, pwz_complex, tate_dim, tfgt
 from ttfilt.motives import expr_support, to_filtered
 from ttfilt.shell import print_expr
 from ttfilt.samples import random_complex, random_expr, random_formal_sum, scrambled_module
@@ -48,6 +49,13 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             failures += 1
         x = random_complex(rng, FILT, rng.randint(2, 3))
         y = random_complex(rng, FILT, 2)
+        # both are assembled by placing blocks at offsets: a misplaced block breaks them
+        if tensor_map(ChainMap.identity(x), ChainMap.identity(y)) != ChainMap.identity(tensor_complex(x, y)):
+            print(f"[{i}] tensor of identities is not the identity")
+            failures += 1
+        if tate_dim(fgt_complex(direct_sum_complex(x, y))) != tate_dim(fgt_complex(x)) + tate_dim(fgt_complex(y)):
+            print(f"[{i}] Tate dimension is not additive")
+            failures += 1
         sx, sy = supp(x), supp(y)
         if not (is_specialization_closed(sx) and is_specialization_closed(sy)):
             print(f"[{i}] support not specialization-closed")

@@ -276,19 +276,19 @@ def shift(x: Complex, k: int) -> Complex:
     return Complex(x.kind, x.d_min + k, x.terms, x.diffs)
 
 
-def direct_sum_complex(x: Complex, y: Complex) -> Complex:
-    if x.kind != y.kind:
+def direct_sum_complex(*xs: Complex) -> Complex:
+    """Direct sum in the given order; with at most one nonzero summand it is
+    that summand, or the last argument when all are zero."""
+    kind = xs[-1].kind
+    if any(x.kind != kind for x in xs):
         raise ValueError("cell-kind mismatch")
-    if x.is_zero():
-        return y
-    if y.is_zero():
-        return x
-    terms = {n: cell_sum(x.kind, x.term(n), y.term(n))
-             for n in range(min(x.d_min, y.d_min), max(x.d_max, y.d_max) + 1)}
-    diffs = {}
-    for n in range(min(x.d_min, y.d_min) + 1, max(x.d_max, y.d_max) + 1):
-        diffs[n] = BitMatrix.block_diag([x.diff(n), y.diff(n)])
-    return build_complex(x.kind, terms, diffs, check=False)
+    live = [x for x in xs if not x.is_zero()]
+    if len(live) <= 1:
+        return (live or xs)[-1]
+    lo, hi = min(x.d_min for x in live), max(x.d_max for x in live)
+    terms = {n: cell_sum(kind, *(x.term(n) for x in live)) for n in range(lo, hi + 1)}
+    diffs = {n: BitMatrix.block_diag([x.diff(n) for x in live]) for n in range(lo + 1, hi + 1)}
+    return build_complex(kind, terms, diffs, check=False)
 
 
 def cone(f: ChainMap) -> Complex:
@@ -342,26 +342,19 @@ def tensor_layout(x: Complex, y: Complex, n: int) -> TensorLayout:
 
 def _tensor_diff(x: Complex, y: Complex, n: int) -> BitMatrix:
     """Differential of x (x) y out of degree n, in the summand order of
-    tensor_layout: d_x (x) 1 + 1 (x) d_y on each pair of terms."""
+    tensor_layout: d_x (x) 1 + 1 (x) d_y on each pair of terms.  In degree
+    n - 1 the pairs (p - 1, q) and (p, q - 1) are fixed by their first index."""
     src = tensor_layout(x, y, n)
-    tgt = tensor_layout(x, y, n - 1)
-    tgt_off = {(p, q): off for p, q, off in tgt.pairs}
-    rows_total = sum(x.dim(p) * y.dim(q) for p, q, _ in tgt.pairs)
-    cols_total = sum(x.dim(p) * y.dim(q) for p, q, _ in src.pairs)
-    data = [0] * rows_total
+    tgt_off = {p: off for p, _, off in tensor_layout(x, y, n - 1).pairs}
+    blocks = []
     for p, q, off in src.pairs:
-        dx, dy = x.dim(p), y.dim(q)
-        if (p - 1, q) in tgt_off:
-            block = x.diff(p).kron(BitMatrix.identity(dy))
-            r0 = tgt_off[(p - 1, q)]
-            for i, r in enumerate(block.data):
-                data[r0 + i] ^= r << off
-        if (p, q - 1) in tgt_off:
-            block = BitMatrix.identity(dx).kron(y.diff(q))
-            r0 = tgt_off[(p, q - 1)]
-            for i, r in enumerate(block.data):
-                data[r0 + i] ^= r << off
-    return BitMatrix(rows_total, cols_total, tuple(data))
+        if p - 1 in tgt_off:
+            blocks.append((tgt_off[p - 1], off, x.diff(p).kron(BitMatrix.identity(y.dim(q)))))
+        if p in tgt_off:
+            blocks.append((tgt_off[p], off, BitMatrix.identity(x.dim(p)).kron(y.diff(q))))
+    rows = sum(x.dim(p) * y.dim(n - 1 - p) for p in tgt_off)
+    cols = sum(x.dim(p) * y.dim(q) for p, q, _ in src.pairs)
+    return BitMatrix.from_blocks(rows, cols, blocks)
 
 
 def tensor_complex(x: Complex, y: Complex) -> Complex:
@@ -379,25 +372,12 @@ def tensor_complex(x: Complex, y: Complex) -> Complex:
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
-    """Tensor product of chain maps (signless)."""
+    """Tensor product of chain maps (signless): in degree n the block
+    diagonal of f_p (x) g_{n-p}; a pair with a zero term gives an empty block."""
     src = tensor_complex(f.source, g.source)
     tgt = tensor_complex(f.target, g.target)
-    comps = {}
-    for n in range(src.d_min, src.d_max + 1):
-        s_lay = tensor_layout(f.source, g.source, n)
-        t_lay = tensor_layout(f.target, g.target, n)
-        t_off = {(p, q): off for p, q, off in t_lay.pairs}
-        rows_total = tgt.dim(n)
-        cols_total = src.dim(n)
-        data = [0] * rows_total
-        for p, q, off in s_lay.pairs:
-            if (p, q) not in t_off:
-                continue
-            block = f.comp(p).kron(g.comp(q))
-            r0 = t_off[(p, q)]
-            for i, r in enumerate(block.data):
-                data[r0 + i] ^= r << off
-        comps[n] = BitMatrix(rows_total, cols_total, tuple(data))
+    ps = range(min(f.source.d_min, f.target.d_min), max(f.source.d_max, f.target.d_max) + 1)
+    comps = {n: BitMatrix.block_diag([f.comp(p).kron(g.comp(n - p)) for p in ps]) for n in src.degrees()}
     return ChainMap.of(src, tgt, comps, check=False)
 
 
@@ -547,6 +527,7 @@ def minimize(x: Complex) -> MinimalForm:
     i_n becomes i_n[:, other] + i_n[:, a].a^-1.b, p_{n-1} becomes
     p_{n-1}[other, :] + c.a^-1.p_{n-1}[a, :], and d_{n+1}, d_{n-1},
     i_{n-1} and p_n only lose the rows or columns of the eliminated pair.
+    In standard coordinates a unit block is 1 or sigma, so a^-1 = a.
     """
     kind = x.kind
     labels: dict[int, list] = {}
@@ -561,17 +542,15 @@ def minimize(x: Complex) -> MinimalForm:
             diffs[n] = proj_comps[n - 1].mul(x.diff(n)).mul(incl_comps[n])
 
     def find_unit_at(n):
+        # the block between equal labels is [a] or the equivariant
+        # [[a, b], [b, a]], a unit iff its first row is (1, 0) or (0, 1)
         d = diffs[n]
         labs_t, labs_s = labels[n - 1], labels[n]
         offs_t, offs_s = _offsets(kind, labs_t), _offsets(kind, labs_s)
         for i, lt in enumerate(labs_t):
+            row, mask = d.data[offs_t[i]], (1 << _label_dim(kind, lt)) - 1
             for j, ls in enumerate(labs_s):
-                if lt != ls:
-                    continue
-                dt = _label_dim(kind, lt)
-                block = d.submatrix(range(offs_t[i], offs_t[i] + dt),
-                                    range(offs_s[j], offs_s[j] + dt))
-                if block.inverse() is not None:
+                if lt == ls and (row >> offs_s[j]) & mask in (1, 2):
                     return i, j
         return None
 
@@ -603,16 +582,16 @@ def minimize(x: Complex) -> MinimalForm:
         other_t = [r for r in range(d.rows) if r not in t_idx]
         other_s = [c for c in range(d.cols) if c not in s_idx]
         # d_n = [[a, b], [c, e]] with a the unit block at (t_idx, s_idx)
+        # the unit block a is 1 or sigma, so it is its own inverse
         a = d.submatrix(t_idx, s_idx)
-        ainv = a.inverse()
-        if ainv is None or not a.mul(ainv).is_identity():
+        if not a.mul(a).is_identity():
             raise MathEngineError("elimination failed to isolate the unit block")
         if n + 1 in diffs and not _rows(d, t_idx).mul(diffs[n + 1]).is_zero():
             raise MathEngineError("incoming differential leaks into eliminated summand")
         if n - 1 in diffs and not diffs[n - 1].mul(_cols(d, s_idx)).is_zero():
             raise MathEngineError("outgoing differential leaks from eliminated summand")
         b, c = d.submatrix(t_idx, other_s), d.submatrix(other_t, s_idx)
-        ab, ca = ainv.mul(b), c.mul(ainv)
+        ab, ca = a.mul(b), c.mul(a)
         diffs[n] = d.submatrix(other_t, other_s).add(c.mul(ab))
         if n + 1 in diffs:
             diffs[n + 1] = _rows(diffs[n + 1], other_s)

@@ -61,9 +61,6 @@ class IndecLabel:
     def dim(self) -> int:
         return 1 if self.kind == UNIT else 2
 
-    def twist(self, r: int) -> "IndecLabel":
-        return IndecLabel(self.kind, self.l, self.m + r)
-
     def text(self) -> str:
         if self.kind == UNIT:
             return f"1({self.m})"
@@ -95,18 +92,8 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum(tuple(sorted(self.labels + other.labels)))
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
     def is_zero(self) -> bool:
         return not self.labels
-
-    @property
-    def dim(self) -> int:
-        return sum(lab.dim for lab in self.labels)
-
-    def twist(self, r: int) -> "FormalSum":
-        return FormalSum(tuple(sorted(lab.twist(r) for lab in self.labels)))
 
     def text(self) -> str:
         if not self.labels:
@@ -366,16 +353,6 @@ class FiltMorphism:
                 if not tgt.contains(m.apply(v)):
                     return False
         return True
-
-    def compose(self, first: "FiltMorphism") -> "FiltMorphism":
-        """self after first."""
-        if first.target is not self.source and first.target != self.source:
-            raise ValueError("composition mismatch")
-        return FiltMorphism(first.source, self.target, self.matrix.mul(first.matrix))
-
-    @staticmethod
-    def identity(a: FiltModule) -> "FiltMorphism":
-        return FiltMorphism(a, a, BitMatrix.identity(a.dim))
 
 
 def morphism_equations(system: LinearSystem, x: int, source: FiltModule, target: FiltModule) -> None:

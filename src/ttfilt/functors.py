@@ -8,8 +8,10 @@ derived weight-zero functors rwz / tfgt.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .gf2 import BitMatrix, C2Module, Subspace, image, kernel_space, quotient_module, induced_map
-from .filtmod import FiltModule, FiltMorphism, MathEngineError, _tensor_layer, gr_map, pwz_module
+from .filtmod import FiltMorphism, MathEngineError, _tensor_layer, gr_map, pwz_module
 from .chains import (
     C2,
     F2,
@@ -18,6 +20,7 @@ from .chains import (
     Complex,
     _tensor_diff,
     build_complex,
+    direct_sum_complex,
     dual_complex,
     injres_trunc,
     invertpur_pow,
@@ -33,62 +36,28 @@ from .chains import (
 # ---------------------------------------------------------------------------
 
 
-def _gr_total(a: FiltModule):
-    """Total graded module with representative rows, weights ascending."""
-    pieces = []
-    reps_rows: list[int] = []
-    sigma_blocks = []
-    for w in range(a.w_min, a.w_max + 1):
-        piece, reps = a.graded(w)
-        if piece.dim == 0:
-            continue
-        pieces.append((w, piece, reps))
-        sigma_blocks.append(piece.sigma)
-    total = C2Module(sum(p.dim for _, p, _ in pieces), BitMatrix.block_diag(sigma_blocks))
-    return total, pieces
-
-
-def _gr_matrix(f_mat: BitMatrix, src: FiltModule, tgt: FiltModule,
-               src_pieces, tgt_pieces) -> BitMatrix:
-    cols = sum(p.dim for _, p, _ in src_pieces)
-    rows = sum(p.dim for _, p, _ in tgt_pieces)
-    data = [0] * rows
-    roff = 0
-    for w_t, piece_t, reps_t in tgt_pieces:
-        coff = 0
-        for w_s, piece_s, reps_s in src_pieces:
-            if w_s == w_t:
-                block = induced_map(reps_s, reps_t, tgt.layer(w_t + 1), f_mat)
-                for i, r in enumerate(block.data):
-                    data[roff + i] ^= r << coff
-            coff += piece_s.dim
-        roff += piece_t.dim
-    return BitMatrix(rows, cols, tuple(data))
-
-
 def gr_complex(x: Complex) -> Complex:
-    """Degreewise total-graded complex over plain modules."""
+    """Degreewise total-graded complex over plain modules: differentials
+    preserve weight, so it is the direct sum of the weight pieces, weights
+    ascending."""
     if x.kind != FILT:
         raise ValueError("gr applies to filtered complexes")
-    datas = {n: _gr_total(x.term(n)) for n in x.degrees()}
-    terms = {n: total for n, (total, _) in datas.items()}
-    diffs = {}
-    for n in x.degrees():
-        if n > x.d_min:
-            diffs[n] = _gr_matrix(x.diff(n), x.term(n), x.term(n - 1),
-                                  datas[n][1], datas[n - 1][1])
-    return build_complex(C2, terms, diffs)
+    weights = range(min_weight(x), max_weight(x) + 1)
+    return direct_sum_complex(*(gr_component_complex(x, w) for w in weights))
 
 
 def gr_component_complex(x: Complex, w: int) -> Complex:
-    """The weight-w graded piece of a filtered complex."""
+    """The weight-w graded piece of a filtered complex; only the terms with
+    weight w in their range can have a nonzero piece."""
     terms = {}
     reps = {}
     for n in x.degrees():
-        terms[n], reps[n] = x.term(n).graded(w)
+        t = x.term(n)
+        if t.w_min <= w <= t.w_max:
+            terms[n], reps[n] = t.graded(w)
     diffs = {}
-    for n in x.degrees():
-        if n > x.d_min and terms[n].dim and terms[n - 1].dim:
+    for n in terms:
+        if n - 1 in terms and terms[n].dim and terms[n - 1].dim:
             tgt = x.term(n - 1)
             diffs[n] = induced_map(reps[n], reps[n - 1], tgt.layer(w + 1), x.diff(n))
     return build_complex(C2, terms, diffs)
@@ -189,22 +158,10 @@ def tate_dim(y: Complex) -> int:
     total = y.total_dim()
     if total == 0:
         return 0
-    offs = {}
-    off = 0
-    for n in y.degrees():
-        offs[n] = off
-        off += y.dim(n)
-    data = [0] * total
-    for n in y.degrees():
-        t = y.term(n)
-        norm = t.norm()
-        for i, r in enumerate(norm.data):
-            data[offs[n] + i] ^= r << offs[n]
-        if n > y.d_min:
-            d = y.diff(n)
-            for i, r in enumerate(d.data):
-                data[offs[n - 1] + i] ^= r << offs[n]
-    op = BitMatrix(total, total, tuple(data))
+    offs = [0, *accumulate(t.dim for t in y.terms)]
+    blocks = [(offs[i], offs[i], t.norm()) for i, t in enumerate(y.terms)]
+    blocks += [(offs[i], offs[i + 1], d) for i, d in enumerate(y.diffs)]
+    op = BitMatrix.from_blocks(total, total, blocks)
     if not op.mul(op).is_zero():
         raise MathEngineError("folded Tate operator does not square to zero")
     return total - 2 * op.rank()

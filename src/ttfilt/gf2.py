@@ -159,6 +159,16 @@ class BitMatrix:
         return BitMatrix(self.rows + other.rows, self.cols, self.data + other.data)
 
     @staticmethod
+    def from_blocks(rows: int, cols: int, blocks) -> "BitMatrix":
+        """The rows x cols sum of the blocks (row, col, block), each placed
+        with its top-left entry at (row, col)."""
+        data = [0] * rows
+        for r0, c0, block in blocks:
+            for i, r in enumerate(block.data, r0):
+                data[i] ^= r << c0
+        return BitMatrix(rows, cols, tuple(data))
+
+    @staticmethod
     def block_diag(blocks: Iterable["BitMatrix"]) -> "BitMatrix":
         data: list[int] = []
         rows = cols = 0
@@ -177,38 +187,32 @@ class BitMatrix:
         return BitMatrix(self.rows * other.rows, self.cols * other.cols, tuple(data))
 
     def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "BitMatrix":
+        """The rows row_idx (any order) and the columns col_idx, which must be
+        strictly increasing: rows are spliced from maximal contiguous runs."""
         cols = list(col_idx)
+        if any(b <= a for a, b in zip(cols, cols[1:])):
+            raise ValueError("submatrix columns must be strictly increasing")
         rows_sel = [self.data[i] for i in row_idx]
         k = len(cols)
         if k == 0 or not rows_sel:
             return BitMatrix(len(rows_sel), k, (0,) * len(rows_sel))
-        if all(b > a for a, b in zip(cols, cols[1:])):
-            # splice maximal contiguous runs with mask-and-shift per row
-            runs = []
-            start = prev = cols[0]
-            for j in cols[1:]:
-                if j == prev + 1:
-                    prev = j
-                else:
-                    runs.append((start, prev - start + 1))
-                    start = prev = j
-            runs.append((start, prev - start + 1))
-            out = []
-            for r in rows_sel:
-                acc = 0
-                pos = 0
-                for a, width in runs:
-                    acc |= ((r >> a) & ((1 << width) - 1)) << pos
-                    pos += width
-                out.append(acc)
-            return BitMatrix(len(out), k, tuple(out))
+        runs = []
+        start = prev = cols[0]
+        for j in cols[1:]:
+            if j == prev + 1:
+                prev = j
+            else:
+                runs.append((start, prev - start + 1))
+                start = prev = j
+        runs.append((start, prev - start + 1))
         out = []
         for r in rows_sel:
-            v = 0
-            for kk, j in enumerate(cols):
-                if (r >> j) & 1:
-                    v |= 1 << kk
-            out.append(v)
+            acc = 0
+            pos = 0
+            for a, width in runs:
+                acc |= ((r >> a) & ((1 << width) - 1)) << pos
+                pos += width
+            out.append(acc)
         return BitMatrix(len(out), k, tuple(out))
 
     # -- elimination -------------------------------------------------------
@@ -543,9 +547,6 @@ class C2Module:
         swap = BitMatrix.from_rows([[0, 1], [1, 0]])
         blocks.extend([swap] * b)
         return C2Module(a + 2 * b, BitMatrix.block_diag(blocks))
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def norm(self) -> BitMatrix:
         """The matrix 1 + sigma."""

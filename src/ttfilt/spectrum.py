@@ -195,6 +195,8 @@ class SpectrumPoset:
     closure: dict[str, frozenset]
 
     def closure_of(self, p: str) -> frozenset:
+        if p not in self.closure:
+            raise ValueError(f"unknown point: {p}")
         return self.closure[p]
 
     def is_closed(self, points: Iterable[str]) -> bool:

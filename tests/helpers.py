@@ -10,17 +10,21 @@ of d(g)), which `hom_DE` replaced by the sigma-fixed part of rwz's
 weight-zero blocks on dual(x) (x) y, and
 `minimize_by_conjugation` is `minimize` as it was before each elimination
 became a Schur complement, `rref_by_column_scan` is `BitMatrix.rref`
-as it was before it pivoted on lowest set bits, and `decompose_by_meets`
+as it was before it pivoted on lowest set bits, `decompose_by_meets`
 is `filtmod.decompose` as it was before it became one persistence
-reduction.
+reduction, and `gr_complex_by_placement`, `tensor_diff_by_placement` and
+`tensor_map_by_placement` are `gr_complex`, `chains._tensor_diff` and
+`tensor_map` as they were before they were assembled from blocks: each
+places its blocks by hand at offsets looked up per pair of terms.
 """
 
 from __future__ import annotations
 
 
-from ttfilt.gf2 import BitMatrix, LinearSystem, Subspace, induced_map, kernel_space, quotient_module
+from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, induced_map, kernel_space, quotient_module
 from ttfilt.chains import (
     C2,
+    FILT,
     ChainMap,
     Complex,
     MinimalForm,
@@ -32,6 +36,7 @@ from ttfilt.chains import (
     cell_is_zero,
     injres_trunc,
     tensor_complex,
+    tensor_layout,
 )
 from ttfilt.filtmod import (
     Decomposition,
@@ -416,3 +421,82 @@ def decompose_by_meets(a: FiltModule) -> Decomposition:
     if not dec.validate():
         raise MathEngineError("decomposition certificate failed validation")
     return dec
+
+
+def gr_complex_by_placement(x: Complex) -> Complex:
+    """The total graded complex with each term assembled from its nonzero
+    weight pieces and each differential placed block by block at the
+    offsets of equal weights."""
+    if x.kind != FILT:
+        raise ValueError("gr applies to filtered complexes")
+
+    def total(a: FiltModule):
+        pieces = []
+        for w in range(a.w_min, a.w_max + 1):
+            piece, reps = a.graded(w)
+            if piece.dim:
+                pieces.append((w, piece, reps))
+        sigma = BitMatrix.block_diag([p.sigma for _, p, _ in pieces])
+        return C2Module(sum(p.dim for _, p, _ in pieces), sigma), pieces
+
+    datas = {n: total(x.term(n)) for n in x.degrees()}
+    diffs = {}
+    for n in x.degrees():
+        if n == x.d_min:
+            continue
+        src_pieces, tgt_pieces = datas[n][1], datas[n - 1][1]
+        cols = sum(p.dim for _, p, _ in src_pieces)
+        rows = sum(p.dim for _, p, _ in tgt_pieces)
+        data = [0] * rows
+        roff = 0
+        for w_t, piece_t, reps_t in tgt_pieces:
+            coff = 0
+            for w_s, piece_s, reps_s in src_pieces:
+                if w_s == w_t:
+                    block = induced_map(reps_s, reps_t, x.term(n - 1).layer(w_t + 1), x.diff(n))
+                    for i, r in enumerate(block.data):
+                        data[roff + i] ^= r << coff
+                coff += piece_s.dim
+            roff += piece_t.dim
+        diffs[n] = BitMatrix(rows, cols, tuple(data))
+    return build_complex(C2, {n: t for n, (t, _) in datas.items()}, diffs)
+
+
+def tensor_diff_by_placement(x: Complex, y: Complex, n: int) -> BitMatrix:
+    """The differential of x (x) y out of degree n, each block placed at the
+    offset of its (p, q) pair in the target layout."""
+    src = tensor_layout(x, y, n)
+    tgt = tensor_layout(x, y, n - 1)
+    tgt_off = {(p, q): off for p, q, off in tgt.pairs}
+    rows_total = sum(x.dim(p) * y.dim(q) for p, q, _ in tgt.pairs)
+    cols_total = sum(x.dim(p) * y.dim(q) for p, q, _ in src.pairs)
+    data = [0] * rows_total
+    for p, q, off in src.pairs:
+        dx, dy = x.dim(p), y.dim(q)
+        if (p - 1, q) in tgt_off:
+            block = x.diff(p).kron(BitMatrix.identity(dy))
+            for i, r in enumerate(block.data):
+                data[tgt_off[(p - 1, q)] + i] ^= r << off
+        if (p, q - 1) in tgt_off:
+            block = BitMatrix.identity(dx).kron(y.diff(q))
+            for i, r in enumerate(block.data):
+                data[tgt_off[(p, q - 1)] + i] ^= r << off
+    return BitMatrix(rows_total, cols_total, tuple(data))
+
+
+def tensor_map_by_placement(f: ChainMap, g: ChainMap) -> ChainMap:
+    """The tensor product of chain maps, each f_p (x) g_q placed at the
+    offsets of the pair (p, q) in the source and the target layouts."""
+    src = tensor_complex(f.source, g.source)
+    tgt = tensor_complex(f.target, g.target)
+    comps = {}
+    for n in src.degrees():
+        t_off = {(p, q): off for p, q, off in tensor_layout(f.target, g.target, n).pairs}
+        data = [0] * tgt.dim(n)
+        for p, q, off in tensor_layout(f.source, g.source, n).pairs:
+            if (p, q) in t_off:
+                block = f.comp(p).kron(g.comp(q))
+                for i, r in enumerate(block.data):
+                    data[t_off[(p, q)] + i] ^= r << off
+        comps[n] = BitMatrix(tgt.dim(n), src.dim(n), tuple(data))
+    return ChainMap.of(src, tgt, comps, check=False)

@@ -3,13 +3,19 @@ import random
 import pytest
 
 from ttfilt.gf2 import BitMatrix, C2Module
-from ttfilt.filtmod import FormalSum, e_label, realize, unit_label
+from ttfilt.filtmod import FormalSum, e_label, realize, realize_sum, unit_label
 from ttfilt.chains import (
     C2,
     F2,
     FILT,
     ChainMap,
+    Complex,
     SearchExhausted,
+    _label_dim,
+    _offsets,
+    _tensor_diff,
+    build_complex,
+    cell_zero,
     cone,
     cone_beta,
     cone_rho,
@@ -38,7 +44,9 @@ from ttfilt.chains import (
     unit_complex,
     upsilon,
 )
-from ttfilt.samples import random_complex, random_chain_map
+from ttfilt.samples import random_c2_module, random_chain_map, random_complex, random_formal_sum
+
+from helpers import tensor_diff_by_placement, tensor_map_by_placement
 
 
 def unit_c2():
@@ -55,6 +63,51 @@ def test_shift_roundtrip():
 def test_cone_of_identity_contracts():
     assert is_contractible(cone(ChainMap.identity(unit_complex())))
     assert is_contractible(cone(ChainMap.identity(fund0())))
+
+
+def test_direct_sum_is_n_ary_and_returns_a_lone_summand():
+    rng = random.Random(23)
+    x, y, w = (random_complex(rng, C2, 2, d_min=k) for k in (0, 1, -1))
+    zero, other_zero = Complex(C2, 0, (), ()), Complex(C2, 0, (), ())
+    assert direct_sum_complex(x, y, w) == direct_sum_complex(direct_sum_complex(x, y), w)
+    assert direct_sum_complex(zero, y) is y
+    assert direct_sum_complex(x, zero) is x
+    assert direct_sum_complex(zero, x, other_zero) is x
+    assert direct_sum_complex(zero, other_zero) is other_zero
+    assert direct_sum_complex(x) is x
+    with pytest.raises(ValueError):
+        direct_sum_complex(x, unit_complex())
+
+
+def _sparse_terms(rng, kind):
+    """Small terms of the given kind, zero one time in three."""
+    def gen():
+        if rng.random() < 1 / 3:
+            return cell_zero(kind)
+        if kind == FILT:
+            return realize_sum(random_formal_sum(rng, max_summands=2, max_l=3))
+        return random_c2_module(rng, 3) if kind == C2 else rng.randint(1, 3)
+    return gen
+
+
+@pytest.mark.parametrize("kind", [FILT, C2, F2])
+def test_tensor_blocks_match_the_placement_oracles(kind):
+    """Zero terms inside and at the ends of the degree ranges, factors on
+    different ranges, zero factors, and twisted and dual factors."""
+    rng = random.Random(29)
+    zero = Complex(kind, 0, (), ())
+    for _ in range(10):
+        xs = [random_complex(rng, kind, rng.randint(1, 4), _sparse_terms(rng, kind), d_min=rng.randint(-2, 1))
+              for _ in range(4)]
+        xs[2] = dual_complex(xs[2])
+        if kind == FILT:
+            xs[1] = twist_complex(xs[1], rng.randint(-2, 2))
+        for x, y in ((xs[0], xs[2]), (xs[1], xs[3]), (xs[0], zero)):
+            for n in range(x.d_min + y.d_min - 1, x.d_max + y.d_max + 2):
+                assert _tensor_diff(x, y, n) == tensor_diff_by_placement(x, y, n)
+        f, g = random_chain_map(rng, xs[0], xs[1]), random_chain_map(rng, xs[2], xs[3])
+        for a, b in ((f, g), (g, f), (ChainMap.identity(xs[0]), g), (f, ChainMap.identity(zero))):
+            assert tensor_map(a, b) == tensor_map_by_placement(a, b)
 
 
 def test_tensor_unit_law():
@@ -150,22 +203,29 @@ def test_minimize_certificates():
 
 def test_minimal_form_has_no_unit_entries():
     rng = random.Random(19)
-    for _ in range(5):
-        x = random_complex(rng, FILT, 3)
+    # sigma between two equal free summands is a unit that is not the identity
+    free, e = C2Module.free(1), realize(e_label(1, 0))
+    xs = [(C2, build_complex(C2, {0: free, 1: free}, {1: free.sigma})),
+          (FILT, build_complex(FILT, {0: e, 1: e}, {1: e.module.sigma}))]
+    for kind, size in ((FILT, 3), (C2, 3), (F2, 4)):
+        for _ in range(5):
+            x = random_complex(rng, kind, size)
+            # a plain tensor square is large enough for many eliminations
+            xs.append((kind, tensor_complex(x, x) if kind == C2 else x))
+    for kind, x in xs:
         mf = minimize(x)
-        from ttfilt.chains import _label_dim, _offsets
         for n in mf.complex.degrees():
             if n == mf.complex.d_min:
                 continue
             labs_t = mf.labels_at(n - 1)
             labs_s = mf.labels_at(n)
-            offs_t, offs_s = _offsets(FILT, labs_t), _offsets(FILT, labs_s)
+            offs_t, offs_s = _offsets(kind, labs_t), _offsets(kind, labs_s)
             d = mf.complex.diff(n)
             for i, lt in enumerate(labs_t):
                 for j, ls in enumerate(labs_s):
                     if lt != ls:
                         continue
-                    dt = _label_dim(FILT, lt)
+                    dt = _label_dim(kind, lt)
                     block = d.submatrix(range(offs_t[i], offs_t[i] + dt),
                                         range(offs_s[j], offs_s[j] + dt))
                     assert block.inverse() is None

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ttfilt.gf2 import BitMatrix, C2Module
-from ttfilt.filtmod import e_label, hom_basis, realize, unit_label
+from ttfilt.filtmod import FiltModule, e_label, hom_basis, realize, realize_sum, unit_label
 from ttfilt.chains import (
     C2,
     FILT,
@@ -12,6 +12,7 @@ from ttfilt.chains import (
     cone,
     cone_beta,
     direct_sum_complex,
+    dual_complex,
     fund0,
     fund_seq,
     fundpur,
@@ -48,7 +49,7 @@ from ttfilt.functors import (
 )
 from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
 
-from helpers import brute_exact_f2, brute_tate_dim, hom_DE_by_single_solves, weight_zero_part
+from helpers import brute_exact_f2, brute_tate_dim, gr_complex_by_placement, hom_DE_by_single_solves, weight_zero_part
 
 
 def unit_c2():
@@ -75,6 +76,26 @@ def test_gr_pwz_section_law():
     for _ in range(8):
         y = random_complex(rng, C2, 3)
         assert gr_complex(pwz_complex(y)) == y
+
+
+def test_gr_matches_the_placement_oracle():
+    """Terms zero inside and at the ends of the range, weight pieces zero
+    inside a term (E(l, m) for l >= 2) and at the ends, twisted and dual
+    complexes."""
+    rng = random.Random(31)
+
+    def term():
+        if rng.random() < 1 / 3:
+            return FiltModule.zero()
+        return realize_sum(random_formal_sum(rng, max_summands=3, max_l=3, weight_span=(-3, 3)))
+
+    zero = Complex(FILT, 0, (), ())
+    assert gr_complex(zero) == gr_complex_by_placement(zero)
+    for _ in range(12):
+        x = random_complex(rng, FILT, rng.randint(1, 4), term, d_min=rng.randint(-2, 1))
+        for y in (x, twist_complex(x, rng.randint(-3, 3)), dual_complex(x),
+                  direct_sum_complex(x, twist_complex(x, 2))):
+            assert gr_complex(y) == gr_complex_by_placement(y)
 
 
 def test_fgt_of_fund0():

@@ -231,6 +231,35 @@ def test_image_and_kron():
                     assert k.entry(i1 * 2 + i2, j1 * 2 + j2) == a.entry(i1, j1) * b.entry(i2, j2)
 
 
+def test_from_blocks_sums_the_placed_entries():
+    rng = random.Random(37)
+    for _ in range(50):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        blocks = []
+        for _ in range(rng.randint(0, 4)):
+            r0, c0 = rng.randint(0, rows), rng.randint(0, cols)
+            h, w = rng.randint(0, rows - r0), rng.randint(0, cols - c0)
+            blocks.append((r0, c0, BitMatrix(h, w, tuple(rng.getrandbits(w) for _ in range(h)))))
+        m = BitMatrix.from_blocks(rows, cols, blocks)
+        for i in range(rows):
+            for j in range(cols):
+                want = sum(b.entry(i - r0, j - c0) for r0, c0, b in blocks
+                           if r0 <= i < r0 + b.rows and c0 <= j < c0 + b.cols) % 2
+                assert m.entry(i, j) == want
+    # a block past the last row or column is an error, not a silent crop
+    for r0, c0 in ((1, 0), (0, 1)):
+        with pytest.raises((IndexError, ValueError)):
+            BitMatrix.from_blocks(2, 2, [(r0, c0, BitMatrix.identity(2))])
+
+
+def test_submatrix_needs_increasing_columns():
+    m = BitMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
+    assert m.submatrix([2, 0], [0, 2, 3]).to_lists() == [[1, 0, 1], [1, 1, 1]]
+    for cols in ([2, 0], [1, 1], [3, 2, 0]):
+        with pytest.raises(ValueError):
+            m.submatrix(range(3), cols)
+
+
 def _random_linear_system(rng):
     """A random system on one or two unknown blocks of shape up to 3 x 3,
     plus the data to evaluate it by hand.  Returns (system, block ids,

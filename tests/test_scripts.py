@@ -42,6 +42,14 @@ def test_cli_module_verify_exits_zero():
     assert "FAIL" not in proc.stdout
 
 
+@pytest.mark.parametrize("name", ["DATM2", "KbA", "DAM2", "DTM2"])
+def test_cli_closure_of_an_unknown_point_exits_one(name):
+    proc = _python("-m", "ttfilt.cli", "atlas", name, "--closure", "X")
+    assert proc.returncode == 1
+    assert "error: unknown point: X" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_import_loads_motives():
     # the benchmark tracer imports ttfilt.cli, then wraps ttfilt.motives from sys.modules
     proc = _python("-c", "import sys, ttfilt.cli; sys.exit('ttfilt.motives' not in sys.modules)")

@@ -5,11 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttfilt.cli import main
+from ttfilt.gf2 import C2Module
 from ttfilt.chains import (
     _EPS,
     _ETA,
+    C2,
+    F2,
     FILT,
     ChainMap,
+    build_complex,
     cone,
     cone_beta,
     cone_omega,
@@ -17,11 +21,14 @@ from ttfilt.chains import (
     direct_sum_complex,
     fund0,
     fund_seq,
+    fundpur,
+    invertpur_pow,
     koszul_T,
     lpure,
     shift,
     single,
 )
+from ttfilt.functors import res_complex
 from ttfilt.filtmod import FiltModule, FormalSum, direct_sum, e_label, realize, unit_label
 from ttfilt.motives import MotiveExpr
 from ttfilt.shell import (
@@ -191,9 +198,16 @@ def test_serialize_roundtrip_one_row_of_width_zero():
     assert serialize(deserialize(serialize(x))) == serialize(x)
 
 
+def _zero_inside(kind, a, b):
+    """A complex of the given kind with terms a, 0, b in degrees 0, 1, 2."""
+    return build_complex(kind, {0: a, 2: b}, {})
+
+
 def test_serialize_roundtrip_complex():
-    for text in ("fund0", "T", "E(1,0) * E(2,0)", "conebeta + E(0,0)"):
-        x = evaluate(parse(text))
+    xs = [evaluate(parse(text)) for text in ("fund0", "T", "E(1,0) * E(2,0)", "conebeta + E(0,0)")]
+    xs += [fundpur(), invertpur_pow(-2), res_complex(fundpur()),
+           _zero_inside(C2, C2Module.free(1), C2Module.trivial(1)), _zero_inside(F2, 2, 1)]
+    for x in xs:
         blob = serialize(x)
         assert deserialize(blob) == x
         assert serialize(deserialize(blob)) == blob
@@ -252,6 +266,7 @@ def _fund0_blob() -> str:
     pytest.param(lambda: serialize(direct_sum(realize(e_label(1, 0)), realize(unit_label(0))))
                  .replace("layer 100|", "layer 1_0|"), id="underscore-in-row"),
     pytest.param(lambda: _fund0_blob().replace("sigma 01|10", "sigma 01|1+"), id="sign-in-row"),
+    pytest.param(lambda: serialize(fundpur()).replace("sigma 01|10", "sigma 11|10", 1), id="c2-sigma-not-involution"),
 ])
 def test_deserialize_rejects_malformed_text(blob):
     with pytest.raises(SchemaError):

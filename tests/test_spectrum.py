@@ -209,6 +209,12 @@ def test_atlas_closures():
     assert datm2.closure_of("Ns") == frozenset({"Ns"})
 
 
+@pytest.mark.parametrize("name", ["DATM2", "KbA", "DAM2", "DTM2"])
+def test_atlas_closure_of_an_unknown_point(name):
+    with pytest.raises(ValueError, match="unknown point: X"):
+        atlas(name).closure_of("X")
+
+
 def test_atlas_unknown():
     with pytest.raises(ValueError):
         atlas("nope")
