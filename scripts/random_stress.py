@@ -21,7 +21,7 @@ from ttfilt.chains import (
 from ttfilt.filtmod import decompose, dual, hom_basis, realize_sum, tensor
 from ttfilt.functors import fgt_complex, gr_complex, hom_DE, homology, is_zero_DE, pwz_complex, tate_dim, tfgt
 from ttfilt.motives import expr_support, to_filtered
-from ttfilt.shell import print_expr
+from ttfilt.shell import deserialize, print_expr, serialize
 from ttfilt.samples import random_complex, random_expr, random_formal_sum, scrambled_module
 from ttfilt.spectrum import is_specialization_closed, supp
 
@@ -40,6 +40,17 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             failures += 1
         fb = random_formal_sum(rng, max_summands=4)
         b = scrambled_module(rng, fb)
+        # bit equality: a filtration stored at its drops is canonical
+        if dual(dual(a)) != a:
+            print(f"[{i}] double dual is not bit-identical on {fs.text()}")
+            failures += 1
+        r = rng.randint(-5, 5)
+        if tensor(a.twist(r), b) != tensor(a, b).twist(r):
+            print(f"[{i}] tensor does not commute with twist {r} on {fs.text()} * {fb.text()}")
+            failures += 1
+        if deserialize(serialize(tensor(a, b))) != tensor(a, b):
+            print(f"[{i}] serialize round-trip of {fs.text()} * {fb.text()} failed")
+            failures += 1
         if hom_DE(single(FILT, a), single(FILT, b)).get(0, 0) != len(hom_basis(a, b)):
             print(f"[{i}] shift-0 derived hom differs from the hom space on {fs.text()} -> {fb.text()}")
             failures += 1

@@ -659,8 +659,9 @@ class SearchExhausted(Exception):
 def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
     """Bounded search for an isomorphism of complexes x -> y.
 
-    Returns a validated pair (u, u_inv) of mutually inverse chain maps, or
-    None when none exists (term signatures differ, or no nonzero chain map).
+    Returns a validated pair (u, u_inv) of mutually inverse chain maps, the
+    identity pair when x == y, or None when none exists (term signatures
+    differ, or no nonzero chain map).
     Raises SearchExhausted when the basis and `tries` random sums of it hold
     no isomorphism.  Components must be invertible in the cell category,
     which for filtered terms includes the inverse preserving filtrations."""
@@ -668,6 +669,8 @@ def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
 
     if x.is_zero() and y.is_zero():
         return ChainMap.of(x, y, {}, check=False), ChainMap.of(y, x, {}, check=False)
+    if x == y:
+        return ChainMap.identity(x), ChainMap.identity(x)
     if signature(x) != signature(y):
         # a chain isomorphism is an isomorphism in each degree
         return None

@@ -1,18 +1,21 @@
 """Filtered modules over the order-2 group algebra in characteristic 2.
 
 A filtered module is an ambient C2Module together with a finite decreasing
-chain of invariant subspaces indexed by integer weights.  This module
-implements the tensor category structure (tensor, dual, twist), the weight
-functors (gr, fgt, weight parts), Krull-Schmidt decomposition with explicit
-isomorphism certificates, and the exactness/projectivity tests that the
-derived-category layer builds on.  The decomposition is one persistence
-reduction of N = 1 + sigma on a basis adapted to the weight layers V_w: the
-summands and a basis adapted to them are read off its pairing, with no
-search over candidate summands.
+chain of invariant subspaces indexed by integer weights, stored only where
+it strictly drops, as a persistence barcode is stored at its critical
+values: every operation below costs by drops, not by the weight span.
+This module implements the tensor category structure (tensor, dual,
+twist), the weight functors (gr, fgt, weight parts), Krull-Schmidt
+decomposition with explicit isomorphism certificates, and the
+exactness/projectivity tests that the derived-category layer builds on.
+The decomposition is one persistence reduction of N = 1 + sigma on a basis
+adapted to the weight layers V_w: the summands and a basis adapted to them
+are read off its pairing, with no search over candidate summands.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,23 +111,25 @@ class FormalSum:
 
 @dataclass(frozen=True)
 class FiltModule:
-    """C2-module with a decreasing chain of invariant subspaces.
+    """C2-module with a decreasing chain of invariant subspaces, stored at
+    its strict drops: layers[i] is the subspace of weight >= w for
+    weights[i] <= w < weights[i + 1], the last one from weights[-1] on.
 
-    layers[i] is the subspace of weight >= w_min + i, for i up to
-    w_max - w_min + 1; the first layer is the full space and the last is
-    zero.  Weight ranges are stored tight at both ends, so equal objects
-    have bit-identical representations.  The zero module has the empty
-    weight range (w_min=0, w_max=-1) by convention.
+    Weights strictly increase and layers strictly decrease, from the full
+    space at weights[0] = w_min (there only: tight at the bottom) to zero
+    from weights[-1] = w_max + 1, so layers[-2] is nonzero (tight at the
+    top) and E(l, m) has three layers for any l.  Equal objects have
+    bit-identical representations.  The zero module has the one layer 0 at
+    weight 0, the empty range 0 .. -1.
     """
 
     module: C2Module
-    w_min: int
-    w_max: int
+    weights: tuple[int, ...]
     layers: tuple[Subspace, ...]
 
     def __post_init__(self):
         n = self.module.dim
-        if len(self.layers) != self.w_max - self.w_min + 2:
+        if not self.layers or len(self.layers) != len(self.weights):
             raise ValueError("layer count mismatch")
         if not self.layers[0].is_full():
             raise ValueError("bottom layer must be the whole space")
@@ -134,55 +139,71 @@ class FiltModule:
         for lay in self.layers:
             if lay.ambient != n:
                 raise ValueError("layer ambient mismatch")
-            if prev is not None and not prev.contains_space(lay):
+            if prev is not None and (prev.dim == lay.dim or not prev.contains_space(lay)):
                 raise ValueError("layers must decrease")
             for v in lay.basis.data:
                 if not lay.contains(self.module.sigma.apply(v)):
                     raise ValueError("layer is not sigma-stable")
             prev = lay
-        if n > 0 and self.layers[-2].is_zero() and len(self.layers) > 1 and self.w_max >= self.w_min:
-            if len(self.layers) > 2:
-                raise ValueError("weight range not tight at top")
-        if n > 0 and len(self.layers) > 2 and self.layers[1].is_full():
+        if any(v >= w for v, w in zip(self.weights, self.weights[1:])):
+            raise ValueError("weights must increase")
+        if len(self.weights) > 1 and self.weights[1] != self.weights[0] + 1:
             raise ValueError("weight range not tight at bottom")
+
+    @staticmethod
+    def of(module: C2Module, pairs) -> "FiltModule":
+        """From (weight, layer) pairs, weights increasing: each layer holds
+        up to the next weight and the last, which must be zero, from its
+        weight on; below the first weight the space is full.  Equal
+        neighbours merge, and the full layer is kept at the one weight
+        below the first proper layer, so the result is tight."""
+        if module.dim == 0:
+            return FiltModule.zero()
+        weights, layers = [], []
+        for w, lay in pairs:
+            if not layers or lay != layers[-1]:
+                weights.append(w)
+                layers.append(lay)
+        if layers[0].is_full() and len(layers) > 1:
+            weights[0] = weights[1] - 1
+        else:
+            weights.insert(0, weights[0] - 1)
+            layers.insert(0, Subspace.full(module.dim))
+        return FiltModule(module, tuple(weights), tuple(layers))
 
     @staticmethod
     def build(module: C2Module, w_min: int, layers: list[Subspace]) -> "FiltModule":
         """Normalize to tight weight range; layers cover w_min..w_min+len-1
         and are implicitly full below and zero above."""
-        if module.dim == 0:
-            return FiltModule.zero()
-        layers = list(layers)
-        if not layers or not layers[0].is_full():
-            layers.insert(0, Subspace.full(module.dim))
-            w_min -= 1
-        if not layers[-1].is_zero():
-            layers.append(Subspace.zero(module.dim))
-        while len(layers) > 2 and layers[1].is_full():
-            layers.pop(0)
-            w_min += 1
-        while len(layers) > 2 and layers[-2].is_zero():
-            layers.pop()
-        w_max = w_min + len(layers) - 2
-        return FiltModule(module, w_min, w_max, tuple(layers))
+        zero = (w_min + len(layers), Subspace.zero(module.dim))
+        return FiltModule.of(module, [*enumerate(layers, w_min), zero])
 
     @staticmethod
     def zero() -> "FiltModule":
-        return FiltModule(C2Module.trivial(0), 0, -1, (Subspace.zero(0),))
+        return FiltModule(C2Module.trivial(0), (0,), (Subspace.zero(0),))
 
     @property
     def dim(self) -> int:
         return self.module.dim
 
+    @property
+    def w_min(self) -> int:
+        return self.weights[0]
+
+    @property
+    def w_max(self) -> int:
+        return self.weights[-1] - 1
+
     def is_zero(self) -> bool:
         return self.dim == 0
 
     def layer(self, w: int) -> Subspace:
-        if w < self.w_min:
-            return Subspace.full(self.dim)
-        if w > self.w_max:
-            return Subspace.zero(self.dim)
-        return self.layers[w - self.w_min]
+        return self.layers[max(bisect_right(self.weights, w) - 1, 0)]
+
+    def drops(self) -> list[tuple[int, Subspace]]:
+        """(w, V_w) for each w with V_w != V_{w+1}, ascending: the top weight
+        and layer of each stored interval below the zero layer."""
+        return [(w - 1, lay) for w, lay in zip(self.weights[1:], self.layers)]
 
     def graded(self, w: int) -> tuple[C2Module, BitMatrix]:
         """The weight-w graded piece layer(w) / layer(w + 1), with the coset
@@ -195,7 +216,7 @@ class FiltModule:
     def twist(self, r: int) -> "FiltModule":
         if self.is_zero() or r == 0:
             return self
-        return FiltModule(self.module, self.w_min + r, self.w_max + r, self.layers)
+        return FiltModule(self.module, tuple(w + r for w in self.weights), self.layers)
 
 
 def fgt(a: FiltModule) -> C2Module:
@@ -206,7 +227,7 @@ def pwz_module(m: C2Module) -> FiltModule:
     """The module placed in pure weight zero."""
     if m.dim == 0:
         return FiltModule.zero()
-    return FiltModule(m, 0, 0, (Subspace.full(m.dim), Subspace.zero(m.dim)))
+    return FiltModule(m, (0, 1), (Subspace.full(m.dim), Subspace.zero(m.dim)))
 
 
 # Entries kept by each of the realize and realize_sum caches.
@@ -221,9 +242,8 @@ def realize(label: IndecLabel) -> FiltModule:
     mod = C2Module.free(1)
     if label.l == 0:
         return pwz_module(mod).twist(label.m)
-    fixed = Subspace.span(2, (0b11,))
-    layers = [Subspace.full(2)] + [fixed] * label.l + [Subspace.zero(2)]
-    return FiltModule(mod, label.m, label.m + label.l, tuple(layers))
+    weights = (label.m, label.m + 1, label.m + label.l + 1)
+    return FiltModule(mod, weights, (Subspace.full(2), Subspace.span(2, (0b11,)), Subspace.zero(2)))
 
 
 def direct_sum(*mods: FiltModule) -> FiltModule:
@@ -233,16 +253,15 @@ def direct_sum(*mods: FiltModule) -> FiltModule:
         # one of the inputs when it is the sum, so no new object is built
         return (live or mods or [FiltModule.zero()])[0]
     mod = C2Module(sum(a.dim for a in live), BitMatrix.block_diag(a.module.sigma for a in live))
-    w_min = min(a.w_min for a in live)
-    w_max = max(a.w_max for a in live)
-    layers = []
-    for w in range(w_min, w_max + 2):
+    # the sum is constant between the weights of its summands
+    pairs = []
+    for w in sorted({w for a in live for w in a.weights}):
         vecs, offset = [], 0
         for a in live:
             vecs.extend(v << offset for v in a.layer(w).basis.data)
             offset += a.dim
-        layers.append(Subspace.span(mod.dim, vecs))
-    return FiltModule(mod, w_min, w_max, tuple(layers))
+        pairs.append((w, Subspace.span(mod.dim, vecs)))
+    return FiltModule.of(mod, pairs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -252,13 +271,15 @@ def realize_sum(fs: FormalSum) -> FiltModule:
 
 def _tensor_layer(a: FiltModule, b: FiltModule, w: int) -> list[int]:
     """Spanning vectors of the weight-w layer of a (x) b: the sum over p of
-    a.layer(p) (x) b.layer(w - p), in Kronecker coordinates."""
+    a.layer(p) (x) b.layer(w - p), in Kronecker coordinates.  a.layer(p) is
+    constant up to each drop, the first reaching down past w_min, and
+    b.layer(w - p) is largest at the drop, so the sum over drops is the same."""
     vecs: list[int] = []
-    for p in range(a.w_min, a.w_max + 1):
-        lb = b.layer(w - p).basis.data
+    for top, lay in a.drops():
+        lb = b.layer(w - top).basis.data
         if not lb:
             continue
-        for u in a.layer(p).basis.data:
+        for u in lay.basis.data:
             # u (x) v: a copy of v at offset k * b.dim for each set bit k of u
             spread = _spread(u, 0, b.dim)
             vecs.extend([v * spread for v in lb])
@@ -270,20 +291,18 @@ def tensor(a: FiltModule, b: FiltModule) -> FiltModule:
     if a.is_zero() or b.is_zero():
         return FiltModule.zero()
     mod = a.module.tensor(b.module)
-    w_min = a.w_min + b.w_min
-    w_max = a.w_max + b.w_max
-    layers = [Subspace.span(mod.dim, _tensor_layer(a, b, w)) for w in range(w_min, w_max + 2)]
-    return FiltModule.build(mod, w_min, layers)
+    # a layer of b enters at w - top only at (interval top of a) + (weight of b)
+    weights = sorted({top + v for top, _ in a.drops() for v in b.weights})
+    return FiltModule.of(mod, [(w, Subspace.span(mod.dim, _tensor_layer(a, b, w))) for w in weights])
 
 
 def dual(a: FiltModule) -> FiltModule:
-    """Dual module; weight-n layer is the annihilator of the weight-(-n+1) layer."""
+    """Dual module; weight-n layer is the annihilator of the weight-(-n+1)
+    layer, so a's interval with top weight t starts the dual's at 1 - t,
+    and the dual is full up to -w_max."""
     if a.is_zero():
         return a
-    mod = a.module.dual()
-    w_min, w_max = -a.w_max, -a.w_min
-    layers = [a.layer(-w + 1).perp() for w in range(w_min, w_max + 2)]
-    return FiltModule.build(mod, w_min, layers)
+    return FiltModule.of(a.module.dual(), [(1 - top, lay.perp()) for top, lay in reversed(a.drops())])
 
 
 def _weight_part_with_basis(a: FiltModule, m: int) -> tuple[C2Module, BitMatrix]:
@@ -302,22 +321,17 @@ def weight_ge(a: FiltModule, m: int) -> FiltModule:
     if mod.dim == 0:
         return FiltModule.zero()
     inject = reps.transpose()
-    layers = []
-    top = max(a.w_max, m)
-    for w in range(m, top + 2):
+    pairs = []
+    for w in [m] + [w for w in a.weights if w > m]:
         cut = a.layer(w).perp().basis.mul(inject)
-        layers.append(Subspace.span(mod.dim, cut.kernel().data))
-    return FiltModule.build(mod, m, layers)
+        pairs.append((w, Subspace.span(mod.dim, cut.kernel().data)))
+    return FiltModule.of(mod, pairs)
 
 
 def gr(a: FiltModule) -> list[tuple[int, C2Module]]:
-    """Graded pieces: list of (weight, layer mod next layer), nonzero ones only."""
-    out = []
-    for w in range(a.w_min, a.w_max + 1):
-        piece, _ = a.graded(w)
-        if piece.dim > 0:
-            out.append((w, piece))
-    return out
+    """Graded pieces: list of (weight, layer mod next layer), nonzero ones
+    only, which are those at the top weight of each stored interval."""
+    return [(top, quotient_module(a.module, lay, a.layer(top + 1))[0]) for top, lay in a.drops()]
 
 
 def gr_dims(a: FiltModule) -> dict[int, int]:
@@ -341,15 +355,17 @@ class FiltMorphism:
 
     def is_valid(self) -> bool:
         """True iff the matrix commutes with sigma and maps each weight layer
-        of the source into the same layer of the target."""
+        of the source into the same layer of the target.  A source layer is
+        constant on its stored interval and the target layers decrease, so
+        it is checked against the target layer at the interval's top."""
         m = self.matrix
         lhs = m.mul(self.source.module.sigma)
         rhs = self.target.module.sigma.mul(m)
         if lhs != rhs:
             return False
-        for w in range(self.source.w_min, self.source.w_max + 1):
-            tgt = self.target.layer(w)
-            for v in self.source.layer(w).basis.data:
+        for top, lay in self.source.drops():
+            tgt = self.target.layer(top)
+            for v in lay.basis.data:
                 if not tgt.contains(m.apply(v)):
                     return False
         return True
@@ -357,13 +373,17 @@ class FiltMorphism:
 
 def morphism_equations(system: LinearSystem, x: int, source: FiltModule, target: FiltModule) -> None:
     """Constrain the block x (target.dim x source.dim) of system to the
-    filtered equivariant maps source -> target."""
+    filtered equivariant maps source -> target: one equation per stored
+    source interval, at its top, as in FiltMorphism.is_valid.  The other
+    weights of the interval give rows in the span of these, so the row
+    space, and the kernel, do not change."""
     if source.is_zero() or target.is_zero():
         return
     system.constrain(x, equivariance_rows(target.module, source.module))
     # the annihilator of the target layer kills the image of the source layer
-    for w in range(target.w_min + 1, source.w_max + 1):
-        system.equation([(target.layer(w).perp().basis, x, source.layer(w).basis.data)])
+    for top, lay in source.drops():
+        if top > target.w_min:
+            system.equation([(target.layer(top).perp().basis, x, lay.basis.data)])
 
 
 def hom_basis(source: FiltModule, target: FiltModule) -> list[FiltMorphism]:
@@ -402,23 +422,22 @@ def decompose(a: FiltModule) -> Decomposition:
 
     One persistence reduction of N = 1 + sigma, which has N.N = 0 and keeps
     each layer V_w (Barannikov, Adv. Soviet Math. 21, 1994; Zomorodian and
-    Carlsson, "Computing persistent homology", DCG 33, 2005).  Down from the
-    top weight, N.v and then v for v in a basis of V_w are kept at weight w
-    when independent of the vectors kept before, which span V_{w+1}: so each
-    has weight w, and N is strictly upper triangular.  Reduced by lowest
+    Carlsson, "Computing persistent homology", DCG 33, 2005).  Down the drop
+    weights w (elsewhere V_w = V_{w+1} offers nothing new), N.v and then v
+    for v in a basis of V_w are kept at weight w when independent of the
+    vectors kept before, which span V_{w+1}: so each has weight w, and N is
+    strictly upper triangular.  Reduced by lowest
     ones, with column additions applied to the vectors e_j, a column j with
     low i spans E(wt(i) - wt(j), wt(j)) by (e_j, sigma.e_j), and a zero
     column that is nobody's low spans 1(wt(j)) by e_j.
     """
     norm = a.module.norm()
     vecs, weights, tops = [], [], {}
-    for w in range(a.w_max, a.w_min - 1, -1):
-        layer = a.layer(w).basis.data
-        if len(layer) > a.layer(w + 1).dim:  # else V_w = V_{w+1} offers nothing new
-            for v in [norm.apply(u) for u in layer] + list(layer):
-                if insert_independent(tops, v):
-                    vecs.append(v)
-                    weights.append(w)
+    for w, lay in reversed(a.drops()):
+        for v in [norm.apply(u) for u in lay.basis.data] + list(lay.basis.data):
+            if insert_independent(tops, v):
+                vecs.append(v)
+                weights.append(w)
     coords = BitMatrix(len(vecs), a.dim, tuple(vecs)).transpose().inverse()
     reduced = [coords.apply(norm.apply(v)) for v in vecs]  # the columns of N
     owner: dict[int, int] = {}  # low of a reduced nonzero column -> that column
@@ -473,8 +492,8 @@ def is_admissible(f: FiltMorphism, g: FiltMorphism) -> bool:
     if not g.matrix.mul(f.matrix).is_zero():
         return False
     a, b, c = f.source, f.target, g.target
-    weights = range(min(a.w_min, b.w_min, c.w_min), max(a.w_max, b.w_max, c.w_max) + 1)
-    for w in weights:
+    # elsewhere all three graded pieces are zero
+    for w in sorted({w for m in (a, b, c) for w, _ in m.drops()}):
         amod, bmod, cmod = (m.graded(w)[0] for m in (a, b, c))
         if not _split_exact_equivariant(amod, bmod, cmod, gr_map(f, w), gr_map(g, w)):
             return False

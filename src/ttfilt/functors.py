@@ -38,12 +38,12 @@ from .chains import (
 
 def gr_complex(x: Complex) -> Complex:
     """Degreewise total-graded complex over plain modules: differentials
-    preserve weight, so it is the direct sum of the weight pieces, weights
-    ascending."""
+    preserve weight, so it is the direct sum of the weight pieces at the
+    drop weights of the terms (the others are zero), weights ascending."""
     if x.kind != FILT:
         raise ValueError("gr applies to filtered complexes")
-    weights = range(min_weight(x), max_weight(x) + 1)
-    return direct_sum_complex(*(gr_component_complex(x, w) for w in weights))
+    weights = sorted({w for t in x.terms for w, _ in t.drops()})
+    return direct_sum_complex(Complex(C2, 0, (), ()), *(gr_component_complex(x, w) for w in weights))
 
 
 def gr_component_complex(x: Complex, w: int) -> Complex:

@@ -50,7 +50,7 @@ def scrambled_module(rng: random.Random, fs: FormalSum) -> FiltModule:
     uinv = u.inverse()
     sigma = u.mul(a.module.sigma).mul(uinv)
     layers = [lay.map_through(u) for lay in a.layers]
-    return FiltModule(C2Module(a.dim, sigma), a.w_min, a.w_max, tuple(layers))
+    return FiltModule(C2Module(a.dim, sigma), a.weights, tuple(layers))
 
 
 def random_c2_module(rng: random.Random, max_dim: int = 4) -> C2Module:

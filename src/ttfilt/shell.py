@@ -307,8 +307,8 @@ def _rows_parse(text: str, width: int) -> list[int]:
 def _filtmodule_lines(a: FiltModule) -> list[str]:
     lines = [f"dim {a.dim}", f"sigma {_rows_text(a.module.sigma.data, a.dim)}",
              f"wmin {a.w_min}", f"wmax {a.w_max}"]
-    for lay in a.layers:
-        lines.append(f"layer {_rows_text(lay.basis.data, a.dim)}")
+    for w in range(a.w_min, a.w_max + 2):
+        lines.append(f"layer {_rows_text(a.layer(w).basis.data, a.dim)}")
     return lines
 
 
@@ -371,8 +371,15 @@ def _filtmodule_read(r: _LineReader) -> FiltModule:
         layers.append(Subspace.span(dim, _rows_parse(r.field("layer"), dim)))
     if dim == 0:
         return FiltModule.zero()
+    # one layer per weight, tight at both ends, as serialize writes them; build() keeps the drops
+    for bad, message in ((not layers[0].is_full(), "bottom layer must be the whole space"),
+                         (not layers[-1].is_zero(), "top layer must vanish"),
+                         (len(layers) > 2 and layers[-2].is_zero(), "weight range not tight at top"),
+                         (len(layers) > 2 and layers[1].is_full(), "weight range not tight at bottom")):
+        if bad:
+            raise SchemaError(message)
     try:
-        return FiltModule(mod, w_min, w_max, tuple(layers))
+        return FiltModule.build(mod, w_min, layers)
     except ValueError as exc:
         raise SchemaError(str(exc))
 

@@ -16,6 +16,10 @@ reduction, and `gr_complex_by_placement`, `tensor_diff_by_placement` and
 `tensor_map_by_placement` are `gr_complex`, `chains._tensor_diff` and
 `tensor_map` as they were before they were assembled from blocks: each
 places its blocks by hand at offsets looked up per pair of terms.
+`direct_sum_by_weights`, `dual_by_weights`, `tensor_by_weights`,
+`weight_ge_by_weights` and `is_valid_by_weights` are the filtered-module operations as they were
+before filtrations were stored at their drops: each computes or checks a
+layer at every weight of the range.
 """
 
 from __future__ import annotations
@@ -500,3 +504,74 @@ def tensor_map_by_placement(f: ChainMap, g: ChainMap) -> ChainMap:
                     data[t_off[(p, q)] + i] ^= r << off
         comps[n] = BitMatrix(tgt.dim(n), src.dim(n), tuple(data))
     return ChainMap.of(src, tgt, comps, check=False)
+
+
+def direct_sum_by_weights(*mods: FiltModule) -> FiltModule:
+    """Direct sum with one spanned layer per weight of the union range."""
+    live = [a for a in mods if not a.is_zero()]
+    if not live:
+        return FiltModule.zero()
+    mod = C2Module(sum(a.dim for a in live), BitMatrix.block_diag(a.module.sigma for a in live))
+    w_min = min(a.w_min for a in live)
+    layers = []
+    for w in range(w_min, max(a.w_max for a in live) + 2):
+        vecs, offset = [], 0
+        for a in live:
+            vecs.extend(v << offset for v in a.layer(w).basis.data)
+            offset += a.dim
+        layers.append(Subspace.span(mod.dim, vecs))
+    return FiltModule.build(mod, w_min, layers)
+
+
+def dual_by_weights(a: FiltModule) -> FiltModule:
+    """Dual with the weight-n layer the annihilator of the weight-(1 - n)
+    layer, for every n of the range."""
+    if a.is_zero():
+        return a
+    w_min, w_max = -a.w_max, -a.w_min
+    layers = [a.layer(1 - w).perp() for w in range(w_min, w_max + 2)]
+    return FiltModule.build(a.module.dual(), w_min, layers)
+
+
+def tensor_by_weights(a: FiltModule, b: FiltModule) -> FiltModule:
+    """Tensor whose weight-w layer is the sum over every p of a's range of
+    a.layer(p) (x) b.layer(w - p), for every w of the range."""
+    if a.is_zero() or b.is_zero():
+        return FiltModule.zero()
+    mod = a.module.tensor(b.module)
+    w_min = a.w_min + b.w_min
+    layers = []
+    for w in range(w_min, a.w_max + b.w_max + 2):
+        vecs = []
+        for p in range(a.w_min, a.w_max + 1):
+            lb = b.layer(w - p).basis.data
+            for u in a.layer(p).basis.data:
+                # u (x) v has entry u_k v_j at position k * b.dim + j
+                spread = sum(1 << (k * b.dim) for k in range(a.dim) if (u >> k) & 1)
+                vecs.extend(v * spread for v in lb)
+        layers.append(Subspace.span(mod.dim, vecs))
+    return FiltModule.build(mod, w_min, layers)
+
+
+def weight_ge_by_weights(a: FiltModule, m: int) -> FiltModule:
+    """The weight >= m part, its layer cut out at every weight from m to the top."""
+    mod, reps = quotient_module(a.module, a.layer(m), Subspace.zero(a.dim))
+    if mod.dim == 0:
+        return FiltModule.zero()
+    inject = reps.transpose()
+    layers = [Subspace.span(mod.dim, a.layer(w).perp().basis.mul(inject).kernel().data)
+              for w in range(m, max(a.w_max, m) + 2)]
+    return FiltModule.build(mod, m, layers)
+
+
+def is_valid_by_weights(f: FiltMorphism) -> bool:
+    """Equivariance, and each source layer mapped into the same target
+    layer, checked at every weight of the source range."""
+    m = f.matrix
+    if m.mul(f.source.module.sigma) != f.target.module.sigma.mul(m):
+        return False
+    for w in range(f.source.w_min, f.source.w_max + 1):
+        tgt = f.target.layer(w)
+        if not all(tgt.contains(m.apply(v)) for v in f.source.layer(w).basis.data):
+            return False
+    return True

@@ -15,6 +15,7 @@ from ttfilt.chains import (
     _offsets,
     _tensor_diff,
     build_complex,
+    chain_iso_inverse,
     cell_zero,
     cone,
     cone_beta,
@@ -248,13 +249,31 @@ def test_find_chain_iso_decides_by_signature():
 
 
 def test_find_chain_iso_raises_when_it_gives_up():
-    # every basis map of single(F2, 2) is a rank-one matrix, so only the
-    # random sums can find the identity, and tries=0 allows none
-    x = single(F2, 2)
+    # x != y (equal complexes get the identity before any search); each of
+    # the three basis maps x -> y sets one free entry, and an isomorphism
+    # needs two, so only the random sums can find one and tries=0 allows none
+    x, y = (build_complex(F2, {0: 2, 1: 1}, {1: BitMatrix.from_rows(d)}) for d in ([[1], [0]], [[0], [1]]))
     with pytest.raises(SearchExhausted):
-        find_chain_iso(x, x, tries=0)
-    u, uinv = find_chain_iso(x, x)
+        find_chain_iso(x, y, tries=0)
+    u, uinv = find_chain_iso(x, y)
     assert uinv.compose(u) == ChainMap.identity(x)
+
+
+def test_find_chain_iso_of_equal_complexes_is_the_identity():
+    # minimal forms of tensor products, 16 to 63 dims: random sums of their
+    # chain-map bases are rarely invertible, and the search used to give up
+    rng = random.Random("find_chain_iso/equal")
+    done = 0
+    while done < 10:
+        x, y = (random_complex(rng, FILT, rng.randint(2, 3)) for _ in range(2))
+        m = minimize(tensor_complex(x, y)).complex
+        if not 16 <= m.total_dim() <= 63:
+            continue
+        again = minimize(tensor_complex(x, y)).complex
+        assert again == m and again is not m
+        u, uinv = find_chain_iso(m, again)
+        assert u == ChainMap.identity(m) and chain_iso_inverse(u) == uinv
+        done += 1
 
 
 def test_contractible_summand_invariance():

@@ -30,7 +30,15 @@ from ttfilt.filtmod import (
 )
 from ttfilt.samples import random_formal_sum, scrambled_module
 
-from helpers import brute_hom_count, decompose_by_meets
+from helpers import (
+    brute_hom_count,
+    decompose_by_meets,
+    direct_sum_by_weights,
+    dual_by_weights,
+    is_valid_by_weights,
+    tensor_by_weights,
+    weight_ge_by_weights,
+)
 
 ETA = BitMatrix.from_rows([[1], [1]])
 EPS = BitMatrix.from_rows([[1, 1]])
@@ -285,9 +293,109 @@ def test_decompose_reports_a_norm_that_is_not_triangular():
     mod = object.__new__(C2Module)
     object.__setattr__(mod, "dim", 2)
     object.__setattr__(mod, "sigma", sigma)
-    a = FiltModule(mod, 0, 0, (Subspace.full(2), Subspace.zero(2)))
+    a = FiltModule(mod, (0, 1), (Subspace.full(2), Subspace.zero(2)))
     with pytest.raises(MathEngineError, match="not strictly triangular"):
         decompose(a)
+
+
+# -- storage at the drops, against the per-weight oracles ---------------------
+
+def test_realize_stores_three_layers_for_any_length():
+    for l in (1, 2, 40, 10**6):
+        e = realize(e_label(l, -3))
+        assert e.weights == (-3, -2, l - 2) and len(e.layers) == 3
+        assert (e.w_min, e.w_max) == (-3, l - 3)
+
+
+def test_pair_constructor_merges_equal_neighbours_and_tightens():
+    e = realize(e_label(3, 0))
+    full, fixed, zero = e.layers
+    assert FiltModule.of(e.module, [(-4, full), (-2, full), (1, fixed), (2, fixed), (4, zero)]) == e
+    assert FiltModule.of(e.module, [(1, fixed), (4, zero), (6, zero)]) == e
+    assert FiltModule.build(e.module, 1, [fixed] * 3) == e
+
+
+@pytest.mark.parametrize("weights,layers,message", [
+    ((0, 1, 2, 3), (0, 1, 1, 2), "layers must decrease"),
+    ((0, 2, 3), (0, 1, 2), "not tight at bottom"),
+    ((0, 2, 1), (0, 1, 2), "weights must increase"),
+    ((0, 1), (0, 1, 2), "layer count mismatch"),
+])
+def test_post_init_rejects_storage_off_the_drops(weights, layers, message):
+    e = realize(e_label(3, 0))
+    with pytest.raises(ValueError, match=message):
+        FiltModule(e.module, weights, tuple(e.layers[i] for i in layers))
+
+
+def _oracle_inputs(seed: int) -> list[FiltModule]:
+    """Scrambled sums with twists and duals, the zero module, and E(l, m) up to l = 40."""
+    rng = random.Random(seed)
+    out = [FiltModule.zero()]
+    for _ in range(10):
+        a = scrambled_module(rng, random_formal_sum(rng, max_summands=3, max_l=4, weight_span=(-3, 3)))
+        out += [a, a.twist(rng.randint(-6, 6)), dual(a)]
+    out += [realize(e_label(l, rng.randint(-4, 4))) for l in (0, 1, 2, 5, 17, 40)]
+    out += [realize(unit_label(rng.randint(-4, 4))) for _ in range(2)]
+    return out
+
+
+def _same_layers(got: FiltModule, want: FiltModule) -> None:
+    for w in range(want.w_min - 2, want.w_max + 3):
+        assert got.layer(w) == want.layer(w), w
+    assert got == want
+
+
+def test_direct_sum_matches_the_per_weight_oracle():
+    mods = _oracle_inputs(61)
+    rng = random.Random(62)
+    for _ in range(60):
+        parts = rng.sample(mods, rng.randint(1, 3))
+        _same_layers(direct_sum(*parts), direct_sum_by_weights(*parts))
+
+
+def test_dual_matches_the_per_weight_oracle():
+    for a in _oracle_inputs(63):
+        _same_layers(dual(a), dual_by_weights(a))
+        _same_layers(dual(a.twist(7)), dual_by_weights(a.twist(7)))
+
+
+def test_tensor_matches_the_per_weight_oracle():
+    mods = _oracle_inputs(64)
+    rng = random.Random(65)
+    pairs = [(a, b) for a in mods[-8:] for b in mods[-8:]] + [tuple(rng.sample(mods, 2)) for _ in range(60)]
+    for a, b in pairs:
+        _same_layers(tensor(a, b), tensor_by_weights(a, b))
+
+
+def test_weight_ge_matches_the_per_weight_oracle():
+    for a in _oracle_inputs(68):
+        for m in range(a.w_min - 2, a.w_max + 3):
+            _same_layers(weight_ge(a, m), weight_ge_by_weights(a, m))
+
+
+def test_is_valid_matches_the_per_weight_oracle():
+    mods = _oracle_inputs(66)
+    rng = random.Random(67)
+    verdicts = []
+    for _ in range(150):
+        src, tgt = rng.sample(mods, 2)
+        if rng.random() < 0.3:
+            tgt = src  # identities, and maps into the twist below
+        mats = [BitMatrix(tgt.dim, src.dim, tuple(rng.getrandbits(src.dim) for _ in range(tgt.dim)))]
+        homs = [f.matrix for f in hom_basis(src, tgt)]
+        for _ in range(2 if homs else 0):
+            mats.append(BitMatrix.zero(tgt.dim, src.dim))
+            for h in homs:
+                if rng.getrandbits(1):
+                    mats[-1] = mats[-1].add(h)
+        if src is tgt:
+            mats.append(BitMatrix.identity(src.dim))
+        for m in mats:
+            for t in (tgt, tgt.twist(1), tgt.twist(-1)):
+                f = FiltMorphism(src, t, m)
+                verdicts.append(f.is_valid())
+                assert verdicts[-1] == is_valid_by_weights(f)
+    assert 100 < verdicts.count(True) and 100 < verdicts.count(False)
 
 
 # -- exact structure ----------------------------------------------------------

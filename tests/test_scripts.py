@@ -70,6 +70,20 @@ def test_cli_support_of_a_large_twist_is_fast(expr, expected):
 
 
 @pytest.mark.parametrize("argv,expected", [
+    (["decompose", "E(1000000,0)"], ["E(1000000,0)"]),
+    (["decompose", "E(300,5) * E(200,-7)"], ["E(200,-2) + E(200,298)"]),
+    (["hom", "E(800,0)", "E(800,0)"], ["n=0 dim=2", "n=2 dim=1"]),
+    (["gr", "E(1000000,0)"], ["complex{ d0: k^2 }"]),
+])
+def test_cli_long_weight_span_is_fast(argv, expected):
+    # filtrations are stored at their drops, so E(l, m) costs three layers for any l
+    proc = _python("-m", "ttfilt.cli", *argv, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(line in lines for line in expected), proc.stdout
+
+
+@pytest.mark.parametrize("argv,expected", [
     (["support", "T * T * T * T * T * T * T * T"], "{Ls, Ms, Ns}"),
     (["member", "fund0 * fund0 * fund0 * fund0 * fund0 * fund0", "fund0"], "true"),
 ])
