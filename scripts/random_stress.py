@@ -6,6 +6,7 @@ Usage: python scripts/random_stress.py [rounds] [seed]
 
 import random
 import sys
+from pathlib import Path
 
 from ttfilt.chains import (
     C2,
@@ -18,12 +19,15 @@ from ttfilt.chains import (
     tensor_complex,
     tensor_map,
 )
-from ttfilt.filtmod import decompose, dual, hom_basis, realize_sum, tensor
+from ttfilt.filtmod import FiltModule, decompose, direct_sum, dual, hom_basis, realize_sum, tensor
 from ttfilt.functors import fgt_complex, gr_complex, hom_DE, homology, is_zero_DE, pwz_complex, tate_dim, tfgt
 from ttfilt.motives import expr_support, to_filtered
 from ttfilt.shell import deserialize, print_expr, serialize
 from ttfilt.samples import random_complex, random_expr, random_formal_sum, scrambled_module
 from ttfilt.spectrum import is_specialization_closed, supp
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from helpers import validate_two_sided  # noqa: E402  (the test oracles live beside the tests)
 
 
 def main(rounds: int = 25, seed: int = 0) -> int:
@@ -44,6 +48,18 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         if dual(dual(a)) != a:
             print(f"[{i}] double dual is not bit-identical on {fs.text()}")
             failures += 1
+        # internal constructions skip the checks: the public constructor re-runs them,
+        # and the one-sided certificate must agree with checking both maps
+        for name, c in (("a + b", direct_sum(a, b)), ("a * b", tensor(a, b)), ("dual(a)", dual(a))):
+            try:
+                FiltModule(c.module, c.weights, c.layers)
+            except ValueError as exc:
+                print(f"[{i}] {name} fails the public checks on {fs.text()}, {fb.text()}: {exc}")
+                failures += 1
+            dec = decompose(c)
+            if dec.validate() != validate_two_sided(dec):
+                print(f"[{i}] one- and two-sided certificates of {name} disagree on {fs.text()}, {fb.text()}")
+                failures += 1
         r = rng.randint(-5, 5)
         if tensor(a.twist(r), b) != tensor(a, b).twist(r):
             print(f"[{i}] tensor does not commute with twist {r} on {fs.text()} * {fb.text()}")

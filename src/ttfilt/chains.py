@@ -9,6 +9,7 @@ the homological degree by one.  The coefficient field has characteristic
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Optional
 
@@ -368,7 +369,8 @@ def tensor_complex(x: Complex, y: Complex) -> Complex:
                                  for p, q, _ in tensor_layout(x, y, n).pairs))
              for n in range(lo, hi + 1)}
     diffs = {n: _tensor_diff(x, y, n) for n in range(lo + 1, hi + 1)}
-    return build_complex(kind, terms, diffs)
+    # d (x) 1 + 1 (x) d of two valid complexes is a differential of morphisms
+    return build_complex(kind, terms, diffs, check=False)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -837,8 +839,10 @@ def cone_beta_rho() -> Complex:
     return cone(g)
 
 
+@lru_cache(maxsize=64)
 def injres_trunc(j: int) -> Complex:
-    """First j terms of the injective resolution of the unit, degrees 0 .. -(j-1)."""
+    """First j terms of the injective resolution of the unit, degrees 0 .. -(j-1).
+    Built and validated once per j: rwz and hom_DE ask for it on every call."""
     if j <= 0:
         return Complex(FILT, 0, (), ())
     terms = {-(i - 1): realize(e_label(1, -i)) for i in range(1, j + 1)}

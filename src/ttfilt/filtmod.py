@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .gf2 import (
     BitMatrix,
@@ -156,7 +157,19 @@ class FiltModule:
         up to the next weight and the last, which must be zero, from its
         weight on; below the first weight the space is full.  Equal
         neighbours merge, and the full layer is kept at the one weight
-        below the first proper layer, so the result is tight."""
+        below the first proper layer, so the result is tight.  Every
+        invariant is checked, as by the public constructor."""
+        a = FiltModule._of(module, pairs)
+        return FiltModule(a.module, a.weights, a.layers)
+
+    @staticmethod
+    def _of(module: C2Module, pairs) -> "FiltModule":
+        """`of` without the checks of __post_init__: the one unchecked
+        constructor.  Only the engine's own constructions from checked
+        modules call it (direct_sum, tensor, dual, weight_ge, realize_sum),
+        whose layers are invariant and decreasing by the argument in each
+        docstring; the tests re-check their outputs through the public
+        constructor, and parsing and deserializing keep every check."""
         if module.dim == 0:
             return FiltModule.zero()
         weights, layers = [], []
@@ -169,7 +182,10 @@ class FiltModule:
         else:
             weights.insert(0, weights[0] - 1)
             layers.insert(0, Subspace.full(module.dim))
-        return FiltModule(module, tuple(weights), tuple(layers))
+        a = object.__new__(FiltModule)
+        for name, value in (("module", module), ("weights", tuple(weights)), ("layers", tuple(layers))):
+            object.__setattr__(a, name, value)
+        return a
 
     @staticmethod
     def build(module: C2Module, w_min: int, layers: list[Subspace]) -> "FiltModule":
@@ -261,12 +277,34 @@ def direct_sum(*mods: FiltModule) -> FiltModule:
             vecs.extend(v << offset for v in a.layer(w).basis.data)
             offset += a.dim
         pairs.append((w, Subspace.span(mod.dim, vecs)))
-    return FiltModule.of(mod, pairs)
+    return FiltModule._of(mod, pairs)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def realize_sum(fs: FormalSum) -> FiltModule:
-    return direct_sum(*map(realize, fs.labels))
+    """The standard model of fs, the direct sum of realize(label) in label
+    order, in closed form.  sigma is block diagonal: 1 on each 1(m), the
+    swap on each E(l, m).  With a the offset of a summand, the weight-w
+    layer is spanned by the summand's coordinates when m >= w, and by
+    e_a + e_{a+1} for an E(l, m) with m < w <= m + l.  These vectors have
+    disjoint supports and come in the order of their lowest bits, so they
+    are already the reduced echelon basis.  The layers change only at the
+    weights of the summands."""
+    offsets = [0, *accumulate(lab.dim for lab in fs.labels)]
+    n = offsets[-1]
+    sigma = []
+    for lab, a in zip(fs.labels, offsets):
+        sigma += [1 << a] if lab.kind == UNIT else [2 << a, 1 << a]
+    pairs = []
+    for w in sorted({w for lab in fs.labels for w in realize(lab).weights}):
+        vecs = []
+        for lab, a in zip(fs.labels, offsets):
+            if lab.m >= w:
+                vecs += [1 << a] if lab.kind == UNIT else [1 << a, 2 << a]
+            elif lab.kind == REG and w <= lab.m + lab.l:
+                vecs.append(3 << a)
+        pairs.append((w, Subspace(n, BitMatrix(len(vecs), n, tuple(vecs)))))
+    return FiltModule._of(C2Module(n, BitMatrix(n, n, tuple(sigma))), pairs)
 
 
 def _tensor_layer(a: FiltModule, b: FiltModule, w: int) -> list[int]:
@@ -293,7 +331,7 @@ def tensor(a: FiltModule, b: FiltModule) -> FiltModule:
     mod = a.module.tensor(b.module)
     # a layer of b enters at w - top only at (interval top of a) + (weight of b)
     weights = sorted({top + v for top, _ in a.drops() for v in b.weights})
-    return FiltModule.of(mod, [(w, Subspace.span(mod.dim, _tensor_layer(a, b, w))) for w in weights])
+    return FiltModule._of(mod, [(w, Subspace.span(mod.dim, _tensor_layer(a, b, w))) for w in weights])
 
 
 def dual(a: FiltModule) -> FiltModule:
@@ -302,7 +340,7 @@ def dual(a: FiltModule) -> FiltModule:
     and the dual is full up to -w_max."""
     if a.is_zero():
         return a
-    return FiltModule.of(a.module.dual(), [(1 - top, lay.perp()) for top, lay in reversed(a.drops())])
+    return FiltModule._of(a.module.dual(), [(1 - top, lay.perp()) for top, lay in reversed(a.drops())])
 
 
 def _weight_part_with_basis(a: FiltModule, m: int) -> tuple[C2Module, BitMatrix]:
@@ -325,7 +363,7 @@ def weight_ge(a: FiltModule, m: int) -> FiltModule:
     for w in [m] + [w for w in a.weights if w > m]:
         cut = a.layer(w).perp().basis.mul(inject)
         pairs.append((w, Subspace.span(mod.dim, cut.kernel().data)))
-    return FiltModule.of(mod, pairs)
+    return FiltModule._of(mod, pairs)
 
 
 def gr(a: FiltModule) -> list[tuple[int, C2Module]]:
@@ -365,6 +403,8 @@ class FiltMorphism:
             return False
         for top, lay in self.source.drops():
             tgt = self.target.layer(top)
+            if tgt.is_full():
+                continue  # it contains any image
             for v in lay.basis.data:
                 if not tgt.contains(m.apply(v)):
                     return False
@@ -411,9 +451,26 @@ class Decomposition:
     inv: FiltMorphism  # original module -> realize_sum(sum)
 
     def validate(self) -> bool:
-        if not self.iso.is_valid() or not self.inv.is_valid():
+        """True iff iso is a filtered isomorphism with inverse inv.
+
+        Checked: inv runs from a = iso.target back to model = iso.source,
+        iso is filtered and equivariant, inv.iso and iso.inv are identities,
+        and model and a have the same stored weights and equal layer
+        dimensions index by index.  The matrix of inv needs no check of its
+        own.  iso is filtered and injective, so iso(V_w(model)) lies in
+        V_w(a), with equality iff the dimensions are equal; then
+        inv(V_w(a)) = V_w(model).  inv is equivariant as the inverse of an
+        equivariant map.  Stored weights are canonical (strict drops,
+        tight), so comparing the stored tuples compares dim V_w at every w.
+        Conversely a filtered inv gives equal dimensions at every w, so for
+        inv from a to model the verdict is that of checking both maps."""
+        model, a = self.iso.source, self.iso.target
+        if self.inv.source != a or self.inv.target != model:
             return False
-        return (self.inv.matrix.mul(self.iso.matrix).is_identity()
+        if model.weights != a.weights or any(p.dim != q.dim for p, q in zip(model.layers, a.layers)):
+            return False
+        return (self.iso.is_valid()
+                and self.inv.matrix.mul(self.iso.matrix).is_identity()
                 and self.iso.matrix.mul(self.inv.matrix).is_identity())
 
 

@@ -60,7 +60,8 @@ def gr_component_complex(x: Complex, w: int) -> Complex:
         if n - 1 in terms and terms[n].dim and terms[n - 1].dim:
             tgt = x.term(n - 1)
             diffs[n] = induced_map(reps[n], reps[n - 1], tgt.layer(w + 1), x.diff(n))
-    return build_complex(C2, terms, diffs)
+    # maps induced on graded pieces by the differentials of a valid complex
+    return build_complex(C2, terms, diffs, check=False)
 
 
 def gr_component_map(f: ChainMap, w: int) -> ChainMap:

@@ -19,7 +19,10 @@ places its blocks by hand at offsets looked up per pair of terms.
 `direct_sum_by_weights`, `dual_by_weights`, `tensor_by_weights`,
 `weight_ge_by_weights` and `is_valid_by_weights` are the filtered-module operations as they were
 before filtrations were stored at their drops: each computes or checks a
-layer at every weight of the range.
+layer at every weight of the range.  `realize_sum_by_direct_sum` is
+`realize_sum` as it was before the standard model was written down in
+closed form, and `validate_two_sided` is `Decomposition.validate` as it
+was before it checked only iso and the layer dimensions.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ from ttfilt.filtmod import (
     FormalSum,
     IndecLabel,
     MathEngineError,
+    direct_sum,
     e_label,
     hom_basis,
+    realize,
     realize_sum,
     unit_label,
 )
@@ -575,3 +580,18 @@ def is_valid_by_weights(f: FiltMorphism) -> bool:
         if not all(tgt.contains(m.apply(v)) for v in f.source.layer(w).basis.data):
             return False
     return True
+
+
+def realize_sum_by_direct_sum(fs: FormalSum) -> FiltModule:
+    """The standard model as the n-ary direct sum of the realized labels,
+    one spanned layer per weight of the summands."""
+    return direct_sum(*map(realize, fs.labels))
+
+
+def validate_two_sided(dec: Decomposition) -> bool:
+    """Both maps of the certificate filtered and equivariant, and both
+    products the identity."""
+    if not dec.iso.is_valid() or not dec.inv.is_valid():
+        return False
+    return (dec.inv.matrix.mul(dec.iso.matrix).is_identity()
+            and dec.iso.matrix.mul(dec.inv.matrix).is_identity())

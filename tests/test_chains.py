@@ -44,6 +44,7 @@ from ttfilt.chains import (
     twist_complex,
     unit_complex,
     upsilon,
+    validate_complex,
 )
 from ttfilt.samples import random_c2_module, random_chain_map, random_complex, random_formal_sum
 
@@ -109,6 +110,20 @@ def test_tensor_blocks_match_the_placement_oracles(kind):
         f, g = random_chain_map(rng, xs[0], xs[1]), random_chain_map(rng, xs[2], xs[3])
         for a, b in ((f, g), (g, f), (ChainMap.identity(xs[0]), g), (f, ChainMap.identity(zero))):
             assert tensor_map(a, b) == tensor_map_by_placement(a, b)
+
+
+@pytest.mark.parametrize("kind", [FILT, C2, F2])
+def test_tensor_complex_passes_the_full_validation(kind):
+    """tensor_complex assembles without checks; its outputs, of twisted,
+    dual and sparse factors, pass validate_complex."""
+    rng = random.Random(31)
+    for _ in range(12):
+        x, y = (random_complex(rng, kind, rng.randint(1, 3), _sparse_terms(rng, kind), d_min=rng.randint(-2, 1))
+                for _ in range(2))
+        if kind == FILT:
+            x = twist_complex(x, rng.randint(-2, 2))
+        for a, b in ((x, y), (dual_complex(x), y), (x, x)):
+            validate_complex(tensor_complex(a, b))
 
 
 def test_tensor_unit_law():
@@ -344,6 +359,15 @@ def test_injres_terms():
     sig = signature(x)
     assert sig[0] == FormalSum.of(e_label(1, -1))
     assert sig[-2] == FormalSum.of(e_label(1, -3))
+
+
+def test_injres_trunc_is_cached_and_equals_a_fresh_build():
+    for j in (0, 1, 2, 5, 40):
+        assert injres_trunc(j) is injres_trunc(j)
+        fresh = injres_trunc.__wrapped__(j)
+        assert fresh is not injres_trunc(j) and fresh == injres_trunc(j)
+        validate_complex(fresh)
+    assert injres_trunc.cache_info().maxsize <= 64
 
 
 def test_upsilon_cone_is_pure_regular():

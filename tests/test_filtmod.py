@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ttfilt.gf2 import BitMatrix, C2Module, Subspace
 from ttfilt.filtmod import (
+    Decomposition,
     FiltModule,
     FiltMorphism,
     FormalSum,
@@ -28,7 +29,7 @@ from ttfilt.filtmod import (
     weight_ge,
     weight_part,
 )
-from ttfilt.samples import random_formal_sum, scrambled_module
+from ttfilt.samples import random_formal_sum, random_invertible, scrambled_module
 
 from helpers import (
     brute_hom_count,
@@ -36,7 +37,9 @@ from helpers import (
     direct_sum_by_weights,
     dual_by_weights,
     is_valid_by_weights,
+    realize_sum_by_direct_sum,
     tensor_by_weights,
+    validate_two_sided,
     weight_ge_by_weights,
 )
 
@@ -396,6 +399,87 @@ def test_is_valid_matches_the_per_weight_oracle():
                 verdicts.append(f.is_valid())
                 assert verdicts[-1] == is_valid_by_weights(f)
     assert 100 < verdicts.count(True) and 100 < verdicts.count(False)
+
+
+# -- trusted constructions and the one-sided certificate ----------------------
+
+def _public(a: FiltModule) -> FiltModule:
+    """a rebuilt by the public constructor, which checks every invariant."""
+    return FiltModule(a.module, a.weights, a.layers)
+
+
+def test_realize_sum_matches_the_direct_sum_oracle():
+    rng = random.Random(71)
+    sums = [FormalSum(())] + [random_formal_sum(rng, max_summands=8, max_l=6, weight_span=(-6, 6))
+                              for _ in range(500)]
+    for fs in sums:
+        model = realize_sum(fs)
+        assert model == realize_sum_by_direct_sum(fs)
+        assert _public(model) == model
+
+
+def test_internal_constructions_pass_the_public_checks():
+    mods = _oracle_inputs(72)
+    rng = random.Random(73)
+    outs = []
+    for _ in range(60):
+        a, b = rng.sample(mods, 2)
+        outs += [direct_sum(*rng.sample(mods, rng.randint(2, 3))), tensor(a, b), dual(a)]
+        outs += [weight_ge(a, m) for m in range(a.w_min - 1, a.w_max + 2)]
+    for x in outs:
+        assert _public(x) == x
+
+
+def _one_to_unit_one() -> Decomposition:
+    """The identity 1(0) -> 1(1): bijective and filtered, with an inverse
+    that is not filtered."""
+    one = BitMatrix.identity(1)
+    lo, hi = realize(unit_label(0)), realize(unit_label(1))
+    return Decomposition(FormalSum.of(unit_label(0)), FiltMorphism(lo, hi, one), FiltMorphism(hi, lo, one))
+
+
+def _certificate_corpus(rng: random.Random) -> list[Decomposition]:
+    """Honest certificates of scrambled sums, and per sum: one column of iso
+    flipped (with the old inverse, and with its own when it has one), the
+    same matrices into the module twisted up by one (filtered, bijective,
+    inverse not filtered), and a random invertible matrix (mostly not
+    equivariant); plus the identity E(0, 0) -> 1(0) + 1(0), filtered but
+    not equivariant, and 1(0) -> 1(1)."""
+    out = [_one_to_unit_one()]
+    plain = realize_sum(FormalSum.of(unit_label(0), unit_label(0)))
+    ident = BitMatrix.identity(2)
+    out.append(Decomposition(FormalSum.of(e_label(0, 0)), FiltMorphism(realize(e_label(0, 0)), plain, ident),
+                             FiltMorphism(plain, realize(e_label(0, 0)), ident)))
+    for _ in range(150):
+        fs = random_formal_sum(rng, max_summands=6, max_l=4, weight_span=(-3, 3))
+        dec = decompose(scrambled_module(rng, fs))
+        model, a, n = dec.iso.source, dec.iso.target, dec.iso.source.dim
+        out.append(dec)
+        cols = list(dec.iso.matrix.transpose().data)
+        cols[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        flipped = BitMatrix(n, n, tuple(cols)).transpose()
+        out.append(Decomposition(fs, FiltMorphism(model, a, flipped), dec.inv))
+        if (inv := flipped.inverse()) is not None:
+            out.append(Decomposition(fs, FiltMorphism(model, a, flipped), FiltMorphism(a, model, inv)))
+        up = a.twist(1)
+        out.append(Decomposition(fs, FiltMorphism(model, up, dec.iso.matrix), FiltMorphism(up, model, dec.inv.matrix)))
+        u = random_invertible(rng, n)
+        out.append(Decomposition(fs, FiltMorphism(model, a, u), FiltMorphism(a, model, u.inverse())))
+    return out
+
+
+def test_one_sided_certificate_agrees_with_the_two_sided_check():
+    corpus = _certificate_corpus(random.Random(74))
+    verdicts = [dec.validate() for dec in corpus]
+    assert verdicts == [validate_two_sided(dec) for dec in corpus]
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_one_sided_certificate_refuses_a_bijection_with_an_unfiltered_inverse():
+    dec = _one_to_unit_one()
+    assert dec.iso.is_valid() and not dec.inv.is_valid()
+    assert dec.inv.matrix.mul(dec.iso.matrix).is_identity()
+    assert not dec.validate()
 
 
 # -- exact structure ----------------------------------------------------------

@@ -29,6 +29,7 @@ from ttfilt.chains import (
     twist_complex,
     unit_complex,
     is_nullhomotopic,
+    validate_complex,
 )
 from ttfilt.functors import (
     fgt_complex,
@@ -40,6 +41,7 @@ from ttfilt.functors import (
     is_exact_F2,
     is_zero_DE,
     max_weight,
+    min_weight,
     pwz_complex,
     res_complex,
     rwz,
@@ -96,6 +98,9 @@ def test_gr_matches_the_placement_oracle():
         for y in (x, twist_complex(x, rng.randint(-3, 3)), dual_complex(x),
                   direct_sum_complex(x, twist_complex(x, 2))):
             assert gr_complex(y) == gr_complex_by_placement(y)
+            # each weight piece is assembled without checks
+            for w in range(min_weight(y) - 1, max_weight(y) + 2):
+                validate_complex(gr_component_complex(y, w))
 
 
 def test_fgt_of_fund0():
