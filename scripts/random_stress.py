@@ -18,16 +18,39 @@ from ttfilt.chains import (
     single,
     tensor_complex,
     tensor_map,
+    twist_complex,
+    validate_complex,
 )
-from ttfilt.filtmod import FiltModule, decompose, direct_sum, dual, hom_basis, realize_sum, tensor
-from ttfilt.functors import fgt_complex, gr_complex, hom_DE, homology, is_zero_DE, pwz_complex, tate_dim, tfgt
+from ttfilt.filtmod import (
+    FiltModule,
+    _split_exact_equivariant,
+    decompose,
+    direct_sum,
+    dual,
+    hom_basis,
+    realize_sum,
+    tensor,
+)
+from ttfilt.functors import (
+    fgt_complex,
+    gr_complex,
+    hom_DE,
+    homology,
+    is_zero_DE,
+    min_weight,
+    pwz_complex,
+    rwz,
+    tate_dim,
+    tfgt,
+)
 from ttfilt.motives import expr_support, to_filtered
 from ttfilt.shell import deserialize, print_expr, serialize
 from ttfilt.samples import random_complex, random_expr, random_formal_sum, scrambled_module
 from ttfilt.spectrum import is_specialization_closed, supp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from helpers import validate_two_sided  # noqa: E402  (the test oracles live beside the tests)
+# the test oracles live beside the tests
+from helpers import random_graded_sequence, split_exact_by_solve, validate_two_sided  # noqa: E402
 
 
 def main(rounds: int = 25, seed: int = 0) -> int:
@@ -96,6 +119,20 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         if is_zero_DE(x) != (sx == frozenset()):
             print(f"[{i}] conservativity echo failed")
             failures += 1
+        # rwz is assembled unchecked: the full validation re-runs here, also at minimum weight 0
+        for name, c in (("x", x), ("x * y", tensor_complex(x, y))):
+            for r in (0, -min_weight(c)):
+                try:
+                    validate_complex(rwz(twist_complex(c, r)))
+                except ValueError as exc:
+                    print(f"[{i}] rwz of {name} twisted by {r} fails the full validation: {exc}")
+                    failures += 1
+        # admissibility by ranks and Miyata's criterion against the joint solve
+        for _ in range(20):
+            seq = random_graded_sequence(rng)
+            if _split_exact_equivariant(*seq) != split_exact_by_solve(*seq):
+                print(f"[{i}] closed-form admissibility differs from the solve")
+                failures += 1
         if homology(tfgt(x)) != homology(fgt_complex(x)):
             print(f"[{i}] twisted forgetful homology mismatch")
             failures += 1

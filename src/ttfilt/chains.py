@@ -727,46 +727,34 @@ _EPS = BitMatrix.from_rows([[1, 1]])
 _ETAEPS = BitMatrix.from_rows([[1, 1], [1, 1]])
 
 
+def _periodic(lo: int, hi: int, top: bool = False, bottom: bool = False) -> Complex:
+    """kC2 in degrees lo..hi joined by eta.eps, with k on top in degree
+    hi + 1 through eta and/or k at the bottom in degree lo - 1 through eps."""
+    k, reg = C2Module.trivial(1), C2Module.free(1)
+    terms = {i: reg for i in range(lo, hi + 1)}
+    diffs = {i: _ETAEPS for i in range(lo + 1, hi + 1)}
+    if top:
+        terms[hi + 1], diffs[hi + 1] = k, _ETA
+    if bottom:
+        terms[lo - 1], diffs[lo] = k, _EPS
+    return build_complex(C2, terms, diffs)
+
+
 def fundpur() -> Complex:
     """The plain nonsplit extension as a three-term complex in degrees 2, 1, 0."""
-    k, reg = C2Module.trivial(1), C2Module.free(1)
-    return build_complex(C2, {2: k, 1: reg, 0: k}, {2: _ETA, 1: _EPS})
+    return fundpur_splice(1)
 
 
 def fundpur_splice(m: int) -> Complex:
     """m-fold splice of the basic extension, degrees m+1 down to 0; zero for m <= 0."""
-    if m <= 0:
-        return Complex(C2, 0, (), ())
-    k, reg = C2Module.trivial(1), C2Module.free(1)
-    terms = {m + 1: k, 0: k}
-    diffs = {m + 1: _ETA, 1: _EPS}
-    for i in range(1, m + 1):
-        terms[i] = reg
-    for i in range(2, m + 1):
-        diffs[i] = _ETAEPS
-    return build_complex(C2, terms, diffs)
+    return _periodic(1, m, top=True, bottom=True) if m > 0 else Complex(C2, 0, (), ())
 
 
 def invertpur_pow(n: int) -> Complex:
     """Canonical tensor powers of the invertible two-term complex."""
-    k, reg = C2Module.trivial(1), C2Module.free(1)
     if n == 0:
-        return single(C2, k)
-    if n > 0:
-        terms = {n: k}
-        diffs = {n: _ETA}
-        for i in range(n):
-            terms[i] = reg
-        for i in range(1, n):
-            diffs[i] = _ETAEPS
-        return build_complex(C2, terms, diffs)
-    terms = {n: k}
-    diffs = {n + 1: _EPS}
-    for i in range(n + 1, 1):
-        terms[i] = reg
-    for i in range(n + 2, 1):
-        diffs[i] = _ETAEPS
-    return build_complex(C2, terms, diffs)
+        return single(C2, C2Module.trivial(1))
+    return _periodic(0, n - 1, top=True) if n > 0 else _periodic(n + 1, 0, bottom=True)
 
 
 def fund0() -> Complex:

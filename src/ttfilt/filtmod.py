@@ -543,9 +543,10 @@ def gr_map(f: FiltMorphism, w: int) -> BitMatrix:
 
 def is_admissible(f: FiltMorphism, g: FiltMorphism) -> bool:
     """True iff g.f = 0 and the graded sequence splits equivariantly in
-    every weight; this is the admissibility test for the exact structure."""
-    if f.target != g.source:
-        raise ValueError("sequence does not compose")
+    every weight; this is the admissibility test for the exact structure.
+    ValueError unless f and g are composable filtered morphisms."""
+    if f.target != g.source or not (f.is_valid() and g.is_valid()):
+        raise ValueError("not a composable pair of filtered morphisms")
     if not g.matrix.mul(f.matrix).is_zero():
         return False
     a, b, c = f.source, f.target, g.target
@@ -558,20 +559,20 @@ def is_admissible(f: FiltMorphism, g: FiltMorphism) -> bool:
 
 
 def _split_exact_equivariant(amod, bmod, cmod, gf: BitMatrix, gg: BitMatrix) -> bool:
-    """Solve jointly for equivariant r: B->A, s: C->B with r.gf = 1,
-    gg.s = 1 and gf.r + s.gg = 1."""
-    da, db, dc = amod.dim, bmod.dim, cmod.dim
-    if db != da + dc:
+    """True iff the equivariant sequence A -gf-> B -gg-> C is short exact
+    and splits equivariantly.  It is exact iff gf is injective, gg is
+    surjective, gg.gf = 0 and dim B = dim A + dim C (then im gf = ker gg by
+    counting).  An exact sequence of finitely generated modules over a
+    commutative Noetherian ring, here kC2 = k[t]/t^2 with t = 1 + sigma,
+    splits iff B is isomorphic to A + C (Miyata, J. Math. Kyoto Univ. 7,
+    1967), which by Krull-Schmidt holds iff the (trivial, free) split of B
+    is the sum of theirs."""
+    if bmod.dim != amod.dim + cmod.dim or gf.rank() != amod.dim or gg.rank() != cmod.dim:
         return False
-    system = LinearSystem()
-    r = system.block(da, db)
-    s = system.block(db, dc)
-    system.constrain(r, equivariance_rows(amod, bmod))
-    system.constrain(s, equivariance_rows(bmod, cmod))
-    system.equation([(None, r, gf.transpose().data)], BitMatrix.identity(da))
-    system.equation([(gg, s, None)], BitMatrix.identity(dc))
-    system.equation([(gf, r, None), (None, s, gg.transpose().data)], BitMatrix.identity(db))
-    return system.solve() is not None
+    if not gg.mul(gf).is_zero():
+        return False
+    (a1, a2), (c1, c2) = amod.module_split(), cmod.module_split()
+    return bmod.module_split() == (a1 + c1, a2 + c2)
 
 
 def is_projective(a: FiltModule) -> bool:

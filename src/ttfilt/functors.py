@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .gf2 import BitMatrix, C2Module, Subspace, image, kernel_space, quotient_module, induced_map
-from .filtmod import FiltMorphism, MathEngineError, _tensor_layer, gr_map, pwz_module
+from .filtmod import FiltMorphism, MathEngineError, _tensor_layer, fgt, gr_map, pwz_module
 from .chains import (
     C2,
     F2,
@@ -32,6 +32,31 @@ from .chains import (
 
 
 # ---------------------------------------------------------------------------
+# The two shared constructions
+# ---------------------------------------------------------------------------
+
+
+def _subquotient_complex(kind, parts: dict, diff) -> Complex:
+    """Degreewise subquotients sub/below of parts[n] = (module, sub, below)
+    (modules for kind C2, dimensions for F2), with the maps that diff(n)
+    induces between adjacent nonzero terms.  Callers pass stable subspaces
+    kept by the differentials of a valid complex, so it is assembled unchecked."""
+    terms, reps = {}, {}
+    for n, (module, sub, below) in parts.items():
+        q, reps[n] = quotient_module(module, sub, below)
+        terms[n] = q if kind == C2 else q.dim
+    diffs = {n: induced_map(reps[n], reps[n - 1], parts[n - 1][2], diff(n))
+             for n in parts if n - 1 in parts and reps[n].rows and reps[n - 1].rows}
+    return build_complex(kind, terms, diffs, check=False)
+
+
+def _termwise(x: Complex, kind, f) -> Complex:
+    """f applied to each term of x, the differentials kept; f is exact, so unchecked."""
+    terms = {n: f(t) for n, t in zip(x.degrees(), x.terms)}
+    return build_complex(kind, terms, dict(zip(x.degrees()[1:], x.diffs)), check=False)
+
+
+# ---------------------------------------------------------------------------
 # Graded and forgetful functors
 # ---------------------------------------------------------------------------
 
@@ -49,19 +74,9 @@ def gr_complex(x: Complex) -> Complex:
 def gr_component_complex(x: Complex, w: int) -> Complex:
     """The weight-w graded piece of a filtered complex; only the terms with
     weight w in their range can have a nonzero piece."""
-    terms = {}
-    reps = {}
-    for n in x.degrees():
-        t = x.term(n)
-        if t.w_min <= w <= t.w_max:
-            terms[n], reps[n] = t.graded(w)
-    diffs = {}
-    for n in terms:
-        if n - 1 in terms and terms[n].dim and terms[n - 1].dim:
-            tgt = x.term(n - 1)
-            diffs[n] = induced_map(reps[n], reps[n - 1], tgt.layer(w + 1), x.diff(n))
-    # maps induced on graded pieces by the differentials of a valid complex
-    return build_complex(C2, terms, diffs, check=False)
+    parts = {n: (t.module, t.layer(w), t.layer(w + 1)) for n, t in zip(x.degrees(), x.terms)
+             if t.w_min <= w <= t.w_max}
+    return _subquotient_complex(C2, parts, x.diff)
 
 
 def gr_component_map(f: ChainMap, w: int) -> ChainMap:
@@ -80,9 +95,7 @@ def fgt_complex(x: Complex) -> Complex:
     """Forget the filtrations degreewise."""
     if x.kind != FILT:
         raise ValueError("fgt applies to filtered complexes")
-    terms = {n: x.term(n).module for n in x.degrees()}
-    diffs = {n: x.diff(n) for n in x.degrees() if n > x.d_min}
-    return build_complex(C2, terms, diffs, check=False)
+    return _termwise(x, C2, fgt)
 
 
 def homology(y: Complex) -> dict[int, tuple[int, int]]:
@@ -108,9 +121,7 @@ def res_complex(y: Complex) -> Complex:
     """Restrict to the trivial group: keep dimensions and matrices only."""
     if y.kind != C2:
         raise ValueError("res applies to plain complexes")
-    terms = {n: y.term(n).dim for n in y.degrees()}
-    diffs = {n: y.diff(n) for n in y.degrees() if n > y.d_min}
-    return build_complex(F2, terms, diffs, check=False)
+    return _termwise(y, F2, lambda t: t.dim)
 
 
 def is_exact_F2(z: Complex) -> bool:
@@ -127,23 +138,9 @@ def sta_complex(y: Complex) -> Complex:
     """Degreewise fixed-points modulo norm image, with induced maps."""
     if y.kind != C2:
         raise ValueError("sta applies to plain complexes")
-    reps = {}
-    terms = {}
-    belows = {}
-    for n in y.degrees():
-        t = y.term(n)
-        norm = t.norm()
-        fixed = kernel_space(norm)
-        below = image(norm)
-        q, rep = quotient_module(t, fixed, below)
-        terms[n] = q.dim
-        reps[n] = rep
-        belows[n] = below
-    diffs = {}
-    for n in y.degrees():
-        if n > y.d_min and terms[n] and terms[n - 1]:
-            diffs[n] = induced_map(reps[n], reps[n - 1], belows[n - 1], y.diff(n))
-    return build_complex(F2, terms, diffs, check=False)
+    norms = {n: (t, t.norm()) for n, t in zip(y.degrees(), y.terms)}
+    parts = {n: (t, kernel_space(norm), image(norm)) for n, (t, norm) in norms.items()}
+    return _subquotient_complex(F2, parts, y.diff)
 
 
 def tate_dim(y: Complex) -> int:
@@ -177,9 +174,7 @@ def pwz_complex(y: Complex) -> Complex:
     """Place a plain complex in pure weight zero."""
     if y.kind != C2:
         raise ValueError("pwz applies to plain complexes")
-    terms = {n: pwz_module(y.term(n)) for n in y.degrees()}
-    diffs = {n: y.diff(n) for n in y.degrees() if n > y.d_min}
-    return build_complex(FILT, terms, diffs, check=False)
+    return _termwise(y, FILT, pwz_module)
 
 
 def max_weight(x: Complex) -> int:
@@ -223,18 +218,12 @@ def rwz(x: Complex) -> Complex:
     inj, blocks = _weight_zero_blocks(x)
     if not blocks:
         return Complex(C2, 0, (), ())
-    terms, reps = {}, {}
-    for n, parts in blocks.items():
-        sigma = BitMatrix.block_diag(s for _, s, _ in parts)
-        vecs = [v << off for off, _, layer in parts for v in layer]
-        terms[n], reps[n] = quotient_module(C2Module(sigma.rows, sigma), Subspace.span(sigma.rows, vecs),
-                                            Subspace.zero(sigma.rows))
-    diffs = {}
-    for n in list(blocks)[1:]:
-        if terms[n].dim and terms[n - 1].dim:
-            below = Subspace.zero(reps[n - 1].cols)
-            diffs[n] = induced_map(reps[n], reps[n - 1], below, _tensor_diff(inj, x, n))
-    return build_complex(C2, terms, diffs)
+    parts = {}
+    for n, pieces in blocks.items():
+        sigma = BitMatrix.block_diag(s for _, s, _ in pieces)
+        vecs = [v << off for off, _, layer in pieces for v in layer]
+        parts[n] = (C2Module(sigma.rows, sigma), Subspace.span(sigma.rows, vecs), Subspace.zero(sigma.rows))
+    return _subquotient_complex(C2, parts, lambda n: _tensor_diff(inj, x, n))
 
 
 def tfgt(x: Complex) -> Complex:

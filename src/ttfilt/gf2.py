@@ -623,17 +623,9 @@ def quotient_module(module: C2Module, sub: Subspace, below: Subspace) -> tuple[C
     """
     if not sub.contains_space(below):
         raise ValueError("not a subquotient: below is not contained in sub")
-    reps = below.extension(sub)
-    k = len(reps)
-    solver = BitMatrix(k + below.dim, module.dim, tuple(reps) + below.basis.data).transpose()
-    coeffs = solver.solve_many(module.sigma.apply(v) for v in reps)
-    rows = []
-    for coeff in coeffs:
-        if coeff is None:
-            raise ValueError("subquotient is not sigma-stable")
-        rows.append(coeff & ((1 << k) - 1))
-    sigma_q = BitMatrix(k, k, tuple(rows)).transpose()
-    return C2Module(k, sigma_q), BitMatrix(k, module.dim, tuple(reps))
+    ext = below.extension(sub)
+    reps = BitMatrix(len(ext), module.dim, tuple(ext))
+    return C2Module(reps.rows, induced_map(reps, reps, below, module.sigma)), reps
 
 
 def induced_map(reps_src: BitMatrix, reps_tgt: BitMatrix, below_tgt: Subspace, m: BitMatrix) -> BitMatrix:

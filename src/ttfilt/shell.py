@@ -566,9 +566,9 @@ def run(command: str, args: list[str]) -> Report:
 
     if command == "decompose":
         (text,) = _args(args, 1)
+        # decompose validates its certificate and raises MathEngineError if it fails
         dec = decompose(_as_module(_eval_arg(text)))
-        return Report(command, text, [dec.sum.text()],
-                      trace=[f"certificate validated: {dec.validate()}"])
+        return Report(command, text, [dec.sum.text()], trace=["certificate validated: True"])
     if command == "tensor":
         a_text, b_text = _args(args, 2)
         x = tensor_complex(_eval_arg(a_text), _eval_arg(b_text))

@@ -23,12 +23,26 @@ layer at every weight of the range.  `realize_sum_by_direct_sum` is
 `realize_sum` as it was before the standard model was written down in
 closed form, and `validate_two_sided` is `Decomposition.validate` as it
 was before it checked only iso and the layer dimensions.
+`split_exact_by_solve` is `filtmod._split_exact_equivariant` as it was
+before it decided exactness and splitting by ranks: one joint linear solve
+for the equivariant retraction and section, and `random_graded_sequence`
+draws its inputs.
 """
 
 from __future__ import annotations
 
 
-from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, induced_map, kernel_space, quotient_module
+from ttfilt.gf2 import (
+    BitMatrix,
+    C2Module,
+    LinearSystem,
+    Subspace,
+    equivariance_rows,
+    hom_basis_c2,
+    induced_map,
+    kernel_space,
+    quotient_module,
+)
 from ttfilt.chains import (
     C2,
     FILT,
@@ -60,6 +74,7 @@ from ttfilt.filtmod import (
     unit_label,
 )
 from ttfilt.functors import max_weight, min_weight
+from ttfilt.samples import random_invertible
 
 
 def brute_rank(entries: list[list[int]]) -> int:
@@ -595,3 +610,72 @@ def validate_two_sided(dec: Decomposition) -> bool:
         return False
     return (dec.inv.matrix.mul(dec.iso.matrix).is_identity()
             and dec.iso.matrix.mul(dec.inv.matrix).is_identity())
+
+
+def split_exact_by_solve(amod, bmod, cmod, gf: BitMatrix, gg: BitMatrix) -> bool:
+    """Solve jointly for equivariant r: B->A, s: C->B with r.gf = 1,
+    gg.s = 1 and gf.r + s.gg = 1."""
+    da, db, dc = amod.dim, bmod.dim, cmod.dim
+    if db != da + dc:
+        return False
+    system = LinearSystem()
+    r = system.block(da, db)
+    s = system.block(db, dc)
+    system.constrain(r, equivariance_rows(amod, bmod))
+    system.constrain(s, equivariance_rows(bmod, cmod))
+    system.equation([(None, r, gf.transpose().data)], BitMatrix.identity(da))
+    system.equation([(gg, s, None)], BitMatrix.identity(dc))
+    system.equation([(gf, r, None), (None, s, gg.transpose().data)], BitMatrix.identity(db))
+    return system.solve() is not None
+
+
+_ETA = BitMatrix.from_rows([[1], [1]])
+_EPS = BitMatrix.from_rows([[1, 1]])
+
+
+def _random_equivariant(rng, source: C2Module, target: C2Module) -> BitMatrix:
+    out = BitMatrix.zero(target.dim, source.dim)
+    for m in hom_basis_c2(source, target):
+        if rng.random() < 0.5:
+            out = out.add(m)
+    return out
+
+
+def _conjugate(rng, mod: C2Module):
+    """mod moved along a random basis change u, with u and its inverse."""
+    u = random_invertible(rng, mod.dim) if mod.dim else BitMatrix.identity(0)
+    uinv = u.inverse()
+    return C2Module(mod.dim, u.mul(mod.sigma).mul(uinv)), u, uinv
+
+
+def random_graded_sequence(rng):
+    """A sequence (A, B, C, gf, gg) of kC2-modules and equivariant maps.
+
+    It starts from A0 + k^j -> A0 + C0 + kC2^j -> C0 + k^j: the identity on
+    A0 and C0, and j copies of the nonsplit extension k -eta-> kC2 -eps-> k,
+    so it is exact and splits iff j = 0, as half the draws have.  One time
+    in three it is then broken: a random equivariant map is added to gf or
+    gg, or B gains a trivial summand.  Last, each module moves along a
+    random basis change.
+    """
+    a1, a2, c1, c2 = (rng.randint(0, 2) for _ in range(4))
+    j = rng.choice((0, 0, 0, 1, 2, 3))
+    a0, c0, reg = C2Module.standard(a1, a2), C2Module.standard(c1, c2), C2Module.free(j)
+    amod, cmod = a0.direct_sum(C2Module.trivial(j)), c0.direct_sum(C2Module.trivial(j))
+    bmod = a0.direct_sum(c0).direct_sum(reg)
+    eta, eps = BitMatrix.block_diag([_ETA] * j), BitMatrix.block_diag([_EPS] * j)
+    gf = BitMatrix.from_blocks(bmod.dim, amod.dim,
+                               [(0, 0, BitMatrix.identity(a0.dim)), (a0.dim + c0.dim, a0.dim, eta)])
+    gg = BitMatrix.from_blocks(cmod.dim, bmod.dim,
+                               [(0, a0.dim, BitMatrix.identity(c0.dim)), (c0.dim, a0.dim + c0.dim, eps)])
+    broken = rng.randrange(9)
+    if broken == 0:
+        gf = gf.add(_random_equivariant(rng, amod, bmod))
+    elif broken == 1:
+        gg = gg.add(_random_equivariant(rng, bmod, cmod))
+    elif broken == 2:
+        bmod = bmod.direct_sum(C2Module.trivial(1))
+        gf = gf.vstack(BitMatrix.zero(1, amod.dim))
+        gg = gg.hstack(BitMatrix.zero(cmod.dim, 1))
+    (amod, _, ua_inv), (bmod, ub, ub_inv), (cmod, uc, _) = (_conjugate(rng, m) for m in (amod, bmod, cmod))
+    return amod, bmod, cmod, ub.mul(gf).mul(ua_inv), uc.mul(gg).mul(ub_inv)

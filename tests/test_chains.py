@@ -27,6 +27,7 @@ from ttfilt.chains import (
     fund0,
     fund_seq,
     fundpur,
+    fundpur_splice,
     injres_trunc,
     invertpur_pow,
     is_contractible,
@@ -328,6 +329,47 @@ def test_invertpur_power_shapes():
     # the literal tensor power minimizes to the canonical shape
     lit = tensor_complex(invertpur_pow(1), tensor_complex(invertpur_pow(1), invertpur_pow(1)))
     assert signature(minimize(lit).complex) == signature(invertpur_pow(3))
+
+
+_K, _REG = C2Module.trivial(1), C2Module.free(1)
+_ETA, _EPS = BitMatrix.from_rows([[1], [1]]), BitMatrix.from_rows([[1, 1]])
+_ETAEPS = BitMatrix.from_rows([[1, 1], [1, 1]])
+
+
+def _splice_literal(m):
+    """k(m+1) -eta-> kC2(m) -eta.eps-> ... -eta.eps-> kC2(1) -eps-> k(0)."""
+    if m <= 0:
+        return Complex(C2, 0, (), ())
+    terms = {m + 1: _K, 0: _K} | {i: _REG for i in range(1, m + 1)}
+    diffs = {m + 1: _ETA, 1: _EPS} | {i: _ETAEPS for i in range(2, m + 1)}
+    return build_complex(C2, terms, diffs)
+
+
+def _invertpur_literal(n):
+    """k(n) -eta-> kC2(n-1) ... kC2(0) for n > 0; kC2(0) ... kC2(n+1) -eps-> k(n) for n < 0."""
+    if n == 0:
+        return build_complex(C2, {0: _K}, {})
+    if n > 0:
+        terms = {n: _K} | {i: _REG for i in range(n)}
+        diffs = {n: _ETA} | {i: _ETAEPS for i in range(1, n)}
+    else:
+        terms = {n: _K} | {i: _REG for i in range(n + 1, 1)}
+        diffs = {n + 1: _EPS} | {i: _ETAEPS for i in range(n + 2, 1)}
+    return build_complex(C2, terms, diffs)
+
+
+@pytest.mark.parametrize("m", range(-1, 8))
+def test_fundpur_splice_matches_the_literal_complex(m):
+    assert fundpur_splice(m) == _splice_literal(m)
+
+
+@pytest.mark.parametrize("n", range(-8, 9))
+def test_invertpur_pow_matches_the_literal_complex(n):
+    assert invertpur_pow(n) == _invertpur_literal(n)
+
+
+def test_fundpur_is_the_literal_three_term_complex():
+    assert fundpur() == build_complex(C2, {2: _K, 1: _REG, 0: _K}, {2: _ETA, 1: _EPS})
 
 
 # -- named complexes -----------------------------------------------------------

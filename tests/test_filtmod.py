@@ -11,6 +11,7 @@ from ttfilt.filtmod import (
     FiltMorphism,
     FormalSum,
     MathEngineError,
+    _split_exact_equivariant,
     beta_map,
     decompose,
     direct_sum,
@@ -22,6 +23,7 @@ from ttfilt.filtmod import (
     hom_basis,
     is_admissible,
     is_projective,
+    pwz_module,
     realize,
     realize_sum,
     tensor,
@@ -37,7 +39,9 @@ from helpers import (
     direct_sum_by_weights,
     dual_by_weights,
     is_valid_by_weights,
+    random_graded_sequence,
     realize_sum_by_direct_sum,
+    split_exact_by_solve,
     tensor_by_weights,
     validate_two_sided,
     weight_ge_by_weights,
@@ -524,6 +528,28 @@ def test_admissibility_flat_under_tensor():
 def _tensor_morphism(f: FiltMorphism, m: FiltModule) -> FiltMorphism:
     return FiltMorphism(tensor(f.source, m), tensor(f.target, m),
                         f.matrix.kron(BitMatrix.identity(m.dim)))
+
+
+def test_admissibility_rejects_maps_that_are_not_filtered_morphisms():
+    # kC2 -> k + k + kC2 -> k + k with a1 -> b3, a2 -> b1 is exact and B = A + C,
+    # so the rank criterion would call it split, but neither map is equivariant
+    a, b, c = (pwz_module(m) for m in (C2Module.free(1), C2Module.standard(2, 1), C2Module.trivial(2)))
+    f = FiltMorphism(a, b, BitMatrix.from_rows([[0, 1], [0, 0], [1, 0], [0, 0]]))
+    g = FiltMorphism(b, c, BitMatrix.from_rows([[0, 1, 0, 0], [0, 0, 0, 1]]))
+    assert not f.is_valid() and not g.is_valid()
+    with pytest.raises(ValueError, match="filtered morphisms"):
+        is_admissible(f, g)
+
+
+def test_closed_form_admissibility_matches_the_joint_solve():
+    # exact iff ranks and dimensions add up; then split iff B = A + C (Miyata)
+    rng = random.Random(151)
+    verdicts = []
+    for _ in range(1000):
+        seq = random_graded_sequence(rng)
+        verdicts.append(_split_exact_equivariant(*seq))
+        assert verdicts[-1] == split_exact_by_solve(*seq)
+    assert 200 < sum(verdicts) < 800
 
 
 def test_projectivity():

@@ -352,3 +352,23 @@ def test_rwz_matches_the_weight_zero_part_of_the_tensor():
         for r in (-3, 0, 2):
             y = twist_complex(x, r)
             assert rwz(y) == _rwz_oracle(y)
+
+
+def test_subquotient_functors_pass_the_full_validation():
+    # rwz, sta and the gr pieces are assembled unchecked; the public check re-runs here
+    from ttfilt.motives import MAPNAMES, MotiveExpr, to_filtered
+    from ttfilt.samples import _CONSTANT_LEAVES
+
+    rng = random.Random(83)
+    cases = [random_complex(rng, FILT, rng.randint(1, 4)) for _ in range(40)]
+    cases += [single(FILT, realize(e_label(l, 0))) for l in range(9)]
+    atoms = [MotiveExpr("atom", name) for name in _CONSTANT_LEAVES]
+    atoms += [MotiveExpr.cone_of(name) for name in MAPNAMES]
+    atoms += [MotiveExpr("atom", name, (l,)) for name in ("fundl", "Lpure") for l in (1, 2, 3)]
+    cases += [to_filtered(e) for e in atoms]
+    for x in cases:
+        for r in (0, -min_weight(x)):
+            validate_complex(rwz(twist_complex(x, r)))
+        validate_complex(sta_complex(fgt_complex(x)))
+        for w in range(min_weight(x) - 1, max_weight(x) + 2):
+            validate_complex(gr_component_complex(x, w))
