@@ -15,6 +15,7 @@ from ttfilt.chains import (
     direct_sum_complex,
     is_nullhomotopic,
     minimize,
+    shift,
     single,
     tensor_complex,
     tensor_map,
@@ -35,6 +36,7 @@ from ttfilt.functors import (
     fgt_complex,
     gr_complex,
     hom_DE,
+    hom_modules,
     homology,
     is_zero_DE,
     min_weight,
@@ -152,6 +154,12 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         z = random_complex(rng, C2, 3)
         if gr_complex(pwz_complex(z)) != z:
             print(f"[{i}] graded section law failed")
+            failures += 1
+        # the closed form on labels against the hom complex, the modules in random degrees
+        p, q = rng.randint(-2, 2), rng.randint(-2, 2)
+        xa, yb = shift(single(FILT, a), p), shift(single(FILT, b), q)
+        if hom_modules(xa, yb) != hom_DE(xa, yb):
+            print(f"[{i}] closed-form hom law failed on {fs.text()} -> {fb.text()} in degrees {p}, {q}")
             failures += 1
     print(f"{rounds} rounds, {failures} failures")
     return 1 if failures else 0

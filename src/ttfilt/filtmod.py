@@ -552,8 +552,11 @@ def is_admissible(f: FiltMorphism, g: FiltMorphism) -> bool:
     a, b, c = f.source, f.target, g.target
     # elsewhere all three graded pieces are zero
     for w in sorted({w for m in (a, b, c) for w, _ in m.drops()}):
-        amod, bmod, cmod = (m.graded(w)[0] for m in (a, b, c))
-        if not _split_exact_equivariant(amod, bmod, cmod, gr_map(f, w), gr_map(g, w)):
+        # each graded piece once, its representatives shared by both maps
+        (amod, ar), (bmod, br), (cmod, cr) = (m.graded(w) for m in (a, b, c))
+        gf = induced_map(ar, br, b.layer(w + 1), f.matrix)
+        gg = induced_map(br, cr, c.layer(w + 1), g.matrix)
+        if not _split_exact_equivariant(amod, bmod, cmod, gf, gg):
             return False
     return True
 

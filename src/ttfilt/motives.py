@@ -167,7 +167,8 @@ def _leaf_support(leaf: MotiveExpr) -> frozenset:
 
 
 def motivic_cohomology(n: int, m: int) -> int:
-    """Dimension of the weight-m cohomology of the base point in degree n."""
+    """Dimension of the weight-m cohomology of the base point in degree n, by
+    hom_DE: so `verify` checks the closed form `functors.hom_modules` on units."""
     unit = single(FILT, realize(unit_label(0)))
     return hom_DE(unit, twist_complex(unit, m)).get(n, 0)
 

@@ -20,7 +20,9 @@
 `run` answers `support`, `classify` and `member` from `expr_support` on
 the parsed tree: residue tests run on the leaves only, so no tensor
 product is built; the `--trace` line lists each prime as nonzero iff it
-lies in the support.  Every other command evaluates its arguments.
+lies in the support.  Every other command evaluates its arguments; `hom`
+of two modules (each in one degree, or zero) sums a closed form over their
+labels (`functors.hom_modules`), and of anything else runs `hom_DE`.
 
 Serialized values carry the versioned schema field "ttfilt-io 1" and use
 one line per field; subspace and matrix rows are 0/1 strings, '|'-joined,
@@ -562,7 +564,7 @@ def _supp_report(command: str, query: str, points: frozenset) -> Report:
 def run(command: str, args: list[str]) -> Report:
     """Execute one engine query; deterministic output for fixed input."""
     from . import spectrum
-    from .functors import gr_complex, hom_DE, tate_dim, tfgt
+    from .functors import gr_complex, hom_DE, hom_modules, tate_dim, tfgt
 
     if command == "decompose":
         (text,) = _args(args, 1)
@@ -602,7 +604,9 @@ def run(command: str, args: list[str]) -> Report:
         return Report(command, " ".join(args), [str(x <= union).lower()])
     if command == "hom":
         a_text, b_text = _args(args, 2)
-        dims = hom_DE(_eval_arg(a_text), _eval_arg(b_text))
+        x, y = _eval_arg(a_text), _eval_arg(b_text)
+        modules = all(z.is_zero() or z.d_min == z.d_max for z in (x, y))
+        dims = (hom_modules if modules else hom_DE)(x, y)
         lines = [f"n={n} dim={d}" for n, d in sorted(dims.items())] or ["zero in all shifts"]
         return Report(command, f"{a_text} -> {b_text}", lines)
     if command == "gr":

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttfilt.gf2 import BitMatrix, C2Module, Subspace
+from ttfilt.gf2 import BitMatrix, C2Module, Subspace, quotient_module
 from ttfilt.filtmod import (
     Decomposition,
     FiltModule,
@@ -498,6 +498,18 @@ def test_fundamental_sequence_admissible():
     assert is_admissible(f, g)
     f3, g3 = _seq(3)
     assert is_admissible(f3, g3)
+
+
+@pytest.mark.parametrize("l", [1, 3])
+def test_admissibility_takes_each_graded_piece_once(l, monkeypatch):
+    # 1(l) -> E(l,0) -> 1(0) drops at weights 0 and l: A, B and C once each there
+    from ttfilt import filtmod
+
+    calls = []
+    counted = lambda *args: calls.append(args) or quotient_module(*args)
+    monkeypatch.setattr(filtmod, "quotient_module", counted)
+    assert is_admissible(*_seq(l))
+    assert len(calls) == 6
 
 
 def test_pure_sequence_not_admissible():

@@ -1,0 +1,158 @@
+"""The laws of the derived hom that its closed form on modules rests on.
+
+`functors.hom_modules` sums a closed form over label pairs.  That is sound
+only if hom_DE is unchanged by a common twist, additive in each argument,
+moved by shifts as stated, and rigid (hom(x, y) = hom(1(0), dual(x) (x) y)),
+and if dual and tensor act on labels by the rules below.  Each law is
+checked here on the engine itself: hom_DE on seeded filtered complexes,
+some with zero terms, and decompose on realized labels.  The last test
+follows the closed form through the same argument, step by step.
+"""
+
+import random
+
+import pytest
+
+from ttfilt.chains import FILT, direct_sum_complex, dual_complex, shift, single, tensor_complex, twist_complex
+from ttfilt.filtmod import (
+    UNIT,
+    FiltModule,
+    FormalSum,
+    IndecLabel,
+    decompose,
+    dual,
+    e_label,
+    realize,
+    realize_sum,
+    tensor,
+    unit_label,
+)
+from ttfilt.functors import hom_DE, hom_modules
+from ttfilt.samples import random_complex, random_formal_sum
+
+UNIT_COMPLEX = single(FILT, realize(unit_label(0)))
+
+
+def dual_label(lab: IndecLabel) -> IndecLabel:
+    """dual(E(l, m)) = E(l, -l-m); a unit is the case l = 0."""
+    return IndecLabel(lab.kind, lab.l, -lab.l - lab.m)
+
+
+def tensor_labels(lam: IndecLabel, mu: IndecLabel) -> FormalSum:
+    """1(m) (x) 1(n) = 1(m+n), E(l, m) (x) 1(n) = E(l, m+n), and
+    E(l, m) (x) E(l', m') = E(a, m+m') + E(a, m+m'+b), a = min, b = max of l, l'."""
+    m = lam.m + mu.m
+    if lam.kind == mu.kind == UNIT:
+        return FormalSum.of(unit_label(m))
+    if lam.kind != mu.kind:
+        return FormalSum.of(e_label(lam.l + mu.l, m))
+    a, b = sorted((lam.l, mu.l))
+    return FormalSum.of(e_label(a, m), e_label(a, m + b))
+
+
+def labels(max_l: int, twists) -> list[IndecLabel]:
+    return [unit_label(m) for m in twists] + [e_label(l, m) for l in range(max_l + 1) for m in twists]
+
+
+def random_filtered(rng: random.Random):
+    """A filtered complex in one to three degrees; a quarter of the terms are zero."""
+    term = lambda: FiltModule.zero() if rng.random() < 0.25 else \
+        realize_sum(random_formal_sum(rng, max_summands=2, max_l=2))
+    x = random_complex(rng, FILT, rng.randint(1, 3), term_gen=term, d_min=rng.randint(-1, 1))
+    return twist_complex(x, rng.randint(-2, 2))
+
+
+def pairs(seed: int, count: int):
+    rng = random.Random(seed)
+    return rng, [(random_filtered(rng), random_filtered(rng)) for _ in range(count)]
+
+
+def added(*dims: dict) -> dict:
+    out: dict = {}
+    for d in dims:
+        for n, k in d.items():
+            out[n] = out.get(n, 0) + k
+    return out
+
+
+def test_the_seeded_complexes_include_zero_terms_and_zero_complexes():
+    _, xs = pairs(7, 60)
+    flat = [z for pair in xs for z in pair]
+    assert any(z.is_zero() for z in flat)
+    assert any(t.is_zero() for z in flat for t in z.terms)
+    assert any(z.d_min != z.d_max for z in flat)
+
+
+def test_hom_DE_is_unchanged_by_a_common_twist():
+    rng, xs = pairs(11, 40)
+    nonzero = 0
+    for x, y in xs:
+        r = rng.choice([-4, -3, -1, 1, 2, 5])
+        dims = hom_DE(x, y)
+        assert hom_DE(twist_complex(x, r), twist_complex(y, r)) == dims
+        nonzero += bool(dims)
+    assert nonzero >= 10
+
+
+def test_hom_DE_is_additive_in_each_argument():
+    rng, xs = pairs(12, 30)
+    for x, y in xs:
+        z = random_filtered(rng)
+        assert hom_DE(direct_sum_complex(x, z), y) == added(hom_DE(x, y), hom_DE(z, y))
+        assert hom_DE(x, direct_sum_complex(y, z)) == added(hom_DE(x, y), hom_DE(x, z))
+
+
+def test_hom_DE_shift_law():
+    # x in degree p and y in degree q: every shift moves by p - q
+    rng, xs = pairs(13, 30)
+    for x, y in xs:
+        p, q = rng.randint(-3, 3), rng.randint(-3, 3)
+        moved = {n + p - q: k for n, k in hom_DE(x, y).items()}
+        assert hom_DE(shift(x, p), shift(y, q)) == moved
+
+
+def test_hom_DE_rigidity_on_complexes():
+    _, xs = pairs(14, 30)
+    for x, y in xs:
+        assert hom_DE(x, y) == hom_DE(UNIT_COMPLEX, tensor_complex(dual_complex(x), y))
+
+
+def test_hom_DE_rigidity_on_labels():
+    labs = labels(3, range(-2, 3))
+    for lam in labs:
+        a = realize(lam)
+        for mu in labs[::3]:
+            b = realize(mu)
+            assert hom_DE(single(FILT, a), single(FILT, b)) == \
+                hom_DE(UNIT_COMPLEX, single(FILT, tensor(dual(a), b))), (lam, mu)
+
+
+def test_dual_label_rule():
+    for lam in labels(8, range(-9, 10)):
+        assert decompose(dual(realize(lam))).sum == FormalSum.of(dual_label(lam)), lam
+
+
+@pytest.mark.parametrize("twist", [-3, 0, 4])
+def test_tensor_label_rule(twist):
+    labs = labels(8, (0,))
+    for lam in labs:
+        for mu in labs:
+            mu = IndecLabel(mu.kind, mu.l, mu.m + twist)
+            assert decompose(tensor(realize(lam), realize(mu))).sum == tensor_labels(lam, mu), (lam, mu)
+
+
+def test_closed_form_follows_rigidity_and_the_label_rules():
+    # the argument of hom_modules step by step: hom(lam, mu) is the sum over the
+    # labels nu of dual(lam) (x) mu of hom(1(0), nu), and that one agrees with hom_DE
+    from_unit = {}
+    for lam in labels(8, range(-3, 4)):
+        for mu in labels(8, (-2, 0, 3)):
+            parts = []
+            for nu in tensor_labels(dual_label(lam), mu).labels:
+                if nu not in from_unit:
+                    target = single(FILT, realize(nu))
+                    from_unit[nu] = hom_DE(UNIT_COMPLEX, target)
+                    assert hom_modules(UNIT_COMPLEX, target) == from_unit[nu], nu
+                parts.append(from_unit[nu])
+            got = hom_modules(single(FILT, realize(lam)), single(FILT, realize(mu)))
+            assert got == added(*parts), (lam, mu)

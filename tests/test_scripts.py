@@ -92,3 +92,22 @@ def test_cli_support_of_a_large_product_is_planned(argv, expected):
     proc = _python("-m", "ttfilt.cli", *argv, timeout=30)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert expected in proc.stdout
+
+
+def test_cli_hom_of_units_far_apart_is_fast():
+    # two modules: the closed form on their labels, one line per shift 0 .. 20000
+    proc = _python("-m", "ttfilt.cli", "hom", "1", "1(20000)", timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 20001 and lines[0] == "n=0 dim=1" and lines[-1] == "n=20000 dim=1"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["fund0", "E(2,1)"], ["n=3 dim=1", "n=5 dim=1"]),
+    (["E(1,0) + 1(2)", "shift(fund0, 1)"], ["n=-1 dim=1"]),
+])
+def test_cli_hom_with_a_complex_keeps_the_hom_complex(argv, expected):
+    # fund0 lies in more than one degree, so these go through hom_DE; outputs as before the closed form
+    proc = _python("-m", "ttfilt.cli", "hom", *argv, timeout=30)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == expected
