@@ -12,7 +12,9 @@ from ttfilt.chains import (
     C2,
     FILT,
     ChainMap,
+    cone,
     direct_sum_complex,
+    dual_complex,
     is_nullhomotopic,
     minimize,
     shift,
@@ -47,7 +49,7 @@ from ttfilt.functors import (
 )
 from ttfilt.motives import expr_support, to_filtered
 from ttfilt.shell import deserialize, print_expr, serialize
-from ttfilt.samples import random_complex, random_expr, random_formal_sum, scrambled_module
+from ttfilt.samples import random_chain_map, random_complex, random_expr, random_formal_sum, scrambled_module
 from ttfilt.spectrum import is_specialization_closed, supp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -75,7 +77,9 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             failures += 1
         # internal constructions skip the checks: the public constructor re-runs them,
         # and the one-sided certificate must agree with checking both maps
-        for name, c in (("a + b", direct_sum(a, b)), ("a * b", tensor(a, b)), ("dual(a)", dual(a))):
+        r = rng.randint(-5, 5)
+        for name, c in (("a + b", direct_sum(a, b)), ("a * b", tensor(a, b)), ("dual(a)", dual(a)),
+                        (f"a({r})", a.twist(r))):
             try:
                 FiltModule(c.module, c.weights, c.layers)
             except ValueError as exc:
@@ -85,7 +89,6 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             if dec.validate() != validate_two_sided(dec):
                 print(f"[{i}] one- and two-sided certificates of {name} disagree on {fs.text()}, {fb.text()}")
                 failures += 1
-        r = rng.randint(-5, 5)
         if tensor(a.twist(r), b) != tensor(a, b).twist(r):
             print(f"[{i}] tensor does not commute with twist {r} on {fs.text()} * {fb.text()}")
             failures += 1
@@ -129,6 +132,13 @@ def main(rounds: int = 25, seed: int = 0) -> int:
                 except ValueError as exc:
                     print(f"[{i}] rwz of {name} twisted by {r} fails the full validation: {exc}")
                     failures += 1
+        # dual_complex and cone are assembled unchecked too
+        for name, c in (("dual(x)", dual_complex(x)), ("a cone of x -> y", cone(random_chain_map(rng, x, y)))):
+            try:
+                validate_complex(c)
+            except ValueError as exc:
+                print(f"[{i}] {name} fails the full validation: {exc}")
+                failures += 1
         # admissibility by ranks and Miyata's criterion against the joint solve
         for _ in range(20):
             seq = random_graded_sequence(rng)

@@ -148,8 +148,10 @@ class Complex:
         return 0 if self.is_zero() else self.d_max - self.d_min
 
 
-def build_complex(kind: str, terms: dict, diffs: dict, check: bool = True) -> Complex:
-    """Assemble and normalize a complex from degree-indexed terms and maps."""
+def build_complex(kind: str, terms: dict, diffs: dict) -> Complex:
+    """Assemble and normalize a complex from degree-indexed terms and maps,
+    unchecked: validate_complex checks complexes from outside where they
+    enter (shell.deserialize, samples.random_complex)."""
     live = {n for n, t in terms.items() if not cell_is_zero(kind, t)}
     if not live:
         return Complex(kind, 0, (), ())
@@ -164,14 +166,13 @@ def build_complex(kind: str, terms: dict, diffs: dict, check: bool = True) -> Co
         if d is None:
             d = BitMatrix.zero(cell_dim(kind, term_list[n - 1 - lo]), cell_dim(kind, term_list[n - lo]))
         diff_list.append(d)
-    x = Complex(kind, lo, tuple(term_list), tuple(diff_list))
-    if check:
-        validate_complex(x)
-    return x
+    return Complex(kind, lo, tuple(term_list), tuple(diff_list))
 
 
 def validate_complex(x: Complex) -> None:
-    for n in x.degrees():
+    """ValueError unless the differentials are cell morphisms of the right
+    shape with d.d = 0.  The zero map out of the bottom degree always passes."""
+    for n in x.degrees()[1:]:
         d = x.diff(n)
         if d.rows != x.dim(n - 1) or d.cols != x.dim(n):
             raise ValueError("differential shape mismatch")
@@ -196,12 +197,9 @@ class ChainMap:
     comps: tuple[tuple[int, BitMatrix], ...]  # sorted (degree, matrix), nonzero only
 
     @staticmethod
-    def of(source: Complex, target: Complex, comps: dict[int, BitMatrix], check: bool = True) -> "ChainMap":
+    def of(source: Complex, target: Complex, comps: dict[int, BitMatrix]) -> "ChainMap":
         clean = {n: m for n, m in comps.items() if not m.is_zero()}
-        f = ChainMap(source, target, tuple(sorted(clean.items())))
-        if check:
-            f.validate()
-        return f
+        return ChainMap(source, target, tuple(sorted(clean.items())))
 
     def comp(self, n: int) -> BitMatrix:
         for d, m in self.comps:
@@ -229,17 +227,17 @@ class ChainMap:
         comps = {}
         for n in set(d for d, _ in self.comps) | set(d for d, _ in first.comps):
             comps[n] = self.comp(n).mul(first.comp(n))
-        return ChainMap.of(first.source, self.target, comps, check=False)
+        return ChainMap.of(first.source, self.target, comps)
 
     def add(self, other: "ChainMap") -> "ChainMap":
         comps = {}
         for n in set(d for d, _ in self.comps) | set(d for d, _ in other.comps):
             comps[n] = self.comp(n).add(other.comp(n))
-        return ChainMap.of(self.source, self.target, comps, check=False)
+        return ChainMap.of(self.source, self.target, comps)
 
     @staticmethod
     def identity(x: Complex) -> "ChainMap":
-        return ChainMap.of(x, x, {n: BitMatrix.identity(x.dim(n)) for n in x.degrees()}, check=False)
+        return ChainMap.of(x, x, {n: BitMatrix.identity(x.dim(n)) for n in x.degrees()})
 
 
 @dataclass(frozen=True)
@@ -289,7 +287,7 @@ def direct_sum_complex(*xs: Complex) -> Complex:
     lo, hi = min(x.d_min for x in live), max(x.d_max for x in live)
     terms = {n: cell_sum(kind, *(x.term(n) for x in live)) for n in range(lo, hi + 1)}
     diffs = {n: BitMatrix.block_diag([x.diff(n) for x in live]) for n in range(lo + 1, hi + 1)}
-    return build_complex(kind, terms, diffs, check=False)
+    return build_complex(kind, terms, diffs)
 
 
 def cone(f: ChainMap) -> Complex:
@@ -370,7 +368,7 @@ def tensor_complex(x: Complex, y: Complex) -> Complex:
              for n in range(lo, hi + 1)}
     diffs = {n: _tensor_diff(x, y, n) for n in range(lo + 1, hi + 1)}
     # d (x) 1 + 1 (x) d of two valid complexes is a differential of morphisms
-    return build_complex(kind, terms, diffs, check=False)
+    return build_complex(kind, terms, diffs)
 
 
 def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -380,7 +378,7 @@ def tensor_map(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = tensor_complex(f.target, g.target)
     ps = range(min(f.source.d_min, f.target.d_min), max(f.source.d_max, f.target.d_max) + 1)
     comps = {n: BitMatrix.block_diag([f.comp(p).kron(g.comp(n - p)) for p in ps]) for n in src.degrees()}
-    return ChainMap.of(src, tgt, comps, check=False)
+    return ChainMap.of(src, tgt, comps)
 
 
 def twist_complex(x: Complex, r: int) -> Complex:
@@ -393,8 +391,8 @@ def truncate_ge(x: Complex, n: int) -> tuple[Complex, ChainMap]:
     """Stupid truncation keeping degrees >= n, with the map x -> x_{>=n}."""
     terms = {m: x.term(m) for m in x.degrees() if m >= n}
     diffs = {m: x.diff(m) for m in x.degrees() if m > n}
-    trunc = build_complex(x.kind, terms, diffs, check=False)
-    proj = ChainMap.of(x, trunc, {m: BitMatrix.identity(x.dim(m)) for m in terms}, check=False)
+    trunc = build_complex(x.kind, terms, diffs)
+    proj = ChainMap.of(x, trunc, {m: BitMatrix.identity(x.dim(m)) for m in terms})
     return trunc, proj
 
 
@@ -402,8 +400,8 @@ def truncate_le(x: Complex, n: int) -> tuple[Complex, ChainMap]:
     """Stupid truncation keeping degrees <= n, with the map x_{<=n} -> x."""
     terms = {m: x.term(m) for m in x.degrees() if m <= n}
     diffs = {m: x.diff(m) for m in x.degrees() if m <= n}
-    trunc = build_complex(x.kind, terms, diffs, check=False)
-    incl = ChainMap.of(trunc, x, {m: BitMatrix.identity(x.dim(m)) for m in terms}, check=False)
+    trunc = build_complex(x.kind, terms, diffs)
+    incl = ChainMap.of(trunc, x, {m: BitMatrix.identity(x.dim(m)) for m in terms})
     return trunc, incl
 
 
@@ -415,7 +413,7 @@ def truncation_delta(x: Complex, n: int) -> ChainMap:
     comps = {}
     if x.d_min <= n < x.d_max:
         comps[n] = x.diff(n + 1)
-    return ChainMap.of(src, lower, comps, check=False)
+    return ChainMap.of(src, lower, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +608,9 @@ def minimize(x: Complex) -> MinimalForm:
 
     terms = {n: _rebuild_term(kind, labs) for n, labs in labels.items()}
     live = {n: t for n, t in terms.items() if not cell_is_zero(kind, t)}
-    mini = build_complex(kind, live, {n: d for n, d in diffs.items()
-                                      if d.rows and d.cols}, check=False)
-    incl = ChainMap.of(mini, x, {n: incl_comps[n] for n in mini.degrees()}, check=False)
-    proj = ChainMap.of(x, mini, {n: proj_comps[n] for n in mini.degrees()}, check=False)
+    mini = build_complex(kind, live, {n: d for n, d in diffs.items() if d.rows and d.cols})
+    incl = ChainMap.of(mini, x, {n: incl_comps[n] for n in mini.degrees()})
+    proj = ChainMap.of(x, mini, {n: proj_comps[n] for n in mini.degrees()})
     labs = tuple(sorted((n, tuple(labels[n])) for n in mini.degrees()))
     return MinimalForm(mini, incl, proj, labs)
 
@@ -628,7 +625,7 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
         raise ValueError("cell-kind mismatch")
     degs = range(min(x.d_min, y.d_min), max(x.d_max, y.d_max) + 1)
     system, blocks = _graded_system(x, y, degs, 0)
-    return [ChainMap.of(x, y, {n: system.matrix(b, v) for n, b in blocks.items()}, check=False)
+    return [ChainMap.of(x, y, {n: system.matrix(b, v) for n, b in blocks.items()})
             for v in system.kernel()]
 
 
@@ -645,7 +642,7 @@ def chain_iso_inverse(u: ChainMap) -> Optional[ChainMap]:
         if m is None or not cell_is_morphism(x.kind, y.term(n), x.term(n), m):
             return None
         inv_comps[n] = m
-    uinv = ChainMap.of(y, x, inv_comps, check=False)
+    uinv = ChainMap.of(y, x, inv_comps)
     try:
         u.validate()
         uinv.validate()
@@ -670,7 +667,7 @@ def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
     import random as _random
 
     if x.is_zero() and y.is_zero():
-        return ChainMap.of(x, y, {}, check=False), ChainMap.of(y, x, {}, check=False)
+        return ChainMap.of(x, y, {}), ChainMap.of(y, x, {})
     if x == y:
         return ChainMap.identity(x), ChainMap.identity(x)
     if signature(x) != signature(y):
@@ -830,7 +827,7 @@ def cone_beta_rho() -> Complex:
 @lru_cache(maxsize=64)
 def injres_trunc(j: int) -> Complex:
     """First j terms of the injective resolution of the unit, degrees 0 .. -(j-1).
-    Built and validated once per j: rwz and hom_DE ask for it on every call."""
+    Built once per j: rwz and hom_DE ask for it on every call."""
     if j <= 0:
         return Complex(FILT, 0, (), ())
     terms = {-(i - 1): realize(e_label(1, -i)) for i in range(1, j + 1)}

@@ -165,11 +165,12 @@ class FiltModule:
     @staticmethod
     def _of(module: C2Module, pairs) -> "FiltModule":
         """`of` without the checks of __post_init__: the one unchecked
-        constructor.  Only the engine's own constructions from checked
-        modules call it (direct_sum, tensor, dual, weight_ge, realize_sum),
-        whose layers are invariant and decreasing by the argument in each
-        docstring; the tests re-check their outputs through the public
-        constructor, and parsing and deserializing keep every check."""
+        constructor.  Only the engine's own constructions call it (realize,
+        realize_sum, pwz_module, and direct_sum, tensor, dual, weight_ge and
+        twist of valid modules), whose layers are invariant and decreasing by
+        the argument in each docstring; the tests re-check their outputs
+        through the public constructor, which deserializing and the sample
+        generators keep."""
         if module.dim == 0:
             return FiltModule.zero()
         weights, layers = [], []
@@ -232,7 +233,7 @@ class FiltModule:
     def twist(self, r: int) -> "FiltModule":
         if self.is_zero() or r == 0:
             return self
-        return FiltModule(self.module, tuple(w + r for w in self.weights), self.layers)
+        return FiltModule._of(self.module, zip((w + r for w in self.weights), self.layers))
 
 
 def fgt(a: FiltModule) -> C2Module:
@@ -240,10 +241,8 @@ def fgt(a: FiltModule) -> C2Module:
 
 
 def pwz_module(m: C2Module) -> FiltModule:
-    """The module placed in pure weight zero."""
-    if m.dim == 0:
-        return FiltModule.zero()
-    return FiltModule(m, (0, 1), (Subspace.full(m.dim), Subspace.zero(m.dim)))
+    """The module placed in pure weight zero: full up to weight 0, zero from 1."""
+    return FiltModule._of(m, [(1, Subspace.zero(m.dim))])
 
 
 # Entries kept by each of the realize and realize_sum caches.
@@ -258,8 +257,8 @@ def realize(label: IndecLabel) -> FiltModule:
     mod = C2Module.free(1)
     if label.l == 0:
         return pwz_module(mod).twist(label.m)
-    weights = (label.m, label.m + 1, label.m + label.l + 1)
-    return FiltModule(mod, weights, (Subspace.full(2), Subspace.span(2, (0b11,)), Subspace.zero(2)))
+    top = label.m + label.l + 1
+    return FiltModule._of(mod, [(label.m + 1, Subspace.span(2, (0b11,))), (top, Subspace.zero(2))])
 
 
 def direct_sum(*mods: FiltModule) -> FiltModule:

@@ -41,20 +41,20 @@ def _subquotient_complex(kind, parts: dict, diff) -> Complex:
     """Degreewise subquotients sub/below of parts[n] = (module, sub, below)
     (modules for kind C2, dimensions for F2), with the maps that diff(n)
     induces between adjacent nonzero terms.  Callers pass stable subspaces
-    kept by the differentials of a valid complex, so it is assembled unchecked."""
+    kept by the differentials of a valid complex, so the result is one."""
     terms, reps = {}, {}
     for n, (module, sub, below) in parts.items():
         q, reps[n] = quotient_module(module, sub, below)
         terms[n] = q if kind == C2 else q.dim
     diffs = {n: induced_map(reps[n], reps[n - 1], parts[n - 1][2], diff(n))
              for n in parts if n - 1 in parts and reps[n].rows and reps[n - 1].rows}
-    return build_complex(kind, terms, diffs, check=False)
+    return build_complex(kind, terms, diffs)
 
 
 def _termwise(x: Complex, kind, f) -> Complex:
-    """f applied to each term of x, the differentials kept; f is exact, so unchecked."""
+    """f applied to each term of x, the differentials kept: f is a functor."""
     terms = {n: f(t) for n, t in zip(x.degrees(), x.terms)}
-    return build_complex(kind, terms, dict(zip(x.degrees()[1:], x.diffs)), check=False)
+    return build_complex(kind, terms, dict(zip(x.degrees()[1:], x.diffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def gr_component_map(f: ChainMap, w: int) -> ChainMap:
         comp = gr_map(FiltMorphism(f.source.term(n), f.target.term(n), mat), w)
         if comp.rows and comp.cols:
             comps[n] = comp
-    return ChainMap.of(src, tgt, comps, check=False)
+    return ChainMap.of(src, tgt, comps)
 
 
 def fgt_complex(x: Complex) -> Complex:

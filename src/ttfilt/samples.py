@@ -17,6 +17,7 @@ from .chains import (
     Complex,
     _hom_block,
     build_complex,
+    validate_complex,
 )
 from .filtmod import FiltModule, FormalSum, IndecLabel, e_label, realize_sum, unit_label
 from .motives import MAPNAMES, MotiveExpr, to_filtered
@@ -90,7 +91,9 @@ def random_complex(rng: random.Random, kind: str, n_degrees: int = 3,
     prev = None  # differential out of degree n-1
     for n in range(d_min + 1, d_min + n_degrees):
         prev = diffs[n] = _random_in_hom(rng, kind, terms[n], terms[n - 1], prev)
-    return build_complex(kind, terms, diffs)
+    x = build_complex(kind, terms, diffs)
+    validate_complex(x)
+    return x
 
 
 def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:
@@ -98,7 +101,7 @@ def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:
     from .chains import chain_map_basis
 
     basis = chain_map_basis(x, y)
-    f = ChainMap.of(x, y, {}, check=False)
+    f = ChainMap.of(x, y, {})
     for b in basis:
         if rng.getrandbits(1):
             f = f.add(b)

@@ -56,6 +56,7 @@ from .chains import (
     shift,
     signature,
     tensor_complex,
+    validate_complex,
 )
 from .functors import fgt_complex
 from .motives import MAPNAMES, MotiveExpr as Expr, expr_support, to_filtered as evaluate
@@ -254,7 +255,8 @@ def complex_text(x: Complex) -> str:
         parts.append(f"d{n}: {term_text(x.kind, x.term(n))}")
     maps = []
     for n in range(x.d_max, x.d_min, -1):
-        maps.append(f"d{n}=[{_mat_text(x.diff(n))}]")
+        d = x.diff(n)
+        maps.append(f"d{n}=[{_rows_text(d.data, d.cols)}]")
     body = ", ".join(parts)
     if maps:
         body += "; maps: " + ", ".join(maps)
@@ -273,12 +275,6 @@ def term_text(kind: str, t) -> str:
             parts.append(f"kC2^{b}" if b > 1 else "kC2")
         return " + ".join(parts) if parts else "0"
     return decompose(t).sum.text()
-
-
-def _mat_text(m: BitMatrix) -> str:
-    if m.rows == 0:
-        return "-"
-    return "|".join("".join(str(m.entry(i, j)) for j in range(m.cols)) for i in range(m.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +500,11 @@ def _value_read(r: _LineReader):
             if r.next() != "end diff":
                 raise SchemaError("unterminated diff block")
         try:
-            return build_complex(cell, terms, diffs)
+            x = build_complex(cell, terms, diffs)
+            validate_complex(x)
         except ValueError as exc:
             raise SchemaError(str(exc))
+        return x
     raise SchemaError(f"unknown type '{kind}'")
 
 
@@ -758,7 +756,7 @@ def _eps_power(l: int):
     tgt = mini(f.target)
     return ChainMap.of(mf.complex, tgt.complex,
                        {n: tgt.proj.comp(n).mul(f.comp(n)).mul(mf.incl.comp(n))
-                        for n in mf.complex.degrees()}, check=False)
+                        for n in mf.complex.degrees()})
 
 
 def run_verify() -> Report:

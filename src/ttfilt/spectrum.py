@@ -59,9 +59,6 @@ def _transitive_closure(points, covers):
     return {p: frozenset(s) for p, s in clo.items()}
 
 
-_CLOSURE = _transitive_closure(PRIMES, _COVERS)
-
-
 # ---------------------------------------------------------------------------
 # Supports
 # ---------------------------------------------------------------------------
@@ -122,7 +119,7 @@ def check_support(points: frozenset) -> frozenset:
 
 
 def is_specialization_closed(points: Iterable[str], closure=None) -> bool:
-    clo = closure or _CLOSURE
+    clo = closure or ATLAS_DATM2.closure
     pts = set(points)
     return all(clo[p] <= pts for p in pts)
 
@@ -389,7 +386,7 @@ def pwz_map(f):
     """Lift a plain chain map to pure weight zero."""
     from .chains import ChainMap
 
-    return ChainMap.of(pwz_complex(f.source), pwz_complex(f.target), dict(f.comps), check=False)
+    return ChainMap.of(pwz_complex(f.source), pwz_complex(f.target), dict(f.comps))
 
 
 def koszul_cones() -> dict[str, Complex]:

@@ -58,6 +58,7 @@ from ttfilt.chains import (
     injres_trunc,
     tensor_complex,
     tensor_layout,
+    validate_complex,
 )
 from ttfilt.filtmod import (
     Decomposition,
@@ -189,7 +190,9 @@ def weight_zero_part(x: Complex) -> Complex:
     for n in x.degrees():
         if n > x.d_min and terms[n].dim and terms[n - 1].dim:
             diffs[n] = induced_map(reps[n], reps[n - 1], Subspace.zero(x.term(n - 1).dim), x.diff(n))
-    return build_complex(C2, terms, diffs)
+    out = build_complex(C2, terms, diffs)
+    validate_complex(out)
+    return out
 
 
 def _express(basis: list[BitMatrix], target: BitMatrix):
@@ -254,7 +257,7 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
     kind = x.kind
     if x.is_zero():
         zc = Complex(kind, 0, (), ())
-        return MinimalForm(zc, ChainMap.of(zc, x, {}, check=False), ChainMap.of(x, zc, {}, check=False), ())
+        return MinimalForm(zc, ChainMap.of(zc, x, {}), ChainMap.of(x, zc, {}), ())
 
     labels: dict[int, list] = {}
     incl_comps: dict[int, BitMatrix] = {}
@@ -384,9 +387,9 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
     terms = {n: _rebuild_term(kind, labs) for n, labs in labels.items()}
     live = {n: t for n, t in terms.items() if not cell_is_zero(kind, t)}
     mini = build_complex(kind, live, {n: d for n, d in diffs.items()
-                                      if d.rows and d.cols}, check=False)
-    incl = ChainMap.of(mini, x, {n: incl_comps[n] for n in mini.degrees()}, check=False)
-    proj = ChainMap.of(x, mini, {n: proj_comps[n] for n in mini.degrees()}, check=False)
+                                      if d.rows and d.cols})
+    incl = ChainMap.of(mini, x, {n: incl_comps[n] for n in mini.degrees()})
+    proj = ChainMap.of(x, mini, {n: proj_comps[n] for n in mini.degrees()})
     labs = tuple(sorted((n, tuple(labels[n])) for n in mini.degrees()))
     return MinimalForm(mini, incl, proj, labs)
 
@@ -483,7 +486,9 @@ def gr_complex_by_placement(x: Complex) -> Complex:
                 coff += piece_s.dim
             roff += piece_t.dim
         diffs[n] = BitMatrix(rows, cols, tuple(data))
-    return build_complex(C2, {n: t for n, (t, _) in datas.items()}, diffs)
+    out = build_complex(C2, {n: t for n, (t, _) in datas.items()}, diffs)
+    validate_complex(out)
+    return out
 
 
 def tensor_diff_by_placement(x: Complex, y: Complex, n: int) -> BitMatrix:
@@ -523,7 +528,7 @@ def tensor_map_by_placement(f: ChainMap, g: ChainMap) -> ChainMap:
                 for i, r in enumerate(block.data):
                     data[t_off[(p, q)] + i] ^= r << off
         comps[n] = BitMatrix(tgt.dim(n), src.dim(n), tuple(data))
-    return ChainMap.of(src, tgt, comps, check=False)
+    return ChainMap.of(src, tgt, comps)
 
 
 def direct_sum_by_weights(*mods: FiltModule) -> FiltModule:

@@ -206,7 +206,7 @@ def _eps_power_map(l):
     tgt = minimize(f.target)
     return ChainMap.of(mf.complex, tgt.complex,
                        {n: tgt.proj.comp(n).mul(f.comp(n)).mul(mf.incl.comp(n))
-                        for n in mf.complex.degrees()}, check=False)
+                        for n in mf.complex.degrees()})
 
 
 def test_08_nilpotence():

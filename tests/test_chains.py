@@ -8,6 +8,8 @@ from ttfilt.chains import (
     C2,
     F2,
     FILT,
+    NAMED,
+    NAMED_PARAM,
     ChainMap,
     Complex,
     SearchExhausted,
@@ -23,6 +25,7 @@ from ttfilt.chains import (
     direct_sum_complex,
     dual_complex,
     eps_tilde,
+    eta_upsilon,
     find_chain_iso,
     fund0,
     fund_seq,
@@ -127,6 +130,36 @@ def test_tensor_complex_passes_the_full_validation(kind):
             validate_complex(tensor_complex(a, b))
 
 
+# the parameters at which each catalog family is validated
+_SMALL_PARAMS = {"fundl": range(1, 5), "invertpur": range(-4, 5), "injres": range(9),
+                 "Lpure": range(-3, 4), "fundpursplice": range(-1, 6)}
+
+
+def test_engine_complexes_and_maps_pass_the_full_validation():
+    """build_complex and ChainMap.of check nothing; the catalog (whose cones
+    hold its maps), single, dual_complex of random complexes with zero
+    terms, and cones of random chain maps pass validate_complex, and the
+    catalog maps validate."""
+    assert set(_SMALL_PARAMS) == set(NAMED_PARAM)
+    values = [build() for build in NAMED.values()]
+    values += [NAMED_PARAM[name](n) for name, ns in _SMALL_PARAMS.items() for n in ns]
+    rng = random.Random(37)
+    for kind in (FILT, C2, F2):
+        for _ in range(8):
+            x = random_complex(rng, kind, rng.randint(1, 3), _sparse_terms(rng, kind), d_min=rng.randint(-2, 1))
+            # on a common degree range, f.d is often nonzero: the cone's d.d = 0 rests on it
+            y, z = (random_complex(rng, kind, rng.randint(2, 4)) for _ in range(2))
+            values += [single(kind, _sparse_terms(rng, kind)(), rng.randint(-2, 2)), dual_complex(x),
+                       cone(random_chain_map(rng, y, z))]
+    maps = [v for v in values if isinstance(v, ChainMap)] + [eta_upsilon()]
+    assert len(maps) == 4
+    for f in maps:
+        f.validate()
+    for x in values:
+        if isinstance(x, Complex):
+            validate_complex(x)
+
+
 def test_tensor_unit_law():
     x = fund0()
     t = tensor_complex(x, unit_complex())
@@ -179,6 +212,7 @@ def test_identity_of_minimal_complex_not_nullhomotopic():
 
 def test_zero_map_nullhomotopic():
     f = ChainMap.of(fundpur(), fundpur(), {})
+    f.validate()
     h = is_nullhomotopic(f)
     assert h is not None and h.certifies(f)
 
@@ -188,6 +222,7 @@ def test_beta_on_cone_beta_nullhomotopic():
     cb = cone_beta()
     f = ChainMap.of(twist_complex(cb, -1), cb,
                     {n: BitMatrix.identity(cb.dim(n)) for n in cb.degrees()})
+    f.validate()
     h = is_nullhomotopic(f)
     assert h is not None
 
@@ -224,6 +259,8 @@ def test_minimal_form_has_no_unit_entries():
     free, e = C2Module.free(1), realize(e_label(1, 0))
     xs = [(C2, build_complex(C2, {0: free, 1: free}, {1: free.sigma})),
           (FILT, build_complex(FILT, {0: e, 1: e}, {1: e.module.sigma}))]
+    for _, x in xs:
+        validate_complex(x)
     for kind, size in ((FILT, 3), (C2, 3), (F2, 4)):
         for _ in range(5):
             x = random_complex(rng, kind, size)
@@ -269,6 +306,8 @@ def test_find_chain_iso_raises_when_it_gives_up():
     # the three basis maps x -> y sets one free entry, and an isomorphism
     # needs two, so only the random sums can find one and tries=0 allows none
     x, y = (build_complex(F2, {0: 2, 1: 1}, {1: BitMatrix.from_rows(d)}) for d in ([[1], [0]], [[0], [1]]))
+    validate_complex(x)
+    validate_complex(y)
     with pytest.raises(SearchExhausted):
         find_chain_iso(x, y, tries=0)
     u, uinv = find_chain_iso(x, y)
@@ -360,16 +399,20 @@ def _invertpur_literal(n):
 
 @pytest.mark.parametrize("m", range(-1, 8))
 def test_fundpur_splice_matches_the_literal_complex(m):
+    validate_complex(_splice_literal(m))
     assert fundpur_splice(m) == _splice_literal(m)
 
 
 @pytest.mark.parametrize("n", range(-8, 9))
 def test_invertpur_pow_matches_the_literal_complex(n):
+    validate_complex(_invertpur_literal(n))
     assert invertpur_pow(n) == _invertpur_literal(n)
 
 
 def test_fundpur_is_the_literal_three_term_complex():
-    assert fundpur() == build_complex(C2, {2: _K, 1: _REG, 0: _K}, {2: _ETA, 1: _EPS})
+    literal = build_complex(C2, {2: _K, 1: _REG, 0: _K}, {2: _ETA, 1: _EPS})
+    validate_complex(literal)
+    assert fundpur() == literal
 
 
 # -- named complexes -----------------------------------------------------------
@@ -429,7 +472,7 @@ def _eps_power_map(l: int) -> ChainMap:
     tgt = minimize(f.target)
     return ChainMap.of(mf.complex, tgt.complex,
                        {n: tgt.proj.comp(n).mul(f.comp(n)).mul(mf.incl.comp(n))
-                        for n in mf.complex.degrees()}, check=False)
+                        for n in mf.complex.degrees()})
 
 
 @pytest.mark.parametrize("build_m", [

@@ -31,7 +31,7 @@ from ttfilt.filtmod import (
     weight_ge,
     weight_part,
 )
-from ttfilt.samples import random_formal_sum, random_invertible, scrambled_module
+from ttfilt.samples import random_c2_module, random_formal_sum, random_invertible, scrambled_module
 
 from helpers import (
     brute_hom_count,
@@ -430,6 +430,10 @@ def test_internal_constructions_pass_the_public_checks():
         a, b = rng.sample(mods, 2)
         outs += [direct_sum(*rng.sample(mods, rng.randint(2, 3))), tensor(a, b), dual(a)]
         outs += [weight_ge(a, m) for m in range(a.w_min - 1, a.w_max + 2)]
+        outs += [a.twist(r) for r in range(-3, 4)]
+    c2_rng = random.Random(74)
+    outs += [pwz_module(random_c2_module(c2_rng, 6)) for _ in range(20)]
+    outs += [realize(lab) for m in range(-3, 4) for lab in [unit_label(m)] + [e_label(l, m) for l in range(9)]]
     for x in outs:
         assert _public(x) == x
 

@@ -321,6 +321,7 @@ def _key_lemma_maps():
 @pytest.mark.parametrize("idx", range(7))
 def test_key_lemma(idx):
     f = _key_lemma_maps()[idx]
+    f.validate()
     g0 = gr_component_map(f, 0)
     assert is_nullhomotopic(g0) is not None
     square = tensor_map(f, f)

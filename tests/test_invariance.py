@@ -1,19 +1,39 @@
-"""The laws of the derived hom that its closed form on modules rests on.
+"""Laws the engine relies on, checked on the engine itself.
 
 `functors.hom_modules` sums a closed form over label pairs.  That is sound
 only if hom_DE is unchanged by a common twist, additive in each argument,
 moved by shifts as stated, and rigid (hom(x, y) = hom(1(0), dual(x) (x) y)),
 and if dual and tensor act on labels by the rules below.  Each law is
 checked here on the engine itself: hom_DE on seeded filtered complexes,
-some with zero terms, and decompose on realized labels.  The last test
-follows the closed form through the same argument, step by step.
+some with zero terms, and decompose on realized labels.  The last of these
+tests follows the closed form through the same argument, step by step.
+
+The laws after it bear on the trust boundary: complexes are built unchecked
+and validated where they enter, so the serialize round trip must return the
+value, and supports, labels and hom dimensions must not depend on a twist
+or on the basis the value came in.
 """
 
 import random
 
 import pytest
 
-from ttfilt.chains import FILT, direct_sum_complex, dual_complex, shift, single, tensor_complex, twist_complex
+from ttfilt.chains import (
+    C2,
+    F2,
+    FILT,
+    Complex,
+    build_complex,
+    cell_is_zero,
+    cell_zero,
+    direct_sum_complex,
+    dual_complex,
+    shift,
+    single,
+    tensor_complex,
+    twist_complex,
+)
+from ttfilt.gf2 import C2Module
 from ttfilt.filtmod import (
     UNIT,
     FiltModule,
@@ -27,8 +47,10 @@ from ttfilt.filtmod import (
     tensor,
     unit_label,
 )
-from ttfilt.functors import hom_DE, hom_modules
-from ttfilt.samples import random_complex, random_formal_sum
+from ttfilt.functors import hom_DE, hom_modules, pwz_complex
+from ttfilt.samples import random_c2_module, random_complex, random_formal_sum, scrambled_module
+from ttfilt.shell import deserialize, serialize
+from ttfilt.spectrum import supp
 
 UNIT_COMPLEX = single(FILT, realize(unit_label(0)))
 
@@ -156,3 +178,76 @@ def test_closed_form_follows_rigidity_and_the_label_rules():
                 parts.append(from_unit[nu])
             got = hom_modules(single(FILT, realize(lam)), single(FILT, realize(mu)))
             assert got == added(*parts), (lam, mu)
+
+
+# -- the laws at the trust boundary ------------------------------------------------
+
+KINDS = (FILT, C2, F2)
+
+
+def random_of_kind(rng: random.Random, kind) -> Complex:
+    """A complex of the given kind in one to four degrees, with a quarter of
+    the terms drawn zero: inside the complex, or at the ends of its degree
+    range, which the complex trims.  Filtered terms come in a scrambled basis."""
+    def term():
+        if rng.random() < 0.25:
+            return cell_zero(kind)
+        if kind == FILT:
+            return scrambled_module(rng, random_formal_sum(rng, max_summands=2, max_l=2))
+        return random_c2_module(rng, 3) if kind == C2 else rng.randint(1, 3)
+    x = random_complex(rng, kind, rng.randint(1, 4), term_gen=term, d_min=rng.randint(-2, 1))
+    return twist_complex(x, rng.randint(-2, 2)) if kind == FILT else x
+
+
+def as_filtered(x: Complex) -> Complex:
+    """A plain complex in pure weight zero; vector spaces as trivial modules."""
+    if x.kind == F2:
+        x = build_complex(C2, {n: C2Module.trivial(t) for n, t in zip(x.degrees(), x.terms)},
+                          dict(zip(x.degrees()[1:], x.diffs)))
+    return x if x.kind == FILT else pwz_complex(x)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_deserialize_inverts_serialize(kind):
+    rng = random.Random(21)
+    xs = [random_of_kind(rng, kind) for _ in range(40)]
+    assert any(x.is_zero() for x in xs)
+    assert any(cell_is_zero(kind, t) for x in xs for t in x.terms)
+    for x in xs:
+        assert deserialize(serialize(x)) == x
+        for t in x.terms if kind == FILT else ():
+            assert deserialize(serialize(t)) == t
+
+
+def test_support_is_unchanged_by_a_twist():
+    rng = random.Random(22)
+    seen = set()
+    for kind in KINDS:
+        for _ in range(20):
+            x = as_filtered(random_of_kind(rng, kind))
+            s = supp(x)
+            seen.add(s)
+            for r in (-3, -1, 2, 5):
+                assert supp(twist_complex(x, r)) == s, (kind, r)
+    assert len(seen) >= 3
+
+
+def test_decompose_labels_move_with_a_twist():
+    rng = random.Random(23)
+    sums = [random_formal_sum(rng, max_summands=5, max_l=4, weight_span=(-3, 3)) for _ in range(60)]
+    for a in [FiltModule.zero()] + [scrambled_module(rng, fs) for fs in sums]:
+        labs = decompose(a).sum.labels
+        for r in (-4, -1, 1, 3):
+            moved = FormalSum.from_iter(IndecLabel(lab.kind, lab.l, lab.m + r) for lab in labs)
+            assert decompose(a.twist(r)).sum == moved, r
+
+
+def test_decompose_and_hom_DE_do_not_depend_on_the_basis():
+    rng = random.Random(24)
+    for _ in range(40):
+        fa, fb = (random_formal_sum(rng, max_summands=3, max_l=3) for _ in range(2))
+        a, b = scrambled_module(rng, fa), scrambled_module(rng, fb)
+        assert decompose(a).sum == decompose(realize_sum(fa)).sum == fa
+        p = rng.randint(-2, 2)
+        assert hom_DE(shift(single(FILT, a), p), single(FILT, b)) == \
+            hom_DE(shift(single(FILT, realize_sum(fa)), p), single(FILT, realize_sum(fb)))

@@ -73,8 +73,7 @@ def test_minimize_matches_oracle_on_inverse_pairs(n):
 
 def test_incoming_leak_is_reported():
     # 1 -> 1 -> 1 with both maps the identity: d.d != 0 above the unit block
-    x = build_complex(F2, {2: 1, 1: 1, 0: 1}, {2: BitMatrix.identity(1), 1: BitMatrix.identity(1)},
-                      check=False)
+    x = build_complex(F2, {2: 1, 1: 1, 0: 1}, {2: BitMatrix.identity(1), 1: BitMatrix.identity(1)})
     with pytest.raises(MathEngineError, match="incoming differential leaks into eliminated summand"):
         minimize(x)
 
@@ -83,6 +82,6 @@ def test_outgoing_leak_is_reported():
     # k -> k (identity) in degree 1, then eta: k -> kC2; only the first is a unit
     k, reg = C2Module.trivial(1), C2Module.free(1)
     eta = BitMatrix.from_rows([[1], [1]])
-    x = build_complex(C2, {2: k, 1: k, 0: reg}, {2: BitMatrix.identity(1), 1: eta}, check=False)
+    x = build_complex(C2, {2: k, 1: k, 0: reg}, {2: BitMatrix.identity(1), 1: eta})
     with pytest.raises(MathEngineError, match="outgoing differential leaks from eliminated summand"):
         minimize(x)

@@ -27,6 +27,7 @@ from ttfilt.chains import (
     lpure,
     shift,
     single,
+    validate_complex,
 )
 from ttfilt.functors import res_complex
 from ttfilt.filtmod import FiltModule, FormalSum, direct_sum, e_label, realize, unit_label
@@ -146,6 +147,9 @@ def test_evaluate_atoms():
     assert evaluate(parse("fund0")) == fund0()
     assert evaluate(parse("0")).is_zero()
     unit, ext = single(FILT, realize(unit_label(0))), single(FILT, realize(e_label(0, 0)))
+    eta, eps = ChainMap.of(unit, ext, {0: _ETA}), ChainMap.of(ext, unit, {0: _EPS})
+    eta.validate()
+    eps.validate()
     expected = {
         "1(-3)": single(FILT, realize(unit_label(-3))),
         "E(2,1)": single(FILT, realize(e_label(2, 1))),
@@ -159,8 +163,8 @@ def test_evaluate_atoms():
         "Lpure(-1)": lpure(-1),
         "cone(beta)": evaluate(parse("conebeta")),
         "cone(rho)": evaluate(parse("conerho")),
-        "cone(eta)": cone(ChainMap.of(unit, ext, {0: _ETA})),
-        "cone(eps)": cone(ChainMap.of(ext, unit, {0: _EPS})),
+        "cone(eta)": cone(eta),
+        "cone(eps)": cone(eps),
     }
     for text, x in expected.items():
         assert evaluate(parse(text)) == x, text
@@ -200,7 +204,9 @@ def test_serialize_roundtrip_one_row_of_width_zero():
 
 def _zero_inside(kind, a, b):
     """A complex of the given kind with terms a, 0, b in degrees 0, 1, 2."""
-    return build_complex(kind, {0: a, 2: b}, {})
+    x = build_complex(kind, {0: a, 2: b}, {})
+    validate_complex(x)
+    return x
 
 
 def test_serialize_roundtrip_complex():
@@ -271,6 +277,29 @@ def _fund0_blob() -> str:
 def test_deserialize_rejects_malformed_text(blob):
     with pytest.raises(SchemaError):
         deserialize(blob())
+
+
+def _d1_one_by_one(text: str) -> str:
+    return text.replace("begin diff 1\nrows 1\ncols 2\nmat 11", "begin diff 1\nrows 1\ncols 1\nmat 1")
+
+
+@pytest.mark.parametrize("blob, message", [
+    pytest.param(lambda: _fund0_blob().replace("mat 11", "mat 10"),
+                 "differential in degree 1 is not a morphism", id="not-equivariant"),
+    pytest.param(lambda: _fund0_blob().replace("mat 1|1", "mat 1|0"), "d.d is nonzero", id="filt-dd-nonzero"),
+    pytest.param(lambda: _d1_one_by_one(_fund0_blob()), "differential shape mismatch", id="shape-mismatch"),
+    pytest.param(lambda: serialize(build_complex(C2, dict.fromkeys(range(3), C2Module.trivial(1)), {}))
+                 .replace("mat 0", "mat 1"), "d.d is nonzero", id="c2-identities"),
+    # 1(1) -> 1(0) by the identity: equivariant, but it does not keep the weight-1 layer
+    pytest.param(lambda: serialize(direct_sum_complex(single(FILT, realize(unit_label(0))),
+                                                      single(FILT, realize(unit_label(1)), 1)))
+                 .replace("mat 0", "mat 1"),
+                 "differential in degree 1 is not a morphism", id="leaves-weight-layer"),
+])
+def test_deserialize_rejects_invalid_complexes_with_their_message(blob, message):
+    with pytest.raises(SchemaError) as err:
+        deserialize(blob())
+    assert str(err.value) == message
 
 
 def test_deserialize_rejects_bad_header():
