@@ -30,7 +30,6 @@ from ttfilt.filtmod import (
     decompose,
     direct_sum,
     dual,
-    hom_basis,
     realize_sum,
     tensor,
 )
@@ -54,7 +53,7 @@ from ttfilt.spectrum import is_specialization_closed, supp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 # the test oracles live beside the tests
-from helpers import random_graded_sequence, split_exact_by_solve, validate_two_sided  # noqa: E402
+from helpers import hom_basis, random_graded_sequence, split_exact_by_solve, validate_two_sided  # noqa: E402
 
 
 def main(rounds: int = 25, seed: int = 0) -> int:

@@ -387,35 +387,6 @@ def twist_complex(x: Complex, r: int) -> Complex:
     return Complex(FILT, x.d_min, tuple(t.twist(r) for t in x.terms), x.diffs)
 
 
-def truncate_ge(x: Complex, n: int) -> tuple[Complex, ChainMap]:
-    """Stupid truncation keeping degrees >= n, with the map x -> x_{>=n}."""
-    terms = {m: x.term(m) for m in x.degrees() if m >= n}
-    diffs = {m: x.diff(m) for m in x.degrees() if m > n}
-    trunc = build_complex(x.kind, terms, diffs)
-    proj = ChainMap.of(x, trunc, {m: BitMatrix.identity(x.dim(m)) for m in terms})
-    return trunc, proj
-
-
-def truncate_le(x: Complex, n: int) -> tuple[Complex, ChainMap]:
-    """Stupid truncation keeping degrees <= n, with the map x_{<=n} -> x."""
-    terms = {m: x.term(m) for m in x.degrees() if m <= n}
-    diffs = {m: x.diff(m) for m in x.degrees() if m <= n}
-    trunc = build_complex(x.kind, terms, diffs)
-    incl = ChainMap.of(trunc, x, {m: BitMatrix.identity(x.dim(m)) for m in terms})
-    return trunc, incl
-
-
-def truncation_delta(x: Complex, n: int) -> ChainMap:
-    """The connecting map x_{>=n+1}[-1] -> x_{<=n}; it is d in degree n."""
-    upper, _ = truncate_ge(x, n + 1)
-    lower, _ = truncate_le(x, n)
-    src = shift(upper, -1)
-    comps = {}
-    if x.d_min <= n < x.d_max:
-        comps[n] = x.diff(n + 1)
-    return ChainMap.of(src, lower, comps)
-
-
 # ---------------------------------------------------------------------------
 # Homotopy solving
 # ---------------------------------------------------------------------------
@@ -615,10 +586,6 @@ def minimize(x: Complex) -> MinimalForm:
     return MinimalForm(mini, incl, proj, labs)
 
 
-def is_contractible(x: Complex) -> bool:
-    return minimize(x).complex.is_zero()
-
-
 def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
     """Basis of the space of chain maps x -> y (one global kernel solve)."""
     if x.kind != y.kind:
@@ -627,76 +594,6 @@ def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
     system, blocks = _graded_system(x, y, degs, 0)
     return [ChainMap.of(x, y, {n: system.matrix(b, v) for n, b in blocks.items()})
             for v in system.kernel()]
-
-
-def chain_iso_inverse(u: ChainMap) -> Optional[ChainMap]:
-    """The inverse of u if u is a chain isomorphism, else None: every
-    component must be invertible in the cell category, which for filtered
-    terms includes the inverse preserving filtrations."""
-    x, y = u.source, u.target
-    inv_comps = {}
-    for n in x.degrees():
-        if x.dim(n) == 0:
-            continue
-        m = u.comp(n).inverse()
-        if m is None or not cell_is_morphism(x.kind, y.term(n), x.term(n), m):
-            return None
-        inv_comps[n] = m
-    uinv = ChainMap.of(y, x, inv_comps)
-    try:
-        u.validate()
-        uinv.validate()
-    except ValueError:
-        return None
-    return uinv
-
-
-class SearchExhausted(Exception):
-    """A bounded search gave up without deciding its question."""
-
-
-def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
-    """Bounded search for an isomorphism of complexes x -> y.
-
-    Returns a validated pair (u, u_inv) of mutually inverse chain maps, the
-    identity pair when x == y, or None when none exists (term signatures
-    differ, or no nonzero chain map).
-    Raises SearchExhausted when the basis and `tries` random sums of it hold
-    no isomorphism.  Components must be invertible in the cell category,
-    which for filtered terms includes the inverse preserving filtrations."""
-    import random as _random
-
-    if x.is_zero() and y.is_zero():
-        return ChainMap.of(x, y, {}), ChainMap.of(y, x, {})
-    if x == y:
-        return ChainMap.identity(x), ChainMap.identity(x)
-    if signature(x) != signature(y):
-        # a chain isomorphism is an isomorphism in each degree
-        return None
-    basis = chain_map_basis(x, y)
-    if not basis:
-        return None
-    rng = _random.Random(seed)
-
-    def try_map(u: ChainMap):
-        uinv = chain_iso_inverse(u)
-        return None if uinv is None else (u, uinv)
-
-    for u in basis:
-        hit = try_map(u)
-        if hit:
-            return hit
-    for _ in range(tries):
-        pick = [b for b in basis if rng.getrandbits(1)]
-        if not pick:
-            continue
-        u = pick[0]
-        for extra in pick[1:]:
-            u = u.add(extra)
-        hit = try_map(u)
-        if hit:
-            return hit
-    raise SearchExhausted(f"no chain isomorphism among {len(basis)} basis maps and {tries} random sums")
 
 
 def signature(x: Complex):

@@ -342,19 +342,9 @@ def dual(a: FiltModule) -> FiltModule:
     return FiltModule._of(a.module.dual(), [(1 - top, lay.perp()) for top, lay in reversed(a.drops())])
 
 
-def _weight_part_with_basis(a: FiltModule, m: int) -> tuple[C2Module, BitMatrix]:
-    lay = a.layer(m)
-    return quotient_module(a.module, lay, Subspace.zero(a.dim))
-
-
-def weight_part(a: FiltModule, m: int) -> C2Module:
-    """The weight->=m subspace of a as a module in its own right."""
-    return _weight_part_with_basis(a, m)[0]
-
-
 def weight_ge(a: FiltModule, m: int) -> FiltModule:
     """Filtered submodule of weight at least m (weights below m filled up)."""
-    mod, reps = _weight_part_with_basis(a, m)
+    mod, reps = quotient_module(a.module, a.layer(m), Subspace.zero(a.dim))
     if mod.dim == 0:
         return FiltModule.zero()
     inject = reps.transpose()
@@ -369,10 +359,6 @@ def gr(a: FiltModule) -> list[tuple[int, C2Module]]:
     """Graded pieces: list of (weight, layer mod next layer), nonzero ones
     only, which are those at the top weight of each stored interval."""
     return [(top, quotient_module(a.module, lay, a.layer(top + 1))[0]) for top, lay in a.drops()]
-
-
-def gr_dims(a: FiltModule) -> dict[int, int]:
-    return {w: p.dim for w, p in gr(a)}
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +409,6 @@ def morphism_equations(system: LinearSystem, x: int, source: FiltModule, target:
     for top, lay in source.drops():
         if top > target.w_min:
             system.equation([(target.layer(top).perp().basis, x, lay.basis.data)])
-
-
-def hom_basis(source: FiltModule, target: FiltModule) -> list[FiltMorphism]:
-    """Basis of the space of filtration-preserving equivariant maps."""
-    system = LinearSystem()
-    x = system.block(target.dim, source.dim)
-    morphism_equations(system, x, source, target)
-    return [FiltMorphism(source, target, system.matrix(x, v)) for v in system.kernel()]
 
 
 def beta_map(a: FiltModule) -> FiltMorphism:

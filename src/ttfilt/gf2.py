@@ -607,14 +607,6 @@ def _equivariance_rows_raw(target: C2Module, source: C2Module) -> tuple[int, ...
     return tuple(system.rows)
 
 
-def hom_basis_c2(source: C2Module, target: C2Module) -> list[BitMatrix]:
-    """Basis of the space of equivariant matrices source -> target."""
-    system = LinearSystem()
-    x = system.block(target.dim, source.dim)
-    system.constrain(x, equivariance_rows(target, source))
-    return [system.matrix(x, v) for v in system.kernel()]
-
-
 def quotient_module(module: C2Module, sub: Subspace, below: Subspace) -> tuple[C2Module, BitMatrix]:
     """Subquotient sub/below with the induced involution.
 

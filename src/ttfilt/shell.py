@@ -107,13 +107,18 @@ class _Parser:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        if self.peek() in "+-":
+        if self.src[start:start + 1] in ("+", "-"):
             self.pos += 1
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        digits = self.pos
+        # isdecimal, not isdigit: int() rejects digits such as superscripts
+        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
             self.pos += 1
-        if self.pos == start or not self.src[start:self.pos].lstrip("+-"):
+        if self.pos == digits:
             self.error("expected an integer")
-        return int(self.src[start:self.pos])
+        try:
+            return int(self.src[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise ParseError("integer too long", digits) from None
 
     def ident(self) -> str:
         self.skip_ws()

@@ -27,10 +27,14 @@ was before it checked only iso and the layer dimensions.
 before it decided exactness and splitting by ranks: one joint linear solve
 for the equivariant retraction and section, and `random_graded_sequence`
 draws its inputs.
+
+The hom bases of cells (over `chain_map_basis`), `find_chain_iso` (a
+seeded search that may give up) and the truncations serve tests only.
 """
 
 from __future__ import annotations
 
+from typing import Optional
 
 from ttfilt.gf2 import (
     BitMatrix,
@@ -38,13 +42,13 @@ from ttfilt.gf2 import (
     LinearSystem,
     Subspace,
     equivariance_rows,
-    hom_basis_c2,
     induced_map,
     kernel_space,
     quotient_module,
 )
 from ttfilt.chains import (
     C2,
+    F2,
     FILT,
     ChainMap,
     Complex,
@@ -54,8 +58,13 @@ from ttfilt.chains import (
     _rebuild_term,
     _split_term,
     build_complex,
+    cell_is_morphism,
     cell_is_zero,
+    chain_map_basis,
     injres_trunc,
+    shift,
+    signature,
+    single,
     tensor_complex,
     tensor_layout,
     validate_complex,
@@ -69,7 +78,6 @@ from ttfilt.filtmod import (
     MathEngineError,
     direct_sum,
     e_label,
-    hom_basis,
     realize,
     realize_sum,
     unit_label,
@@ -646,6 +654,29 @@ def _random_equivariant(rng, source: C2Module, target: C2Module) -> BitMatrix:
     return out
 
 
+def _transported(kind, term, u: BitMatrix, uinv: BitMatrix):
+    """A term moved along the basis change u, with inverse uinv: sigma is
+    conjugated and each layer is mapped through u."""
+    if kind == F2:
+        return term
+    module = term if kind == C2 else term.module
+    moved = C2Module(module.dim, u.mul(module.sigma).mul(uinv))
+    if kind == C2:
+        return moved
+    return FiltModule(moved, term.weights, tuple(lay.map_through(u) for lay in term.layers))
+
+
+def scrambled_complex(rng, x: Complex) -> Complex:
+    """x moved along a random basis change u_n of each term: the terms are
+    transported along u_n and d_n becomes u_{n-1} . d_n . u_n^-1, so the
+    result is isomorphic to x by the u_n."""
+    us = {n: random_invertible(rng, x.dim(n)) for n in x.degrees()}
+    uinvs = {n: u.inverse() for n, u in us.items()}
+    terms = {n: _transported(x.kind, x.term(n), us[n], uinvs[n]) for n in x.degrees()}
+    diffs = {n: us[n - 1].mul(x.diff(n)).mul(uinvs[n]) for n in x.degrees()[1:]}
+    return build_complex(x.kind, terms, diffs)
+
+
 def _conjugate(rng, mod: C2Module):
     """mod moved along a random basis change u, with u and its inverse."""
     u = random_invertible(rng, mod.dim) if mod.dim else BitMatrix.identity(0)
@@ -684,3 +715,113 @@ def random_graded_sequence(rng):
         gg = gg.hstack(BitMatrix.zero(cmod.dim, 1))
     (amod, _, ua_inv), (bmod, ub, ub_inv), (cmod, uc, _) = (_conjugate(rng, m) for m in (amod, bmod, cmod))
     return amod, bmod, cmod, ub.mul(gf).mul(ua_inv), uc.mul(gg).mul(ub_inv)
+
+
+def hom_basis(source: FiltModule, target: FiltModule) -> list[FiltMorphism]:
+    """Basis of the filtration-preserving equivariant maps source -> target."""
+    return [FiltMorphism(source, target, f.comp(0))
+            for f in chain_map_basis(single(FILT, source), single(FILT, target))]
+
+
+def hom_basis_c2(source: C2Module, target: C2Module) -> list[BitMatrix]:
+    """Basis of the equivariant matrices source -> target."""
+    return [f.comp(0) for f in chain_map_basis(single(C2, source), single(C2, target))]
+
+
+def chain_iso_inverse(u: ChainMap) -> Optional[ChainMap]:
+    """The inverse of u if u is a chain isomorphism, else None: every
+    component must be invertible in the cell category, which for filtered
+    terms includes the inverse preserving filtrations."""
+    x, y = u.source, u.target
+    inv_comps = {}
+    for n in x.degrees():
+        if x.dim(n) == 0:
+            continue
+        m = u.comp(n).inverse()
+        if m is None or not cell_is_morphism(x.kind, y.term(n), x.term(n), m):
+            return None
+        inv_comps[n] = m
+    uinv = ChainMap.of(y, x, inv_comps)
+    try:
+        u.validate()
+        uinv.validate()
+    except ValueError:
+        return None
+    return uinv
+
+
+class SearchExhausted(Exception):
+    """A bounded search gave up without deciding its question."""
+
+
+def find_chain_iso(x: Complex, y: Complex, tries: int = 64, seed: int = 0):
+    """Bounded search for an isomorphism of complexes x -> y.
+
+    Returns a validated pair (u, u_inv) of mutually inverse chain maps, the
+    identity pair when x == y, or None when none exists (term signatures
+    differ, or no nonzero chain map).
+    Raises SearchExhausted when the basis and `tries` random sums of it hold
+    no isomorphism.  Components must be invertible in the cell category,
+    which for filtered terms includes the inverse preserving filtrations."""
+    import random as _random
+
+    if x.is_zero() and y.is_zero():
+        return ChainMap.of(x, y, {}), ChainMap.of(y, x, {})
+    if x == y:
+        return ChainMap.identity(x), ChainMap.identity(x)
+    if signature(x) != signature(y):
+        # a chain isomorphism is an isomorphism in each degree
+        return None
+    basis = chain_map_basis(x, y)
+    if not basis:
+        return None
+    rng = _random.Random(seed)
+
+    def try_map(u: ChainMap):
+        uinv = chain_iso_inverse(u)
+        return None if uinv is None else (u, uinv)
+
+    for u in basis:
+        hit = try_map(u)
+        if hit:
+            return hit
+    for _ in range(tries):
+        pick = [b for b in basis if rng.getrandbits(1)]
+        if not pick:
+            continue
+        u = pick[0]
+        for extra in pick[1:]:
+            u = u.add(extra)
+        hit = try_map(u)
+        if hit:
+            return hit
+    raise SearchExhausted(f"no chain isomorphism among {len(basis)} basis maps and {tries} random sums")
+
+
+def truncate_ge(x: Complex, n: int) -> tuple[Complex, ChainMap]:
+    """Stupid truncation keeping degrees >= n, with the map x -> x_{>=n}."""
+    terms = {m: x.term(m) for m in x.degrees() if m >= n}
+    diffs = {m: x.diff(m) for m in x.degrees() if m > n}
+    trunc = build_complex(x.kind, terms, diffs)
+    proj = ChainMap.of(x, trunc, {m: BitMatrix.identity(x.dim(m)) for m in terms})
+    return trunc, proj
+
+
+def truncate_le(x: Complex, n: int) -> tuple[Complex, ChainMap]:
+    """Stupid truncation keeping degrees <= n, with the map x_{<=n} -> x."""
+    terms = {m: x.term(m) for m in x.degrees() if m <= n}
+    diffs = {m: x.diff(m) for m in x.degrees() if m <= n}
+    trunc = build_complex(x.kind, terms, diffs)
+    incl = ChainMap.of(trunc, x, {m: BitMatrix.identity(x.dim(m)) for m in terms})
+    return trunc, incl
+
+
+def truncation_delta(x: Complex, n: int) -> ChainMap:
+    """The connecting map x_{>=n+1}[-1] -> x_{<=n}; it is d in degree n."""
+    upper, _ = truncate_ge(x, n + 1)
+    lower, _ = truncate_le(x, n)
+    src = shift(upper, -1)
+    comps = {}
+    if x.d_min <= n < x.d_max:
+        comps[n] = x.diff(n + 1)
+    return ChainMap.of(src, lower, comps)

@@ -25,7 +25,6 @@ from ttfilt.chains import (
     cone_beta,
     direct_sum_complex,
     eps_tilde,
-    find_chain_iso,
     fund0,
     fundpur,
     fundpur_splice,
@@ -63,6 +62,8 @@ from ttfilt.spectrum import (
 )
 from ttfilt.shell import evaluate, parse, print_expr
 from ttfilt.cli import main as cli_main
+
+from helpers import find_chain_iso
 
 
 def ev(text):

@@ -1,0 +1,55 @@
+"""What the engine package holds: no seeded search, and no test-only code.
+
+Every answer of the engine is a rank, a kernel or a certified isomorphism,
+so nothing in it draws random numbers but the sample generators.  The hom
+bases of cells, the bounded search for chain isomorphisms, the truncations
+and the one-line wrappers that only tests used live in `tests/helpers.py`
+or are written out where they are used.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ttfilt
+
+MODULES = sorted(Path(ttfilt.__file__).parent.glob("*.py"))
+
+MOVED_OR_DELETED = {
+    "find_chain_iso", "SearchExhausted", "chain_iso_inverse", "hom_basis", "hom_basis_c2",
+    "truncate_ge", "truncate_le", "truncation_delta", "is_contractible", "gr_dims",
+    "weight_part", "_weight_part_with_basis",
+}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_the_engine_modules_are_found():
+    assert {"chains.py", "filtmod.py", "gf2.py", "samples.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_sample_generators_import_random(path):
+    imported = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert ("random" in imported) == (path.name == "samples.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_moved_or_deleted_name_is_defined(path):
+    defined = set()
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.alias):
+            defined.add(node.asname or node.name)
+    assert not defined & MOVED_OR_DELETED

@@ -19,8 +19,6 @@ from ttfilt.filtmod import (
     e_label,
     fgt,
     gr,
-    gr_dims,
-    hom_basis,
     is_admissible,
     is_projective,
     pwz_module,
@@ -29,7 +27,6 @@ from ttfilt.filtmod import (
     tensor,
     unit_label,
     weight_ge,
-    weight_part,
 )
 from ttfilt.samples import random_c2_module, random_formal_sum, random_invertible, scrambled_module
 
@@ -38,6 +35,7 @@ from helpers import (
     decompose_by_meets,
     direct_sum_by_weights,
     dual_by_weights,
+    hom_basis,
     is_valid_by_weights,
     random_graded_sequence,
     realize_sum_by_direct_sum,
@@ -128,7 +126,7 @@ def test_dual_formulas():
     assert decompose(dual(realize(unit_label(3)))).sum == FormalSum.of(unit_label(-3))
     assert decompose(dual(realize(e_label(3, 1)))).sum == FormalSum.of(e_label(3, -4))
     a = realize(e_label(2, -1))
-    assert gr_dims(dual(a)) == {-w: d for w, d in gr_dims(a).items()}
+    assert {w: p.dim for w, p in gr(dual(a))} == {-w: p.dim for w, p in gr(a)}
 
 
 def test_double_dual():
@@ -163,7 +161,7 @@ def test_beta_map_is_the_hom_generator():
 # -- weight functors ----------------------------------------------------------
 
 def test_gr_of_filtered_regular():
-    assert gr_dims(realize(e_label(1, 0))) == {0: 1, 1: 1}
+    assert {w: p.dim for w, p in gr(realize(e_label(1, 0)))} == {0: 1, 1: 1}
     pieces = dict(gr(realize(e_label(0, 2))))
     assert pieces[2].module_split() == (0, 1)
 
@@ -173,8 +171,8 @@ def test_gr_multiplicative():
     for _ in range(10):
         a = scrambled_module(rng, random_formal_sum(rng, max_summands=2))
         b = scrambled_module(rng, random_formal_sum(rng, max_summands=2))
-        da, db = gr_dims(a), gr_dims(b)
-        dt = gr_dims(tensor(a, b))
+        da, db = {w: p.dim for w, p in gr(a)}, {w: p.dim for w, p in gr(b)}
+        dt = {w: p.dim for w, p in gr(tensor(a, b))}
         conv = {}
         for p, x in da.items():
             for q, y in db.items():
@@ -190,7 +188,7 @@ def test_fgt_is_tensor():
 
 def test_weight_part_values():
     for m, expected in [(1, (0, 1)), (0, (0, 1)), (-1, (1, 0)), (-2, (0, 0))]:
-        mod = weight_part(realize(e_label(1, m)), 0)
+        mod = weight_ge(realize(e_label(1, m)), 0).module
         assert mod.module_split() == expected
 
 

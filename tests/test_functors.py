@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ttfilt.gf2 import BitMatrix, C2Module
-from ttfilt.filtmod import FiltModule, e_label, hom_basis, realize, realize_sum, unit_label
+from ttfilt.filtmod import FiltModule, e_label, realize, realize_sum, unit_label
 from ttfilt.chains import (
     C2,
     FILT,
@@ -51,7 +51,8 @@ from ttfilt.functors import (
 )
 from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
 
-from helpers import brute_exact_f2, brute_tate_dim, gr_complex_by_placement, hom_DE_by_single_solves, weight_zero_part
+from helpers import (brute_exact_f2, brute_tate_dim, gr_complex_by_placement, hom_basis, hom_DE_by_single_solves,
+                     weight_zero_part)
 
 
 def unit_c2():

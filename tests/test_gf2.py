@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, hom_basis_c2, image, kernel_space
+from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, image, kernel_space
 
-from helpers import brute_rank, rref_by_column_scan
+from helpers import brute_rank, hom_basis_c2, rref_by_column_scan
 
 
 def rand_matrix(rng, rows, cols):

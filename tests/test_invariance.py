@@ -11,7 +11,10 @@ tests follows the closed form through the same argument, step by step.
 The laws after it bear on the trust boundary: complexes are built unchecked
 and validated where they enter, so the serialize round trip must return the
 value, and supports, labels and hom dimensions must not depend on a twist
-or on the basis the value came in.
+or on the basis the value came in.  Whole complexes move to another basis
+by `helpers.scrambled_complex`: minimize labels, supports and hom_DE
+dims stay, and hom_DE does not see whether an argument was minimized
+first, since minimize returns a homotopy equivalent complex.
 """
 
 import random
@@ -28,10 +31,12 @@ from ttfilt.chains import (
     cell_zero,
     direct_sum_complex,
     dual_complex,
+    minimize,
     shift,
     single,
     tensor_complex,
     twist_complex,
+    validate_complex,
 )
 from ttfilt.gf2 import C2Module
 from ttfilt.filtmod import (
@@ -51,6 +56,8 @@ from ttfilt.functors import hom_DE, hom_modules, pwz_complex
 from ttfilt.samples import random_c2_module, random_complex, random_formal_sum, scrambled_module
 from ttfilt.shell import deserialize, serialize
 from ttfilt.spectrum import supp
+
+from helpers import scrambled_complex
 
 UNIT_COMPLEX = single(FILT, realize(unit_label(0)))
 
@@ -251,3 +258,67 @@ def test_decompose_and_hom_DE_do_not_depend_on_the_basis():
         p = rng.randint(-2, 2)
         assert hom_DE(shift(single(FILT, a), p), single(FILT, b)) == \
             hom_DE(shift(single(FILT, realize_sum(fa)), p), single(FILT, realize_sum(fb)))
+
+
+def scrambled_pairs(seed: int, count: int):
+    """(kind, x, x in another basis) over all three kinds, zero terms inside
+    and at the ends of the degree ranges included, and the zero complex."""
+    rng = random.Random(seed)
+    out = []
+    for kind in KINDS:
+        for x in [Complex(kind, 0, (), ())] + [random_of_kind(rng, kind) for _ in range(count)]:
+            y = scrambled_complex(rng, x)
+            validate_complex(y)
+            out.append((kind, x, y))
+    assert any(cell_is_zero(kind, t) for kind, x, _ in out for t in x.terms)
+    return rng, out
+
+
+def test_minimize_labels_do_not_depend_on_the_basis():
+    _, triples = scrambled_pairs(25, 25)
+    moved = 0
+    for kind, x, y in triples:
+        labels = minimize(x).labels
+        assert minimize(y).labels == labels, kind
+        moved += y != x and any(labs for _, labs in labels)
+    assert moved >= 40
+
+
+def test_supports_do_not_depend_on_the_basis():
+    _, triples = scrambled_pairs(26, 15)
+    seen = set()
+    for kind, x, y in triples:
+        s = supp(as_filtered(x))
+        assert supp(as_filtered(y)) == s, kind
+        seen.add(s)
+    assert len(seen) >= 3
+
+
+def test_hom_DE_does_not_depend_on_the_basis_of_complexes():
+    rng, triples = scrambled_pairs(28, 10)
+    nonzero = 0
+    for kind, x, moved in triples:
+        y = random_filtered(rng)
+        dims = hom_DE(as_filtered(x), y)
+        assert hom_DE(as_filtered(moved), y) == dims, kind
+        assert hom_DE(y, as_filtered(moved)) == hom_DE(y, as_filtered(x)), kind
+        nonzero += bool(dims)
+    assert nonzero >= 10
+
+
+def test_hom_DE_does_not_see_minimize():
+    # minimize on each kind, then placed in weight zero: pwz is additive, so
+    # it keeps the homotopy equivalence that minimize returns; tensor squares
+    # have units whose elimination changes the differentials around them
+    rng, triples = scrambled_pairs(27, 12)
+    nonzero = shrunk = 0
+    for kind, a, b in triples:
+        x, y = tensor_complex(a, b), random_filtered(rng)
+        small = as_filtered(minimize(x).complex)
+        shrunk += small.total_dim() < x.total_dim()
+        dims = hom_DE(as_filtered(x), y)
+        assert hom_DE(small, y) == dims, kind
+        assert hom_DE(y, small) == hom_DE(y, as_filtered(x)), kind
+        assert hom_DE(as_filtered(x), minimize(y).complex) == dims, kind
+        nonzero += bool(dims)
+    assert nonzero >= 12 and shrunk >= 8, (nonzero, shrunk)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import decompose_by_meets, minimize_by_conjugation
+from helpers import chain_iso_inverse, decompose_by_meets, minimize_by_conjugation
 from ttfilt import chains
 from ttfilt.gf2 import BitMatrix, C2Module
 from ttfilt.filtmod import MathEngineError, e_label, realize
@@ -14,7 +14,6 @@ from ttfilt.chains import (
     FILT,
     Complex,
     build_complex,
-    chain_iso_inverse,
     invertpur_pow,
     minimize,
     single,

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,38 @@ def test_parse_errors_carry_position():
         parse("cone(tau)")
     with pytest.raises(ParseError):
         parse("E(1,0) extra")
+
+
+# the digits int() converts from a string: 4300 by default since Python 3.11
+# (sys.set_int_max_str_digits), and no limit before it or when set to 0
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# each text, and the exact error: a missing integer is reported where it
+# should start, not past the end; superscript digits are no integer; and an
+# integer longer than int() converts is reported at its first digit
+_INTEGER_ERRORS = [
+    ("1(", "expected an integer (at position 2)"),
+    ("shift(1,", "expected an integer (at position 8)"),
+    ("1(+", "expected an integer (at position 3)"),
+    ("E(²,0)", "expected an integer (at position 2)"),
+    ("1(-²)", "expected an integer (at position 3)"),
+] + [pytest.param(text, message, marks=pytest.mark.skipif(not _MAX_DIGITS, reason="no digit limit"))
+     for text, message in [("1(" + "9" * (_MAX_DIGITS + 1) + ")", "integer too long (at position 2)"),
+                           ("twist(1, -" + "7" * (_MAX_DIGITS + 700) + ")", "integer too long (at position 10)")]]
+
+
+@pytest.mark.parametrize("text,message", _INTEGER_ERRORS)
+def test_integer_errors_are_parse_errors_at_the_right_position(text, message, capsys):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert main(["support", text]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integers_up_to_the_digit_limit_parse():
+    digits = _MAX_DIGITS or 5000
+    assert parse("1(" + "9" * digits + ")").params == (int("9" * digits),)
 
 
 def _expr_corpus(n=100):
