@@ -12,6 +12,7 @@ from ttfilt.chains import (
     C2,
     FILT,
     ChainMap,
+    Complex,
     cone,
     direct_sum_complex,
     dual_complex,
@@ -30,6 +31,7 @@ from ttfilt.filtmod import (
     decompose,
     direct_sum,
     dual,
+    gr,
     realize_sum,
     tensor,
 )
@@ -42,7 +44,9 @@ from ttfilt.functors import (
     is_zero_DE,
     min_weight,
     pwz_complex,
+    res_complex,
     rwz,
+    sta_complex,
     tate_dim,
     tfgt,
 )
@@ -53,7 +57,13 @@ from ttfilt.spectrum import is_specialization_closed, supp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 # the test oracles live beside the tests
-from helpers import hom_basis, random_graded_sequence, split_exact_by_solve, validate_two_sided  # noqa: E402
+from helpers import (  # noqa: E402
+    check_values,
+    hom_basis,
+    random_graded_sequence,
+    split_exact_by_solve,
+    validate_two_sided,
+)
 
 
 def main(rounds: int = 25, seed: int = 0) -> int:
@@ -62,6 +72,7 @@ def main(rounds: int = 25, seed: int = 0) -> int:
     for i in range(rounds):
         fs = random_formal_sum(rng, max_summands=4)
         a = scrambled_module(rng, fs)
+        made = []  # the round's engine outputs, for check_values at its end
         if decompose(a).sum != fs:
             print(f"[{i}] decomposition mismatch on {fs.text()}")
             failures += 1
@@ -85,6 +96,7 @@ def main(rounds: int = 25, seed: int = 0) -> int:
                 print(f"[{i}] {name} fails the public checks on {fs.text()}, {fb.text()}: {exc}")
                 failures += 1
             dec = decompose(c)
+            made += [c, dec]
             if dec.validate() != validate_two_sided(dec):
                 print(f"[{i}] one- and two-sided certificates of {name} disagree on {fs.text()}, {fb.text()}")
                 failures += 1
@@ -127,12 +139,14 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         for name, c in (("x", x), ("x * y", tensor_complex(x, y))):
             for r in (0, -min_weight(c)):
                 try:
-                    validate_complex(rwz(twist_complex(c, r)))
+                    made.append(rwz(twist_complex(c, r)))
+                    validate_complex(made[-1])
                 except ValueError as exc:
                     print(f"[{i}] rwz of {name} twisted by {r} fails the full validation: {exc}")
                     failures += 1
         # dual_complex and cone are assembled unchecked too
         for name, c in (("dual(x)", dual_complex(x)), ("a cone of x -> y", cone(random_chain_map(rng, x, y)))):
+            made.append(c)
             try:
                 validate_complex(c)
             except ValueError as exc:
@@ -150,6 +164,7 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         # a tensor product is large enough for eliminations with off-block entries
         for name, c in (("x", x), ("x * y", tensor_complex(x, y))):
             mf = minimize(c)
+            made += [c, mf]
             if mf.proj.compose(mf.incl) != ChainMap.identity(mf.complex):
                 print(f"[{i}] minimization proj . incl of {name} is not the identity")
                 failures += 1
@@ -169,6 +184,15 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         xa, yb = shift(single(FILT, a), p), shift(single(FILT, b), q)
         if hom_modules(xa, yb) != hom_DE(xa, yb):
             print(f"[{i}] closed-form hom law failed on {fs.text()} -> {fb.text()} in degrees {p}, {q}")
+            failures += 1
+        # gf2 values check nothing on construction: every output of the round must be well formed
+        plain = [fgt_complex(x), gr_complex(x), z] + [c for c in made if isinstance(c, Complex) and c.kind == C2]
+        made += [a, b, gr(a), to_filtered(e), pwz_complex(z), tfgt(x)] + plain
+        made += [f(c) for c in plain for f in (sta_complex, res_complex)]
+        try:
+            check_values(made)
+        except ValueError as exc:
+            print(f"[{i}] an engine value is malformed: {exc}")
             failures += 1
     print(f"{rounds} rounds, {failures} failures")
     return 1 if failures else 0

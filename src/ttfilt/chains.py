@@ -320,14 +320,9 @@ def dual_complex(x: Complex) -> Complex:
     return build_complex(x.kind, terms, diffs)
 
 
-@dataclass(frozen=True)
-class TensorLayout:
-    """Summand bookkeeping for one degree of a tensor complex."""
-
-    pairs: tuple[tuple[int, int, int], ...]  # (p, q, offset), ordered by p
-
-
-def tensor_layout(x: Complex, y: Complex, n: int) -> TensorLayout:
+def tensor_layout(x: Complex, y: Complex, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The summands of degree n of x (x) y: (p, q, offset) for each pair of
+    nonzero terms x_p, y_q with p + q = n, ordered by p."""
     pairs = []
     off = 0
     for p in range(max(x.d_min, n - y.d_max), min(x.d_max, n - y.d_min) + 1):
@@ -336,7 +331,7 @@ def tensor_layout(x: Complex, y: Complex, n: int) -> TensorLayout:
         if dx and dy:
             pairs.append((p, q, off))
             off += dx * dy
-    return TensorLayout(tuple(pairs))
+    return tuple(pairs)
 
 
 def _tensor_diff(x: Complex, y: Complex, n: int) -> BitMatrix:
@@ -344,15 +339,15 @@ def _tensor_diff(x: Complex, y: Complex, n: int) -> BitMatrix:
     tensor_layout: d_x (x) 1 + 1 (x) d_y on each pair of terms.  In degree
     n - 1 the pairs (p - 1, q) and (p, q - 1) are fixed by their first index."""
     src = tensor_layout(x, y, n)
-    tgt_off = {p: off for p, _, off in tensor_layout(x, y, n - 1).pairs}
+    tgt_off = {p: off for p, _, off in tensor_layout(x, y, n - 1)}
     blocks = []
-    for p, q, off in src.pairs:
+    for p, q, off in src:
         if p - 1 in tgt_off:
             blocks.append((tgt_off[p - 1], off, x.diff(p).kron(BitMatrix.identity(y.dim(q)))))
         if p in tgt_off:
             blocks.append((tgt_off[p], off, BitMatrix.identity(x.dim(p)).kron(y.diff(q))))
     rows = sum(x.dim(p) * y.dim(n - 1 - p) for p in tgt_off)
-    cols = sum(x.dim(p) * y.dim(q) for p, q, _ in src.pairs)
+    cols = sum(x.dim(p) * y.dim(q) for p, q, _ in src)
     return BitMatrix.from_blocks(rows, cols, blocks)
 
 
@@ -364,7 +359,7 @@ def tensor_complex(x: Complex, y: Complex) -> Complex:
     kind = x.kind
     lo, hi = x.d_min + y.d_min, x.d_max + y.d_max
     terms = {n: cell_sum(kind, *(cell_tensor(kind, x.term(p), y.term(q))
-                                 for p, q, _ in tensor_layout(x, y, n).pairs))
+                                 for p, q, _ in tensor_layout(x, y, n)))
              for n in range(lo, hi + 1)}
     diffs = {n: _tensor_diff(x, y, n) for n in range(lo + 1, hi + 1)}
     # d (x) 1 + 1 (x) d of two valid complexes is a differential of morphisms

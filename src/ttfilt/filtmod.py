@@ -129,7 +129,9 @@ class FiltModule:
     layers: tuple[Subspace, ...]
 
     def __post_init__(self):
-        n = self.module.dim
+        n, sigma = self.module.dim, self.module.sigma
+        if not (sigma.rows == sigma.cols == n and sigma.mul(sigma).is_identity()):
+            raise ValueError("sigma is not an involution")
         if not self.layers or len(self.layers) != len(self.weights):
             raise ValueError("layer count mismatch")
         if not self.layers[0].is_full():
@@ -371,10 +373,6 @@ class FiltMorphism:
     source: FiltModule
     target: FiltModule
     matrix: BitMatrix
-
-    def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
-            raise ValueError("morphism shape mismatch")
 
     def is_valid(self) -> bool:
         """True iff the matrix commutes with sigma and maps each weight layer

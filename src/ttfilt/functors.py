@@ -197,7 +197,7 @@ def _weight_zero_blocks(x: Complex):
     blocks = {}
     for n in range(inj.d_min + x.d_min, inj.d_max + x.d_max + 1):
         blocks[n] = []
-        for p, q, off in tensor_layout(inj, x, n).pairs:
+        for p, q, off in tensor_layout(inj, x, n):
             a, b = inj.term(p), x.term(q)
             blocks[n].append((off, a.module.sigma.kron(b.module.sigma), _tensor_layer(a, b, 0)))
     return inj, blocks

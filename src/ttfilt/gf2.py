@@ -3,6 +3,12 @@
 Matrices store one Python int per row; bit j of a row is the entry in
 column j.  Column vectors are plain ints with bit j = coordinate j.
 Everything is immutable; all operations return fresh values.
+
+The values are plain data, not checked on construction: a matrix's row
+count and widths, a subspace's basis width and a module's involution are
+checked where values enter from outside (`shell.deserialize` and the
+public `FiltModule` constructor), and the tests check them on the
+engine's own outputs.
 """
 
 from __future__ import annotations
@@ -44,14 +50,6 @@ class BitMatrix:
     rows: int
     cols: int
     data: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.data) != self.rows:
-            raise ValueError("row count mismatch")
-        mask = (1 << self.cols) - 1
-        for r in self.data:
-            if r & ~mask:
-                raise ValueError("row exceeds column count")
 
     # -- constructors ------------------------------------------------------
 
@@ -164,6 +162,8 @@ class BitMatrix:
         with its top-left entry at (row, col)."""
         data = [0] * rows
         for r0, c0, block in blocks:
+            if r0 + block.rows > rows or c0 + block.cols > cols:
+                raise ValueError("block does not fit inside the matrix")
             for i, r in enumerate(block.data, r0):
                 data[i] ^= r << c0
         return BitMatrix(rows, cols, tuple(data))
@@ -414,10 +414,6 @@ class Subspace:
     ambient: int
     basis: BitMatrix
 
-    def __post_init__(self):
-        if self.basis.cols != self.ambient:
-            raise ValueError("basis width mismatch")
-
     @staticmethod
     def span(ambient: int, vectors: Iterable[int]) -> "Subspace":
         mat = BitMatrix(0, ambient, ())
@@ -477,17 +473,6 @@ class Subspace:
         """Orthogonal complement for the standard dot product."""
         return _perp_cached(self)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row-reduce [u|u] for u in this basis and [v|0] for v
-        in the other's, left half in the low bits; the reduced rows whose
-        left half vanishes carry a basis of the intersection on the right."""
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        n = self.ambient
-        rows = tuple(u | (u << n) for u in self.basis.data) + other.basis.data
-        red, pivots = BitMatrix(len(rows), 2 * n, rows).rref()
-        return Subspace.span(n, (red.data[i] >> n for i, p in enumerate(pivots) if p >= n))
-
     def complement(self) -> "Subspace":
         """Complement spanned by the non-pivot coordinates (deterministic)."""
         pivots = {b.bit_length() - 1 for b in (r & -r for r in self.basis.data)}
@@ -524,12 +509,6 @@ class C2Module:
 
     dim: int
     sigma: BitMatrix
-
-    def __post_init__(self):
-        if self.sigma.rows != self.dim or self.sigma.cols != self.dim:
-            raise ValueError("sigma shape mismatch")
-        if not self.sigma.mul(self.sigma).is_identity():
-            raise ValueError("sigma is not an involution")
 
     @staticmethod
     def trivial(n: int = 1) -> "C2Module":

@@ -60,6 +60,7 @@ from .chains import (
 )
 from .functors import fgt_complex
 from .motives import MAPNAMES, MotiveExpr as Expr, expr_support, to_filtered as evaluate
+from .spectrum import PRIMES
 
 
 class ParseError(Exception):
@@ -307,11 +308,16 @@ def _rows_parse(text: str, width: int) -> list[int]:
     return out
 
 
-def _filtmodule_lines(a: FiltModule) -> list[str]:
-    lines = [f"dim {a.dim}", f"sigma {_rows_text(a.module.sigma.data, a.dim)}",
-             f"wmin {a.w_min}", f"wmax {a.w_max}"]
-    for w in range(a.w_min, a.w_max + 2):
-        lines.append(f"layer {_rows_text(a.layer(w).basis.data, a.dim)}")
+def _term_lines(kind: str, t) -> list[str]:
+    """The fields of one cell: its dim; for C2 and FILT its sigma; for FILT
+    its weight range and one layer per weight, both ends included."""
+    if kind == F2:
+        return [f"dim {t}"]
+    sigma = t.sigma if kind == C2 else t.module.sigma
+    lines = [f"dim {t.dim}", f"sigma {_rows_text(sigma.data, t.dim)}"]
+    if kind == FILT:
+        lines += [f"wmin {t.w_min}", f"wmax {t.w_max}"]
+        lines += [f"layer {_rows_text(t.layer(w).basis.data, t.dim)}" for w in range(t.w_min, t.w_max + 2)]
     return lines
 
 
@@ -358,15 +364,21 @@ class _LineReader:
         return value
 
 
-def _filtmodule_read(r: _LineReader) -> FiltModule:
+def _term_read(r: _LineReader, kind: str):
+    """One cell, as _term_lines writes it, with every check on the text:
+    row widths, sigma square and an involution, and the layer conditions."""
     dim = r.integer("dim", 0)
-    sigma_rows = _rows_parse(r.field("sigma"), dim)
-    if len(sigma_rows) != dim:
+    if kind == F2:
+        return dim
+    rows = _rows_parse(r.field("sigma"), dim)
+    if len(rows) != dim:
         raise SchemaError("sigma must be square")
-    try:
-        mod = C2Module(dim, BitMatrix(dim, dim, tuple(sigma_rows)))
-    except ValueError as exc:
-        raise SchemaError(str(exc))
+    sigma = BitMatrix(dim, dim, tuple(rows))
+    if not sigma.mul(sigma).is_identity():
+        raise SchemaError("sigma is not an involution")
+    mod = C2Module(dim, sigma)
+    if kind == C2:
+        return mod
     w_min = r.integer("wmin")
     w_max = r.integer("wmax", w_min - 1)
     layers = []
@@ -392,7 +404,7 @@ def serialize(value) -> str:
     lines = [SCHEMA]
     if isinstance(value, FiltModule):
         lines.append("type filtmodule")
-        lines.extend(_filtmodule_lines(value))
+        lines.extend(_term_lines(FILT, value))
     elif isinstance(value, FormalSum):
         lines.append("type formalsum")
         lines.append("labels " + ("|".join(l.text() for l in value.labels) if value.labels else "-"))
@@ -407,13 +419,7 @@ def serialize(value) -> str:
         lines.append(f"nterms {len(value.terms)}")
         for i, t in enumerate(value.terms):
             lines.append(f"begin term {value.d_min + i}")
-            if value.kind == F2:
-                lines.append(f"dim {t}")
-            elif value.kind == C2:
-                lines.append(f"dim {t.dim}")
-                lines.append(f"sigma {_rows_text(t.sigma.data, t.dim)}")
-            else:
-                lines.extend(_filtmodule_lines(t))
+            lines.extend(_term_lines(value.kind, t))
             lines.append("end term")
         for i, d in enumerate(value.diffs):
             lines.append(f"begin diff {value.d_min + i + 1}")
@@ -453,7 +459,7 @@ def deserialize(text: str):
 def _value_read(r: _LineReader):
     kind = r.field("type")
     if kind == "filtmodule":
-        return _filtmodule_read(r)
+        return _term_read(r, FILT)
     if kind == "formalsum":
         labs = r.field("labels")
         if labs == "-":
@@ -463,9 +469,8 @@ def _value_read(r: _LineReader):
         pts = r.field("points")
         if pts == "-":
             return frozenset()
-        valid = {"L", "Ls", "M", "Ms", "N", "Ns"}
         out = frozenset(pts.split("|"))
-        if not out <= valid:
+        if not out <= set(PRIMES):
             raise SchemaError("unknown prime in support set")
         return out
     if kind == "complex":
@@ -479,17 +484,7 @@ def _value_read(r: _LineReader):
         for deg in range(d_min, d_min + nterms):
             if r.next() != f"begin term {deg}":
                 raise SchemaError(f"expected the term block of degree {deg}")
-            if cell == F2:
-                terms[deg] = r.integer("dim", 0)
-            elif cell == C2:
-                dim = r.integer("dim", 0)
-                rows = _rows_parse(r.field("sigma"), dim)
-                try:
-                    terms[deg] = C2Module(dim, BitMatrix(dim, dim, tuple(rows)))
-                except ValueError as exc:
-                    raise SchemaError(str(exc))
-            else:
-                terms[deg] = _filtmodule_read(r)
+            terms[deg] = _term_read(r, cell)
             if r.next() != "end term":
                 raise SchemaError("unterminated term block")
         while r.peek().startswith("begin diff "):
@@ -557,7 +552,7 @@ def _support(text: str) -> frozenset:
 
 
 def _supp_report(command: str, query: str, points: frozenset) -> Report:
-    from .spectrum import PRIMES, support_text
+    from .spectrum import support_text
 
     rep = Report(command, query, [support_text(points)])
     rep.trace = [f"{p}:{'nonzero' if p in points else 'zero'}" for p in sorted(PRIMES)]

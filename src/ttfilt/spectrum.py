@@ -218,8 +218,10 @@ def _poset(name, points, covers) -> SpectrumPoset:
 
 
 ATLAS_DATM2 = _poset("DATM2", PRIMES, _COVERS)
-ATLAS_KBA = _poset("KbA", ("cL", "cM", "cN"), (("cM", "cL"), ("cM", "cN")))
-ATLAS_DAM2 = _poset("DAM2", ("cL", "cM", "cN"), (("cM", "cL"), ("cM", "cN")))
+# the three-point spectrum of plain complexes, whose points DAM2 shares
+_PLAIN_COVERS = (("cM", "cL"), ("cM", "cN"))
+ATLAS_KBA = _poset("KbA", ("cL", "cM", "cN"), _PLAIN_COVERS)
+ATLAS_DAM2 = _poset("DAM2", ("cL", "cM", "cN"), _PLAIN_COVERS)
 ATLAS_DTM2 = _poset(
     "DTM2",
     ("zero", "conerho", "conebeta", "conebetarho"),
@@ -297,6 +299,8 @@ class IntegralAtlas:
                 l = int(p[2:-1])
             except ValueError:
                 raise ValueError(f"bad point name: {p}")
+            if p[2:-1] != str(l):  # one spelling per point: not e(02), e(+3) or m( 5)
+                raise ValueError(f"bad point name: {p}")
             if not _is_prime_number(l):
                 raise ValueError(f"index must be a prime number: {p}")
             return p
@@ -306,14 +310,10 @@ class IntegralAtlas:
         p = self.normalize(p)
         if p == "P0":
             return SymbolicSet(frozenset({"P0"}), all_e=True, all_m=True)
-        finite = {
-            "M": frozenset({"M", "L", "Ls", "Ms", "e(2)", "m(2)"}),
-            "L": frozenset({"L", "Ls"}),
-            "Ms": frozenset({"Ms", "Ls", "m(2)"}),
-            "Ls": frozenset({"Ls"}),
-        }
-        if p in finite:
-            return SymbolicSet(finite[p])
+        # a mod-2 point: its DATM2 closure, with N and Ns named e(2) and m(2)
+        mod2 = {v: k for k, v in self.aliases.items()}.get(p, p)
+        if mod2 in ATLAS_DATM2.closure:
+            return SymbolicSet(frozenset(self.aliases.get(q, q) for q in ATLAS_DATM2.closure[mod2]))
         l = p[2:-1]
         if p.startswith("e("):
             return SymbolicSet(frozenset({f"e({l})", f"m({l})"}))

@@ -29,11 +29,14 @@ for the equivariant retraction and section, and `random_graded_sequence`
 draws its inputs.
 
 The hom bases of cells (over `chain_map_basis`), `find_chain_iso` (a
-seeded search that may give up) and the truncations serve tests only.
+seeded search that may give up), the truncations and `intersect` serve
+tests only.  `check_values` runs the checks that the gf2 value types and
+`FiltMorphism` no longer run on construction.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from ttfilt.gf2 import (
@@ -402,6 +405,60 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
     return MinimalForm(mini, incl, proj, labs)
 
 
+def check_values(*values) -> None:
+    """ValueError unless every matrix, subspace, module and filtered
+    morphism reachable from values, through dataclass fields, tuples, lists
+    and dicts, is well formed: a matrix has `rows` rows, none with a bit
+    past `cols`; a subspace's basis has `ambient` columns; a module's sigma
+    is a dim x dim involution; a morphism's matrix is target x source."""
+    seen: set[int] = set()
+
+    def walk(v) -> None:
+        if isinstance(v, (int, str)) or id(v) in seen:
+            return
+        seen.add(id(v))
+        if isinstance(v, BitMatrix):
+            if len(v.data) != v.rows:
+                raise ValueError(f"row count mismatch: {len(v.data)} rows stored for {v.rows}")
+            if any(r < 0 or r >> v.cols for r in v.data):
+                raise ValueError(f"row exceeds column count {v.cols}")
+            return
+        if isinstance(v, dict):
+            children = list(v.values())
+        elif isinstance(v, (tuple, list)):
+            children = v
+        elif dataclasses.is_dataclass(v):
+            children = [getattr(v, f.name) for f in dataclasses.fields(v)]
+        else:
+            children = []
+        for child in children:
+            walk(child)
+        if isinstance(v, Subspace) and v.basis.cols != v.ambient:
+            raise ValueError(f"basis width mismatch: {v.basis.cols} columns in ambient {v.ambient}")
+        if isinstance(v, C2Module):
+            if (v.sigma.rows, v.sigma.cols) != (v.dim, v.dim):
+                raise ValueError(f"sigma shape mismatch: {v.sigma.rows} x {v.sigma.cols} in dim {v.dim}")
+            if not v.sigma.mul(v.sigma).is_identity():
+                raise ValueError("sigma is not an involution")
+        if isinstance(v, FiltMorphism) and (v.matrix.rows, v.matrix.cols) != (v.target.dim, v.source.dim):
+            raise ValueError("morphism shape mismatch")
+
+    for value in values:
+        walk(value)
+
+
+def intersect(s: Subspace, t: Subspace) -> Subspace:
+    """Zassenhaus: row-reduce [u|u] for u in the basis of s and [v|0] for v
+    in that of t, left half in the low bits; the reduced rows whose left
+    half vanishes carry a basis of the intersection on the right."""
+    if s.ambient != t.ambient:
+        raise ValueError("ambient mismatch")
+    n = s.ambient
+    rows = tuple(u | (u << n) for u in s.basis.data) + t.basis.data
+    red, pivots = BitMatrix(len(rows), 2 * n, rows).rref()
+    return Subspace.span(n, (red.data[i] >> n for i, p in enumerate(pivots) if p >= n))
+
+
 def decompose_by_meets(a: FiltModule) -> Decomposition:
     """`filtmod.decompose` as it was before it became one persistence
     reduction: a closed form in N = 1 + sigma and the layers V_w.  Only the
@@ -420,7 +477,7 @@ def decompose_by_meets(a: FiltModule) -> Decomposition:
     layers = [a.layer(w) for w in drops] + [zero]
     pushed = [tuple(norm.apply(v) for v in lay.basis.data) for lay in layers]
     images = [Subspace.span(a.dim, vecs) for vecs in pushed]
-    meets = {(i, j): images[i].intersect(layers[j]) for i in range(k) for j in range(i + 1, k)}
+    meets = {(i, j): intersect(images[i], layers[j]) for i in range(k) for j in range(i + 1, k)}
 
     def meet(i: int, j: int) -> Subspace:
         """N(layers[i]) & layers[j]: N(layers[i]) itself for j <= i, as it
@@ -428,7 +485,7 @@ def decompose_by_meets(a: FiltModule) -> Decomposition:
         return images[i] if i >= j else meets.get((i, j), zero)
 
     kernel = kernel_space(norm)
-    fixed = [kernel.intersect(lay) for lay in layers[:k]] + [zero]
+    fixed = [intersect(kernel, lay) for lay in layers[:k]] + [zero]
     pieces: list[tuple[IndecLabel, tuple[int, ...]]] = []
     for i, m in enumerate(drops):
         for u in fixed[i + 1].add(meet(0, i)).extension(fixed[i]):
@@ -504,11 +561,11 @@ def tensor_diff_by_placement(x: Complex, y: Complex, n: int) -> BitMatrix:
     offset of its (p, q) pair in the target layout."""
     src = tensor_layout(x, y, n)
     tgt = tensor_layout(x, y, n - 1)
-    tgt_off = {(p, q): off for p, q, off in tgt.pairs}
-    rows_total = sum(x.dim(p) * y.dim(q) for p, q, _ in tgt.pairs)
-    cols_total = sum(x.dim(p) * y.dim(q) for p, q, _ in src.pairs)
+    tgt_off = {(p, q): off for p, q, off in tgt}
+    rows_total = sum(x.dim(p) * y.dim(q) for p, q, _ in tgt)
+    cols_total = sum(x.dim(p) * y.dim(q) for p, q, _ in src)
     data = [0] * rows_total
-    for p, q, off in src.pairs:
+    for p, q, off in src:
         dx, dy = x.dim(p), y.dim(q)
         if (p - 1, q) in tgt_off:
             block = x.diff(p).kron(BitMatrix.identity(dy))
@@ -528,9 +585,9 @@ def tensor_map_by_placement(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = tensor_complex(f.target, g.target)
     comps = {}
     for n in src.degrees():
-        t_off = {(p, q): off for p, q, off in tensor_layout(f.target, g.target, n).pairs}
+        t_off = {(p, q): off for p, q, off in tensor_layout(f.target, g.target, n)}
         data = [0] * tgt.dim(n)
-        for p, q, off in tensor_layout(f.source, g.source, n).pairs:
+        for p, q, off in tensor_layout(f.source, g.source, n):
             if (p, q) in t_off:
                 block = f.comp(p).kron(g.comp(q))
                 for i, r in enumerate(block.data):

@@ -43,9 +43,10 @@ from ttfilt.chains import (
     upsilon,
     validate_complex,
 )
+from ttfilt.functors import fgt_complex, gr_complex, min_weight, res_complex, rwz, sta_complex
 from ttfilt.samples import random_c2_module, random_chain_map, random_complex, random_formal_sum
 
-from helpers import (SearchExhausted, chain_iso_inverse, find_chain_iso, tensor_diff_by_placement,
+from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, tensor_diff_by_placement,
                      tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta)
 
 
@@ -154,11 +155,15 @@ def test_engine_complexes_and_maps_pass_the_full_validation():
     """build_complex and ChainMap.of check nothing; the catalog (whose cones
     hold its maps), single, dual_complex of random complexes with zero
     terms, and cones of random chain maps pass validate_complex, and the
-    catalog maps validate."""
+    catalog maps validate.  Nor do the gf2 values check themselves: every
+    matrix, subspace and module in these, and in tensor products, minimal
+    forms with incl and proj, rwz, gr, fgt, sta and res, passes
+    check_values."""
     assert set(_SMALL_PARAMS) == set(NAMED_PARAM)
     values = [build() for build in NAMED.values()]
     values += [NAMED_PARAM[name](n) for name, ns in _SMALL_PARAMS.items() for n in ns]
     rng = random.Random(37)
+    derived = []
     for kind in (FILT, C2, F2):
         for _ in range(8):
             x = random_complex(rng, kind, rng.randint(1, 3), _sparse_terms(rng, kind), d_min=rng.randint(-2, 1))
@@ -166,8 +171,13 @@ def test_engine_complexes_and_maps_pass_the_full_validation():
             y, z = (random_complex(rng, kind, rng.randint(2, 4)) for _ in range(2))
             values += [single(kind, _sparse_terms(rng, kind)(), rng.randint(-2, 2)), dual_complex(x),
                        cone(random_chain_map(rng, y, z))]
+            derived += [tensor_complex(x, y), tensor_complex(dual_complex(y), z), minimize(tensor_complex(y, z))]
+            if kind != F2:
+                plain = [x] if kind == C2 else [fgt_complex(x), gr_complex(x), rwz(twist_complex(x, -min_weight(x)))]
+                derived += plain + [f(c) for c in plain for f in (sta_complex, res_complex)]
     maps = [v for v in values if isinstance(v, ChainMap)] + [eta_upsilon()]
     assert len(maps) == 4
+    check_values(values, derived, maps)
     for f in maps:
         f.validate()
     for x in values:

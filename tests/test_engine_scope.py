@@ -2,12 +2,17 @@
 
 Every answer of the engine is a rank, a kernel or a certified isomorphism,
 so nothing in it draws random numbers but the sample generators.  The hom
-bases of cells, the bounded search for chain isomorphisms, the truncations
-and the one-line wrappers that only tests used live in `tests/helpers.py`
-or are written out where they are used.
+bases of cells, the bounded search for chain isomorphisms, the truncations,
+`Subspace.intersect` and the one-line wrappers that only tests used live
+in `tests/helpers.py` or are written out where they are used.
+
+The gf2 value types and `FiltMorphism` are plain data: values are checked
+where they enter (`shell.deserialize`, the public `FiltModule`
+constructors), and no constructor of theirs checks its fields.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,7 +24,7 @@ MODULES = sorted(Path(ttfilt.__file__).parent.glob("*.py"))
 MOVED_OR_DELETED = {
     "find_chain_iso", "SearchExhausted", "chain_iso_inverse", "hom_basis", "hom_basis_c2",
     "truncate_ge", "truncate_le", "truncation_delta", "is_contractible", "gr_dims",
-    "weight_part", "_weight_part_with_basis",
+    "weight_part", "_weight_part_with_basis", "intersect",
 }
 
 
@@ -53,3 +58,9 @@ def test_no_moved_or_deleted_name_is_defined(path):
         elif isinstance(node, ast.alias):
             defined.add(node.asname or node.name)
     assert not defined & MOVED_OR_DELETED
+
+
+@pytest.mark.parametrize("name", ["gf2.BitMatrix", "gf2.Subspace", "gf2.C2Module", "filtmod.FiltMorphism"])
+def test_plain_value_types_check_nothing_on_construction(name):
+    module, cls = name.split(".")
+    assert "__post_init__" not in vars(getattr(importlib.import_module(f"ttfilt.{module}"), cls))

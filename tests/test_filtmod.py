@@ -32,6 +32,7 @@ from ttfilt.samples import random_c2_module, random_formal_sum, random_invertibl
 
 from helpers import (
     brute_hom_count,
+    check_values,
     decompose_by_meets,
     direct_sum_by_weights,
     dual_by_weights,
@@ -293,12 +294,10 @@ def test_decompose_matches_the_closed_form_on_tensors_and_duals():
 
 
 def test_decompose_reports_a_norm_that_is_not_triangular():
-    # sigma of order 3, so N.N != 0: C2Module refuses it, so it is built around its check
-    sigma = BitMatrix.from_rows([[0, 1], [1, 1]])
-    mod = object.__new__(C2Module)
-    object.__setattr__(mod, "dim", 2)
-    object.__setattr__(mod, "sigma", sigma)
-    a = FiltModule(mod, (0, 1), (Subspace.full(2), Subspace.zero(2)))
+    # sigma of order 3, so N.N != 0: the public constructors refuse it, so it is built unchecked
+    mod = C2Module(2, BitMatrix.from_rows([[0, 1], [1, 1]]))
+    a = FiltModule._of(mod, [(1, Subspace.zero(2))])
+    assert (a.weights, a.layers) == ((0, 1), (Subspace.full(2), Subspace.zero(2)))
     with pytest.raises(MathEngineError, match="not strictly triangular"):
         decompose(a)
 
@@ -421,6 +420,9 @@ def test_realize_sum_matches_the_direct_sum_oracle():
 
 
 def test_internal_constructions_pass_the_public_checks():
+    """The engine's filtered modules pass the public constructor; they, their
+    decomposition certificates, graded pieces and other quotient modules
+    pass check_values, as the gf2 values no longer check themselves."""
     mods = _oracle_inputs(72)
     rng = random.Random(73)
     outs = []
@@ -434,6 +436,8 @@ def test_internal_constructions_pass_the_public_checks():
     outs += [realize(lab) for m in range(-3, 4) for lab in [unit_label(m)] + [e_label(l, m) for l in range(9)]]
     for x in outs:
         assert _public(x) == x
+    quotients = [(gr(a), [a.graded(w) for w in range(a.w_min - 1, a.w_max + 2)]) for a in outs]
+    check_values(outs, [decompose(x) for x in outs], quotients)
 
 
 def _one_to_unit_one() -> Decomposition:

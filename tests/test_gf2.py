@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, image, kernel_space
+from ttfilt.chains import C2, single
+from ttfilt.filtmod import FiltModule
+from ttfilt.shell import SchemaError, deserialize, serialize
 
-from helpers import brute_rank, hom_basis_c2, rref_by_column_scan
+from helpers import brute_rank, hom_basis_c2, intersect, rref_by_column_scan
 
 
 def rand_matrix(rng, rows, cols):
@@ -134,9 +137,9 @@ def test_subspace_canonical_equality():
 def test_subspace_ops():
     amb = Subspace.full(3)
     s = Subspace.span(3, (0b011,))
-    assert s.intersect(amb) == s
+    assert intersect(s, amb) == s
     assert s.add(s.complement()).is_full()
-    assert s.complement().intersect(s).is_zero()
+    assert intersect(s.complement(), s).is_zero()
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -146,9 +149,9 @@ def test_subspace_intersect_matches_the_perp_formula(seed):
     n = rng.randint(0, 7)
     s = Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(0, n + 1))])
     t = Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(0, n + 1))])
-    got = s.intersect(t)
+    got = intersect(s, t)
     assert got == s.perp().add(t.perp()).perp()
-    assert got == t.intersect(s)
+    assert got == intersect(t, s)
     assert s.contains_space(got) and t.contains_space(got)
 
 
@@ -206,8 +209,14 @@ def test_standard_split_roundtrip():
 
 
 def test_sigma_involution_enforced():
-    with pytest.raises(ValueError):
-        C2Module(2, BitMatrix.from_rows([[0, 1], [0, 1]]))
+    """A sigma that is not an involution is rejected where values enter:
+    in the text of a C2 term, and by the public FiltModule constructors."""
+    text = serialize(single(C2, C2Module.free(1))).replace("sigma 01|10", "sigma 01|01")
+    with pytest.raises(SchemaError, match="sigma is not an involution"):
+        deserialize(text)
+    bad = C2Module(2, BitMatrix.from_rows([[0, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="sigma is not an involution"):
+        FiltModule.of(bad, [(1, Subspace.zero(2))])
 
 
 def test_hom_basis_c2_dims():

@@ -335,6 +335,20 @@ def test_deserialize_rejects_invalid_complexes_with_their_message(blob, message)
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("sigma, message", [("01", "sigma must be square"), ("11|10", "sigma is not an involution")])
+@pytest.mark.parametrize("blob", [
+    pytest.param(lambda: serialize(fundpur()), id="c2-complex-term"),
+    pytest.param(_fund0_blob, id="filt-complex-term"),
+    pytest.param(lambda: serialize(realize(e_label(1, 0))), id="filtmodule"),
+])
+def test_deserialize_reads_the_sigma_of_every_term_alike(blob, sigma, message):
+    """One reader checks sigma for C2 and filtered terms and for a filtered
+    module value: too few rows, then not an involution."""
+    with pytest.raises(SchemaError) as err:
+        deserialize(blob().replace("sigma 01|10", f"sigma {sigma}", 1))
+    assert str(err.value) == message
+
+
 def test_deserialize_rejects_bad_header():
     with pytest.raises(SchemaError):
         deserialize("ttfilt-io 99\ntype support\npoints -\n")
@@ -413,6 +427,16 @@ def test_cli_exit_codes(capsys):
     assert "{L, Ls}" in out
     assert main(["support", "fund0 +"]) == 1
     assert main(["atlas", "NOPE"]) == 1
+
+
+@pytest.mark.parametrize("point", ["e(02)", "e(+3)", "m( 5)"])
+def test_cli_atlas_takes_one_spelling_per_point(point, capsys):
+    """e(2) is N, whose closure is {e(2), m(2)}: a prime index written any
+    other way than str(l) names no point."""
+    assert main(["atlas", "DATMZ", "--closure", point]) == 1
+    assert capsys.readouterr().err == f"error: bad point name: {point}\n"
+    assert main(["atlas", "DATMZ", "--closure", "e(2)"]) == 0
+    assert capsys.readouterr().out == "{e(2), m(2)}\n"
 
 
 def test_cli_json_like(capsys):
