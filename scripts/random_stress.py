@@ -60,6 +60,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from helpers import (  # noqa: E402
     check_values,
     hom_basis,
+    minimize_by_conjugation,
     random_graded_sequence,
     split_exact_by_solve,
     validate_two_sided,
@@ -165,6 +166,9 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         for name, c in (("x", x), ("x * y", tensor_complex(x, y))):
             mf = minimize(c)
             made += [c, mf]
+            if mf != minimize_by_conjugation(c):
+                print(f"[{i}] minimization of {name} differs from the conjugation oracle")
+                failures += 1
             if mf.proj.compose(mf.incl) != ChainMap.identity(mf.complex):
                 print(f"[{i}] minimization proj . incl of {name} is not the identity")
                 failures += 1

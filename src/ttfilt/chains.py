@@ -302,11 +302,11 @@ def cone(f: ChainMap) -> Complex:
     lo = min(y.d_min, x.d_min + 1)
     hi = max(y.d_max, x.d_max + 1)
     terms = {n: cell_sum(x.kind, y.term(n), x.term(n - 1)) for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        top = y.diff(n).hstack(f.comp(n - 1))
-        bot = BitMatrix.zero(x.dim(n - 2), y.dim(n)).hstack(x.diff(n - 1))
-        diffs[n] = top.vstack(bot)
+    # d_n = [[d_y, f_{n-1}], [0, d_x]] from Y_n + X_{n-1} to Y_{n-1} + X_{n-2}
+    diffs = {n: BitMatrix.from_blocks(y.dim(n - 1) + x.dim(n - 2), y.dim(n) + x.dim(n - 1),
+                                      [(0, 0, y.diff(n)), (0, y.dim(n), f.comp(n - 1)),
+                                       (y.dim(n - 1), y.dim(n), x.diff(n - 1))])
+             for n in range(lo + 1, hi + 1)}
     return build_complex(x.kind, terms, diffs)
 
 
@@ -484,8 +484,12 @@ def minimize(x: Complex) -> MinimalForm:
 
     Returns a homotopy-equivalent complex with no such entries plus chain
     maps i, p with p.i = id on the minimal form; i.p is homotopic to the
-    identity.  Unit entries are searched lowest degree first, then in
-    lexicographic summand order, so the output is deterministic.
+    identity.  Unit entries are eliminated in one pass over the degrees,
+    lowest first, and within a degree in lexicographic (target, source)
+    summand order until none is left, so the output is deterministic.  One
+    pass suffices: an elimination at n changes d_n and only drops rows of
+    d_{n+1} and columns of d_{n-1}, which removes blocks and creates no unit,
+    so a degree left unit-free stays so.
 
     Each elimination is the Gaussian reduction of a based complex
     (Skoldberg, Trans. AMS 358, 2006), in place: for the unit block a in
@@ -520,57 +524,39 @@ def minimize(x: Complex) -> MinimalForm:
                     return i, j
         return None
 
-    # a degree once verified unit-free can only change when a neighboring
-    # elimination touches its differential, so track clean degrees
-    clean: set = set()
-
-    def find_unit():
-        # lowest differential degree first, then lexicographic (target, source)
-        for n in sorted(diffs):
-            if n in clean:
-                continue
-            hit = find_unit_at(n)
-            if hit is not None:
-                return (n,) + hit
-            clean.add(n)
-        return None
-
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        n, i, j = hit
-        clean.difference_update({n - 1, n, n + 1})
-        d = diffs[n]
-        dt = _label_dim(kind, labels[n - 1][i])
-        t0, s0 = _offsets(kind, labels[n - 1])[i], _offsets(kind, labels[n])[j]
-        t_idx, s_idx = range(t0, t0 + dt), range(s0, s0 + dt)
-        other_t = [r for r in range(d.rows) if r not in t_idx]
-        other_s = [c for c in range(d.cols) if c not in s_idx]
-        # d_n = [[a, b], [c, e]] with a the unit block at (t_idx, s_idx)
-        # the unit block a is 1 or sigma, so it is its own inverse
-        a = d.submatrix(t_idx, s_idx)
-        if not a.mul(a).is_identity():
-            raise MathEngineError("elimination failed to isolate the unit block")
-        if n + 1 in diffs and not _rows(d, t_idx).mul(diffs[n + 1]).is_zero():
-            raise MathEngineError("incoming differential leaks into eliminated summand")
-        if n - 1 in diffs and not diffs[n - 1].mul(_cols(d, s_idx)).is_zero():
-            raise MathEngineError("outgoing differential leaks from eliminated summand")
-        b, c = d.submatrix(t_idx, other_s), d.submatrix(other_t, s_idx)
-        ab, ca = a.mul(b), c.mul(a)
-        diffs[n] = d.submatrix(other_t, other_s).add(c.mul(ab))
-        if n + 1 in diffs:
-            diffs[n + 1] = _rows(diffs[n + 1], other_s)
-        if n - 1 in diffs:
-            diffs[n - 1] = _cols(diffs[n - 1], other_t)
-        incl_n, proj_t = incl_comps[n], proj_comps[n - 1]
-        incl_comps[n] = _cols(incl_n, other_s).add(_cols(incl_n, s_idx).mul(ab))
-        incl_comps[n - 1] = _cols(incl_comps[n - 1], other_t)
-        proj_comps[n] = _rows(proj_comps[n], other_s)
-        proj_comps[n - 1] = _rows(proj_t, other_t).add(ca.mul(_rows(proj_t, t_idx)))
-        del labels[n][j]
-        del labels[n - 1][i]
-        # zero-dimensional terms keep zero-size matrices; build_complex trims ends
+    for n in sorted(diffs):
+        while (hit := find_unit_at(n)) is not None:
+            i, j = hit
+            d = diffs[n]
+            dt = _label_dim(kind, labels[n - 1][i])
+            t0, s0 = _offsets(kind, labels[n - 1])[i], _offsets(kind, labels[n])[j]
+            t_idx, s_idx = range(t0, t0 + dt), range(s0, s0 + dt)
+            other_t = [r for r in range(d.rows) if r not in t_idx]
+            other_s = [c for c in range(d.cols) if c not in s_idx]
+            # d_n = [[a, b], [c, e]] with a the unit block at (t_idx, s_idx)
+            # the unit block a is 1 or sigma, so it is its own inverse
+            a = d.submatrix(t_idx, s_idx)
+            if not a.mul(a).is_identity():
+                raise MathEngineError("elimination failed to isolate the unit block")
+            if n + 1 in diffs and not _rows(d, t_idx).mul(diffs[n + 1]).is_zero():
+                raise MathEngineError("incoming differential leaks into eliminated summand")
+            if n - 1 in diffs and not diffs[n - 1].mul(_cols(d, s_idx)).is_zero():
+                raise MathEngineError("outgoing differential leaks from eliminated summand")
+            b, c = d.submatrix(t_idx, other_s), d.submatrix(other_t, s_idx)
+            ab, ca = a.mul(b), c.mul(a)
+            diffs[n] = d.submatrix(other_t, other_s).add(c.mul(ab))
+            if n + 1 in diffs:
+                diffs[n + 1] = _rows(diffs[n + 1], other_s)
+            if n - 1 in diffs:
+                diffs[n - 1] = _cols(diffs[n - 1], other_t)
+            incl_n, proj_t = incl_comps[n], proj_comps[n - 1]
+            incl_comps[n] = _cols(incl_n, other_s).add(_cols(incl_n, s_idx).mul(ab))
+            incl_comps[n - 1] = _cols(incl_comps[n - 1], other_t)
+            proj_comps[n] = _rows(proj_comps[n], other_s)
+            proj_comps[n - 1] = _rows(proj_t, other_t).add(ca.mul(_rows(proj_t, t_idx)))
+            del labels[n][j]
+            del labels[n - 1][i]
+            # zero-dimensional terms keep zero-size matrices; build_complex trims ends
 
     terms = {n: _rebuild_term(kind, labs) for n, labs in labels.items()}
     live = {n: t for n, t in terms.items() if not cell_is_zero(kind, t)}
@@ -663,21 +649,18 @@ def fund_seq(l: int) -> Complex:
     )
 
 
+def _cell_cone(source, target, m: BitMatrix) -> Complex:
+    """Cone of the map m from realize(source) to realize(target), both in degree 0."""
+    return cone(ChainMap.of(single(FILT, realize(source)), single(FILT, realize(target)), {0: m}))
+
+
 def koszul_T() -> Complex:
     """Cone of the weight-shift map on E(1, 0): two terms with identity matrix."""
-    return build_complex(
-        FILT,
-        {1: realize(e_label(1, 0)), 0: realize(e_label(1, 1))},
-        {1: BitMatrix.identity(2)},
-    )
+    return _cell_cone(e_label(1, 0), e_label(1, 1), BitMatrix.identity(2))
 
 
 def cone_beta() -> Complex:
-    return build_complex(
-        FILT,
-        {1: realize(unit_label(0)), 0: realize(unit_label(1))},
-        {1: BitMatrix.identity(1)},
-    )
+    return _cell_cone(unit_label(0), unit_label(1), BitMatrix.identity(1))
 
 
 def cone_rho() -> Complex:
@@ -687,21 +670,17 @@ def cone_rho() -> Complex:
 
 def cone_omega() -> Complex:
     """Cone of the canonical map E(1,0) -> E(0,1), underlain by the identity."""
-    return build_complex(
-        FILT,
-        {1: realize(e_label(1, 0)), 0: realize(e_label(0, 1))},
-        {1: BitMatrix.identity(2)},
-    )
+    return _cell_cone(e_label(1, 0), e_label(0, 1), BitMatrix.identity(2))
 
 
 def cone_eta() -> Complex:
     """Cone of the unit 1(0) -> E(0,0) of the extension point."""
-    return cone(ChainMap.of(unit_complex(), single(FILT, realize(e_label(0, 0))), {0: _ETA}))
+    return _cell_cone(unit_label(0), e_label(0, 0), _ETA)
 
 
 def cone_eps() -> Complex:
     """Cone of the counit E(0,0) -> 1(0) of the extension point."""
-    return cone(ChainMap.of(single(FILT, realize(e_label(0, 0))), unit_complex(), {0: _EPS}))
+    return _cell_cone(e_label(0, 0), unit_label(0), _EPS)
 
 
 def cone_beta_rho() -> Complex:

@@ -191,13 +191,6 @@ class FiltModule:
         return a
 
     @staticmethod
-    def build(module: C2Module, w_min: int, layers: list[Subspace]) -> "FiltModule":
-        """Normalize to tight weight range; layers cover w_min..w_min+len-1
-        and are implicitly full below and zero above."""
-        zero = (w_min + len(layers), Subspace.zero(module.dim))
-        return FiltModule.of(module, [*enumerate(layers, w_min), zero])
-
-    @staticmethod
     def zero() -> "FiltModule":
         return FiltModule(C2Module.trivial(0), (0,), (Subspace.zero(0),))
 

@@ -125,14 +125,19 @@ def res_complex(y: Complex) -> Complex:
     return _termwise(y, F2, lambda t: t.dim)
 
 
-def is_exact_F2(z: Complex) -> bool:
-    """Exactness of a vector-space complex by rank counting."""
+def betti(z: Complex) -> dict[int, int]:
+    """The nonzero homology dimensions of a vector-space complex, by rank
+    counting: dim z_n - rank d_n - rank d_{n+1}, each rank taken once."""
     if z.kind != F2:
         raise ValueError("exactness test applies to vector-space complexes")
-    for n in range(z.d_min, z.d_max + 1):
-        if z.diff(n).rank() + z.diff(n + 1).rank() != z.dim(n):
-            return False
-    return True
+    ranks = [0, *(d.rank() for d in z.diffs), 0]
+    homs = ((z.d_min + i, dim - ranks[i] - ranks[i + 1]) for i, dim in enumerate(z.terms))
+    return {n: h for n, h in homs if h}
+
+
+def is_exact_F2(z: Complex) -> bool:
+    """Exactness of a vector-space complex: no homology in any degree."""
+    return not betti(z)
 
 
 def sta_complex(y: Complex) -> Complex:

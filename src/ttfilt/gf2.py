@@ -145,17 +145,6 @@ class BitMatrix:
 
     # -- block assembly ----------------------------------------------------
 
-    def hstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        data = tuple(a | (b << self.cols) for a, b in zip(self.data, other.data))
-        return BitMatrix(self.rows, self.cols + other.cols, data)
-
-    def vstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return BitMatrix(self.rows + other.rows, self.cols, self.data + other.data)
-
     @staticmethod
     def from_blocks(rows: int, cols: int, blocks) -> "BitMatrix":
         """The rows x cols sum of the blocks (row, col, block), each placed
@@ -303,7 +292,8 @@ class BitMatrix:
         if self.rows != self.cols:
             return None
         n = self.rows
-        aug = self.hstack(BitMatrix.identity(n))
+        # [self | 1]: row i gets the identity's bit at column n + i
+        aug = BitMatrix(n, 2 * n, tuple(r | (1 << (n + i)) for i, r in enumerate(self.data)))
         red, pivots = aug.rref()
         if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
             return None

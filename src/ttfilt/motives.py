@@ -9,7 +9,7 @@ translated object; `expr_support` computes supports (and so classes and
 ideal membership) on the tree, with residue tests on the leaves only.  The
 translation is a hard-coded dictionary on generators: the base point goes
 to the unit, the quadratic extension point to the pure regular module;
-every other named atom is an entry of `chains.named`.  Only support-level
+the other atoms are the `CATALOG_ATOMS` of `chains.named`.  Only support-level
 statements are exposed for tensor expressions.
 """
 
@@ -30,7 +30,7 @@ from .chains import (
     twist_complex,
 )
 from .filtmod import _CACHE_SIZE, e_label, realize, unit_label
-from .functors import fgt_complex, hom_DE, homology, res_complex
+from .functors import betti, fgt_complex, hom_DE, homology, res_complex
 from .spectrum import check_support, supp
 
 
@@ -88,6 +88,8 @@ class MotiveExpr:
 
 
 GENERATORS = {"M(R)": unit_label(0), "M(C)": e_label(0, 0)}
+# the catalog names that are atoms of the grammar; fundl and Lpure take one integer
+CATALOG_ATOMS = ("fund0", "T", "conebeta", "conerho", "coneomega", "fundl", "Lpure")
 # atoms 1(n) and E(l, m): one indecomposable, named by its label
 _LABELS = {"1": unit_label, "E": e_label}
 
@@ -101,7 +103,9 @@ def to_filtered(e: MotiveExpr) -> Complex:
             return single(FILT, realize(_LABELS[e.name](*e.params)))
         if e.name in GENERATORS:
             return single(FILT, realize(GENERATORS[e.name]))
-        return named(e.name, *e.params)
+        if e.name in CATALOG_ATOMS:
+            return named(e.name, *e.params)
+        raise ValueError(f"unknown atom: {e.name}")
     if e.op == "cone":
         return named("cone" + e.name)
     if e.op == "twist":
@@ -189,12 +193,7 @@ def realization(name: str, e: MotiveExpr) -> RealizationResult:
     if name == "base_change":
         z = res_complex(fgt_complex(to_filtered(e)))
         dims = {n: z.dim(n) for n in z.degrees()}
-        hdims = {}
-        for n in z.degrees():
-            h = z.dim(n) - z.diff(n).rank() - z.diff(n + 1).rank()
-            if h:
-                hdims[n] = h
-        return RealizationResult("base_change", dims=dims, homology_dims=hdims,
+        return RealizationResult("base_change", dims=dims, homology_dims=betti(z),
                                  support_shadow=expr_support(e) & {"N", "Ns"})
     if name == "real":
         return RealizationResult("real", support_shadow=expr_support(e) & {"L", "M"})

@@ -47,6 +47,7 @@ from .chains import (
     F2,
     FILT,
     Complex,
+    NAMED_PARAM,
     build_complex,
     cone_beta,
     dual_complex,
@@ -59,7 +60,7 @@ from .chains import (
     validate_complex,
 )
 from .functors import fgt_complex
-from .motives import MAPNAMES, MotiveExpr as Expr, expr_support, to_filtered as evaluate
+from .motives import CATALOG_ATOMS, MAPNAMES, MotiveExpr as Expr, expr_support, to_filtered as evaluate
 from .spectrum import PRIMES
 
 
@@ -80,9 +81,6 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
-
-_CONSTANTS = ("fund0", "T", "conebeta", "conerho", "coneomega")
-
 
 class _Parser:
     def __init__(self, src: str):
@@ -183,9 +181,9 @@ class _Parser:
                 if gen not in ("R", "C"):
                     self.error("expected R or C")
                 return Expr("atom", f"M({gen})")
-            if name in _CONSTANTS:
-                return Expr("atom", name)
-            if name in ("fundl", "Lpure"):
+            if name in CATALOG_ATOMS:
+                if name not in NAMED_PARAM:
+                    return Expr("atom", name)
                 self.expect("(")
                 n = self.integer()
                 self.expect(")")
@@ -309,15 +307,16 @@ def _rows_parse(text: str, width: int) -> list[int]:
 
 
 def _term_lines(kind: str, t) -> list[str]:
-    """The fields of one cell: its dim; for C2 and FILT its sigma; for FILT
-    its weight range and one layer per weight, both ends included."""
+    """The fields of one cell: its dim; for C2 and FILT its sigma; for FILT its
+    weight range and each stored layer, rendered once, on every weight of its interval."""
     if kind == F2:
         return [f"dim {t}"]
     sigma = t.sigma if kind == C2 else t.module.sigma
     lines = [f"dim {t.dim}", f"sigma {_rows_text(sigma.data, t.dim)}"]
     if kind == FILT:
         lines += [f"wmin {t.w_min}", f"wmax {t.w_max}"]
-        lines += [f"layer {_rows_text(t.layer(w).basis.data, t.dim)}" for w in range(t.w_min, t.w_max + 2)]
+        for w, end, lay in zip(t.weights, (*t.weights[1:], t.w_max + 2), t.layers):
+            lines += [f"layer {_rows_text(lay.basis.data, t.dim)}"] * (end - w)
     return lines
 
 
@@ -381,20 +380,24 @@ def _term_read(r: _LineReader, kind: str):
         return mod
     w_min = r.integer("wmin")
     w_max = r.integer("wmax", w_min - 1)
-    layers = []
-    for _ in range(w_max - w_min + 2):
-        layers.append(Subspace.span(dim, _rows_parse(r.field("layer"), dim)))
+    # (weight, layer) where the text changes: a repeated line is neither parsed nor spanned
+    pairs, text = [], None
+    for w in range(w_min, w_max + 2):
+        if (line := r.field("layer")) != text:
+            pairs.append((w, Subspace.span(dim, _rows_parse(line, dim))))
+            text = line
     if dim == 0:
         return FiltModule.zero()
-    # one layer per weight, tight at both ends, as serialize writes them; build() keeps the drops
-    for bad, message in ((not layers[0].is_full(), "bottom layer must be the whole space"),
-                         (not layers[-1].is_zero(), "top layer must vanish"),
-                         (len(layers) > 2 and layers[-2].is_zero(), "weight range not tight at top"),
-                         (len(layers) > 2 and layers[1].is_full(), "weight range not tight at bottom")):
+    layer = lambda w: next(lay for v, lay in reversed(pairs) if v <= w)
+    # one layer per weight, tight at both ends, as serialize writes them; of() keeps the drops
+    for bad, message in ((not pairs[0][1].is_full(), "bottom layer must be the whole space"),
+                         (not pairs[-1][1].is_zero(), "top layer must vanish"),
+                         (w_max > w_min and layer(w_max).is_zero(), "weight range not tight at top"),
+                         (w_max > w_min and layer(w_min + 1).is_full(), "weight range not tight at bottom")):
         if bad:
             raise SchemaError(message)
     try:
-        return FiltModule.build(mod, w_min, layers)
+        return FiltModule.of(mod, pairs)
     except ValueError as exc:
         raise SchemaError(str(exc))
 

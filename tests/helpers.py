@@ -264,7 +264,10 @@ def hom_DE_by_single_solves(x: Complex, y: Complex) -> dict[int, int]:
 def minimize_by_conjugation(x: Complex) -> MinimalForm:
     """`chains.minimize` as it was before its elimination step became a
     Schur complement: each step conjugates the differentials by dense
-    matrices P and Q and then restricts by selection matrices."""
+    matrices P and Q and then restricts by selection matrices.  It keeps the
+    old search order too: after each elimination the search restarts from
+    the lowest degree not yet seen unit-free, skipping the clean degrees,
+    where `minimize` makes one ascending pass."""
     kind = x.kind
     if x.is_zero():
         zc = Complex(kind, 0, (), ())
@@ -596,6 +599,11 @@ def tensor_map_by_placement(f: ChainMap, g: ChainMap) -> ChainMap:
     return ChainMap.of(src, tgt, comps)
 
 
+def _of_layers(module: C2Module, w_min: int, layers: list[Subspace]) -> FiltModule:
+    """`FiltModule.of` on one layer per weight from w_min, zero above."""
+    return FiltModule.of(module, [*enumerate(layers, w_min), (w_min + len(layers), Subspace.zero(module.dim))])
+
+
 def direct_sum_by_weights(*mods: FiltModule) -> FiltModule:
     """Direct sum with one spanned layer per weight of the union range."""
     live = [a for a in mods if not a.is_zero()]
@@ -610,7 +618,7 @@ def direct_sum_by_weights(*mods: FiltModule) -> FiltModule:
             vecs.extend(v << offset for v in a.layer(w).basis.data)
             offset += a.dim
         layers.append(Subspace.span(mod.dim, vecs))
-    return FiltModule.build(mod, w_min, layers)
+    return _of_layers(mod, w_min, layers)
 
 
 def dual_by_weights(a: FiltModule) -> FiltModule:
@@ -620,7 +628,7 @@ def dual_by_weights(a: FiltModule) -> FiltModule:
         return a
     w_min, w_max = -a.w_max, -a.w_min
     layers = [a.layer(1 - w).perp() for w in range(w_min, w_max + 2)]
-    return FiltModule.build(a.module.dual(), w_min, layers)
+    return _of_layers(a.module.dual(), w_min, layers)
 
 
 def tensor_by_weights(a: FiltModule, b: FiltModule) -> FiltModule:
@@ -640,7 +648,7 @@ def tensor_by_weights(a: FiltModule, b: FiltModule) -> FiltModule:
                 spread = sum(1 << (k * b.dim) for k in range(a.dim) if (u >> k) & 1)
                 vecs.extend(v * spread for v in lb)
         layers.append(Subspace.span(mod.dim, vecs))
-    return FiltModule.build(mod, w_min, layers)
+    return _of_layers(mod, w_min, layers)
 
 
 def weight_ge_by_weights(a: FiltModule, m: int) -> FiltModule:
@@ -651,7 +659,7 @@ def weight_ge_by_weights(a: FiltModule, m: int) -> FiltModule:
     inject = reps.transpose()
     layers = [Subspace.span(mod.dim, a.layer(w).perp().basis.mul(inject).kernel().data)
               for w in range(m, max(a.w_max, m) + 2)]
-    return FiltModule.build(mod, m, layers)
+    return _of_layers(mod, m, layers)
 
 
 def is_valid_by_weights(f: FiltMorphism) -> bool:
@@ -768,8 +776,8 @@ def random_graded_sequence(rng):
         gg = gg.add(_random_equivariant(rng, bmod, cmod))
     elif broken == 2:
         bmod = bmod.direct_sum(C2Module.trivial(1))
-        gf = gf.vstack(BitMatrix.zero(1, amod.dim))
-        gg = gg.hstack(BitMatrix.zero(cmod.dim, 1))
+        gf = BitMatrix.from_blocks(bmod.dim, amod.dim, [(0, 0, gf)])
+        gg = BitMatrix.from_blocks(cmod.dim, bmod.dim, [(0, 0, gg)])
     (amod, _, ua_inv), (bmod, ub, ub_inv), (cmod, uc, _) = (_conjugate(rng, m) for m in (amod, bmod, cmod))
     return amod, bmod, cmod, ub.mul(gf).mul(ua_inv), uc.mul(gg).mul(ub_inv)
 

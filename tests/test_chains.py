@@ -19,6 +19,7 @@ from ttfilt.chains import (
     cell_zero,
     cone,
     cone_beta,
+    cone_omega,
     cone_rho,
     direct_sum_complex,
     dual_complex,
@@ -31,6 +32,7 @@ from ttfilt.chains import (
     injres_trunc,
     invertpur_pow,
     is_nullhomotopic,
+    koszul_T,
     minimize,
     named,
     shift,
@@ -45,6 +47,7 @@ from ttfilt.chains import (
 )
 from ttfilt.functors import fgt_complex, gr_complex, min_weight, res_complex, rwz, sta_complex
 from ttfilt.samples import random_c2_module, random_chain_map, random_complex, random_formal_sum
+from ttfilt.spectrum import supp
 
 from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, tensor_diff_by_placement,
                      tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta)
@@ -438,6 +441,19 @@ def test_fundpur_is_the_literal_three_term_complex():
     literal = build_complex(C2, {2: _K, 1: _REG, 0: _K}, {2: _ETA, 1: _EPS})
     validate_complex(literal)
     assert fundpur() == literal
+
+
+@pytest.mark.parametrize("make, bottom, top, diff, support", [
+    (koszul_T, e_label(1, 1), e_label(1, 0), BitMatrix.identity(2), {"Ls", "Ms", "Ns"}),
+    (cone_beta, unit_label(1), unit_label(0), BitMatrix.identity(1), {"L", "Ls", "Ms", "Ns"}),
+    (cone_omega, e_label(0, 1), e_label(1, 0), BitMatrix.identity(2), {"Ls", "Ms", "Ns"}),
+], ids=["T", "conebeta", "coneomega"])
+def test_catalog_cones_are_the_literal_two_term_complexes(make, bottom, top, diff, support):
+    # each is the cone of an identity map top -> bottom: top in degree 1, bottom in degree 0
+    literal = build_complex(FILT, {1: realize(top), 0: realize(bottom)}, {1: diff})
+    validate_complex(literal)
+    assert make() == literal
+    assert supp(make()) == support
 
 
 # -- named complexes -----------------------------------------------------------

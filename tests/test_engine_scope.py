@@ -9,6 +9,11 @@ in `tests/helpers.py` or are written out where they are used.
 The gf2 value types and `FiltMorphism` are plain data: values are checked
 where they enter (`shell.deserialize`, the public `FiltModule`
 constructors), and no constructor of theirs checks its fields.
+
+Each job has one mechanism: `BitMatrix.from_blocks` places blocks (no
+`hstack` or `vstack`), `minimize` eliminates in one ascending pass (no
+`find_unit` search), and `FiltModule.of` is the one pair constructor (no
+`FiltModule.build`).
 """
 
 import ast
@@ -25,6 +30,8 @@ MOVED_OR_DELETED = {
     "find_chain_iso", "SearchExhausted", "chain_iso_inverse", "hom_basis", "hom_basis_c2",
     "truncate_ge", "truncate_le", "truncation_delta", "is_contractible", "gr_dims",
     "weight_part", "_weight_part_with_basis", "intersect",
+    # second mechanisms: from_blocks places blocks, minimize makes one pass
+    "hstack", "vstack", "find_unit",
 }
 
 
@@ -64,3 +71,8 @@ def test_no_moved_or_deleted_name_is_defined(path):
 def test_plain_value_types_check_nothing_on_construction(name):
     module, cls = name.split(".")
     assert "__post_init__" not in vars(getattr(importlib.import_module(f"ttfilt.{module}"), cls))
+
+
+def test_filtmodule_has_one_pair_constructor():
+    # FiltModule.of takes (weight, layer) pairs; no second builder takes one layer per weight
+    assert not hasattr(importlib.import_module("ttfilt.filtmod").FiltModule, "build")

@@ -316,7 +316,7 @@ def test_pair_constructor_merges_equal_neighbours_and_tightens():
     full, fixed, zero = e.layers
     assert FiltModule.of(e.module, [(-4, full), (-2, full), (1, fixed), (2, fixed), (4, zero)]) == e
     assert FiltModule.of(e.module, [(1, fixed), (4, zero), (6, zero)]) == e
-    assert FiltModule.build(e.module, 1, [fixed] * 3) == e
+    assert FiltModule.of(e.module, [*enumerate([fixed] * 3, 1), (4, zero)]) == e
 
 
 @pytest.mark.parametrize("weights,layers,message", [
@@ -528,8 +528,8 @@ def test_pure_sequence_not_admissible():
 def test_split_sequence_admissible():
     a, c = realize(e_label(2, 0)), realize(unit_label(1))
     ac = direct_sum(a, c)
-    inc = FiltMorphism(a, ac, BitMatrix.identity(2).vstack(BitMatrix.zero(1, 2)))
-    prj = FiltMorphism(ac, c, BitMatrix.zero(1, 2).hstack(BitMatrix.identity(1)))
+    inc = FiltMorphism(a, ac, BitMatrix.from_blocks(3, 2, [(0, 0, BitMatrix.identity(2))]))
+    prj = FiltMorphism(ac, c, BitMatrix.from_blocks(1, 3, [(0, 2, BitMatrix.identity(1))]))
     assert is_admissible(inc, prj)
 
 

@@ -32,6 +32,7 @@ from ttfilt.chains import (
     validate_complex,
 )
 from ttfilt.functors import (
+    betti,
     fgt_complex,
     gr_complex,
     gr_component_complex,
@@ -51,8 +52,8 @@ from ttfilt.functors import (
 )
 from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
 
-from helpers import (brute_exact_f2, brute_tate_dim, gr_complex_by_placement, hom_basis, hom_DE_by_single_solves,
-                     weight_zero_part)
+from helpers import (brute_exact_f2, brute_kernel_vectors, brute_tate_dim, gr_complex_by_placement, hom_basis,
+                     hom_DE_by_single_solves, weight_zero_part)
 
 
 def unit_c2():
@@ -128,6 +129,20 @@ def test_res_exactness_against_brute_force():
         y = random_complex(rng, C2, 3, term_gen=lambda: C2Module.standard(rng.randint(0, 1), rng.randint(0, 1)))
         z = res_complex(y)
         assert is_exact_F2(z) == brute_exact_f2(z)
+
+
+def test_betti_against_brute_force():
+    # h_n = log2 |ker d_n| - log2 |im d_{n+1}|, by enumeration
+    rng = random.Random(47)
+    for _ in range(12):
+        y = random_complex(rng, C2, rng.randint(1, 4), d_min=rng.randint(-2, 2),
+                           term_gen=lambda: C2Module.standard(rng.randint(0, 1), rng.randint(0, 1)))
+        z = res_complex(y)
+        brute = {n: len(brute_kernel_vectors(z.diff(n))).bit_length()
+                 - len({z.diff(n + 1).apply(v) for v in range(1 << z.dim(n + 1))}).bit_length()
+                 for n in z.degrees()}
+        assert betti(z) == {n: h for n, h in brute.items() if h}
+        assert is_exact_F2(z) == (not betti(z))
 
 
 def test_sta_values():

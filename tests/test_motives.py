@@ -1,8 +1,9 @@
 import pytest
 
-from ttfilt.motives import MotiveExpr, motivic_cohomology, realization, to_filtered
+from ttfilt.motives import CATALOG_ATOMS, MotiveExpr, expr_support, motivic_cohomology, realization, to_filtered
+from ttfilt.shell import parse
 from ttfilt.spectrum import PRIMES, supp
-from ttfilt.chains import cone_rho, fund0
+from ttfilt.chains import NAMED_PARAM, cone_rho, fund0, named
 
 
 def test_generators_translate():
@@ -22,6 +23,21 @@ def test_cone_translations():
 def test_unknown_cone_rejected():
     with pytest.raises(ValueError):
         MotiveExpr.cone_of("sigma")
+
+
+@pytest.mark.parametrize("name", ["fundpur", "epstilde", "injres", "nonsense"])
+def test_only_the_grammar_atoms_evaluate(name):
+    # chains.named also holds plain complexes and chain maps, which are no atoms
+    for f in (to_filtered, expr_support):
+        with pytest.raises(ValueError, match=f"unknown atom: {name}"):
+            f(MotiveExpr("atom", name))
+
+
+def test_every_catalog_atom_parses_and_evaluates():
+    for name in CATALOG_ATOMS:
+        e = parse(f"{name}(2)" if name in NAMED_PARAM else name)
+        assert e == MotiveExpr("atom", name, e.params)
+        assert to_filtered(e) == named(name, *e.params)
 
 
 def test_translation_structural():

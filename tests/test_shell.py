@@ -439,6 +439,25 @@ def test_cli_atlas_takes_one_spelling_per_point(point, capsys):
     assert capsys.readouterr().out == "{e(2), m(2)}\n"
 
 
+@pytest.mark.parametrize("text, support", [
+    ("T", "{Ls, Ms, Ns}"), ("conebeta", "{L, Ls, Ms, Ns}"), ("coneomega", "{Ls, Ms, Ns}"),
+])
+def test_cli_support_of_the_catalog_cones(text, support, capsys):
+    assert main(["support", text]) == 0
+    assert capsys.readouterr().out == support + "\n"
+
+
+def test_deserialize_checks_a_layer_line_inside_a_run():
+    # E(4,0) repeats its fixed line on weights 1..4: a line changed mid-run is read and checked
+    text = serialize(realize(e_label(4, 0)))
+    fixed, full = "layer 11", "layer 10|01"
+    assert text.count(fixed + "\n") == 4 and deserialize(text) == realize(e_label(4, 0))
+    lines = text.split("\n")
+    lines[lines.index(fixed) + 2] = full
+    with pytest.raises(SchemaError, match="layers must decrease"):
+        deserialize("\n".join(lines))
+
+
 def test_cli_json_like(capsys):
     assert main(["--format", "json-like", "classify", "T"]) == 0
     out = capsys.readouterr().out
