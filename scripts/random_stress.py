@@ -32,6 +32,7 @@ from ttfilt.filtmod import (
     direct_sum,
     dual,
     gr,
+    realize,
     realize_sum,
     tensor,
 )
@@ -52,8 +53,15 @@ from ttfilt.functors import (
 )
 from ttfilt.motives import expr_support, to_filtered
 from ttfilt.shell import deserialize, print_expr, serialize
-from ttfilt.samples import random_chain_map, random_complex, random_expr, random_formal_sum, scrambled_module
-from ttfilt.spectrum import is_specialization_closed, supp
+from ttfilt.samples import (
+    random_chain_map,
+    random_complex,
+    random_expr,
+    random_formal_sum,
+    random_label,
+    scrambled_module,
+)
+from ttfilt.spectrum import is_specialization_closed, label_support, supp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 # the test oracles live beside the tests
@@ -62,6 +70,7 @@ from helpers import (  # noqa: E402
     hom_basis,
     minimize_by_conjugation,
     random_graded_sequence,
+    realize_by_twist,
     split_exact_by_solve,
     validate_two_sided,
 )
@@ -188,6 +197,14 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         xa, yb = shift(single(FILT, a), p), shift(single(FILT, b), q)
         if hom_modules(xa, yb) != hom_DE(xa, yb):
             print(f"[{i}] closed-form hom law failed on {fs.text()} -> {fb.text()} in degrees {p}, {q}")
+            failures += 1
+        # a label atom's support is read off its label: the residue tests on its model must agree
+        lab = random_label(rng, max_l=rng.choice((3, 60)), weight_span=(-20, 20))
+        if realize(lab) != realize_by_twist(lab):
+            print(f"[{i}] the model of {lab.text()} differs from the one built from its module")
+            failures += 1
+        if label_support(lab) != supp(single(FILT, realize(lab))):
+            print(f"[{i}] closed-form support of {lab.text()} differs from the evaluated one")
             failures += 1
         # gf2 values check nothing on construction: every output of the round must be well formed
         plain = [fgt_complex(x), gr_complex(x), z] + [c for c in made if isinstance(c, Complex) and c.kind == C2]

@@ -186,10 +186,6 @@ def single(kind, obj, degree: int = 0) -> Complex:
     return build_complex(kind, {degree: obj}, {})
 
 
-def unit_complex() -> Complex:
-    return single(FILT, realize(unit_label(0)))
-
-
 @dataclass(frozen=True)
 class ChainMap:
     source: Complex
@@ -428,12 +424,6 @@ class MinimalForm:
     incl: ChainMap  # minimal -> original, split by proj
     proj: ChainMap  # original -> minimal; proj . incl = id exactly
     labels: tuple[tuple[int, tuple], ...]  # (degree, summand labels)
-
-    def labels_at(self, n: int) -> tuple:
-        for d, labs in self.labels:
-            if d == n:
-                return labs
-        return ()
 
 
 def _split_term(kind, obj):

@@ -167,8 +167,8 @@ class FiltModule:
     @staticmethod
     def _of(module: C2Module, pairs) -> "FiltModule":
         """`of` without the checks of __post_init__: the one unchecked
-        constructor.  Only the engine's own constructions call it (realize,
-        realize_sum, pwz_module, and direct_sum, tensor, dual, weight_ge and
+        constructor.  Only the engine's own constructions call it
+        (realize_sum, pwz_module, and direct_sum, tensor, dual, weight_ge and
         twist of valid modules), whose layers are invariant and decreasing by
         the argument in each docstring; the tests re-check their outputs
         through the public constructor, which deserializing and the sample
@@ -222,9 +222,6 @@ class FiltModule:
         representatives of `quotient_module`."""
         return quotient_module(self.module, self.layer(w), self.layer(w + 1))
 
-    def is_effective(self) -> bool:
-        return self.is_zero() or self.layer(0).is_full()
-
     def twist(self, r: int) -> "FiltModule":
         if self.is_zero() or r == 0:
             return self
@@ -242,18 +239,6 @@ def pwz_module(m: C2Module) -> FiltModule:
 
 # Entries kept by each of the realize and realize_sum caches.
 _CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def realize(label: IndecLabel) -> FiltModule:
-    """Canonical concrete model of an indecomposable label."""
-    if label.kind == UNIT:
-        return pwz_module(C2Module.trivial(1)).twist(label.m)
-    mod = C2Module.free(1)
-    if label.l == 0:
-        return pwz_module(mod).twist(label.m)
-    top = label.m + label.l + 1
-    return FiltModule._of(mod, [(label.m + 1, Subspace.span(2, (0b11,))), (top, Subspace.zero(2))])
 
 
 def direct_sum(*mods: FiltModule) -> FiltModule:
@@ -276,21 +261,21 @@ def direct_sum(*mods: FiltModule) -> FiltModule:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def realize_sum(fs: FormalSum) -> FiltModule:
-    """The standard model of fs, the direct sum of realize(label) in label
+    """The standard model of fs, the direct sum of its labels in label
     order, in closed form.  sigma is block diagonal: 1 on each 1(m), the
     swap on each E(l, m).  With a the offset of a summand, the weight-w
     layer is spanned by the summand's coordinates when m >= w, and by
     e_a + e_{a+1} for an E(l, m) with m < w <= m + l.  These vectors have
     disjoint supports and come in the order of their lowest bits, so they
     are already the reduced echelon basis.  The layers change only at the
-    weights of the summands."""
+    weights m, m + 1 and m + l + 1 of the summands (m + 1 twice when l = 0)."""
     offsets = [0, *accumulate(lab.dim for lab in fs.labels)]
     n = offsets[-1]
     sigma = []
     for lab, a in zip(fs.labels, offsets):
         sigma += [1 << a] if lab.kind == UNIT else [2 << a, 1 << a]
     pairs = []
-    for w in sorted({w for lab in fs.labels for w in realize(lab).weights}):
+    for w in sorted({w for lab in fs.labels for w in (lab.m, lab.m + 1, lab.m + lab.l + 1)}):
         vecs = []
         for lab, a in zip(fs.labels, offsets):
             if lab.m >= w:
@@ -299,6 +284,12 @@ def realize_sum(fs: FormalSum) -> FiltModule:
                 vecs.append(3 << a)
         pairs.append((w, Subspace(n, BitMatrix(len(vecs), n, tuple(vecs)))))
     return FiltModule._of(C2Module(n, BitMatrix(n, n, tuple(sigma))), pairs)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def realize(label: IndecLabel) -> FiltModule:
+    """Canonical concrete model of an indecomposable label: its one-label realize_sum."""
+    return realize_sum(FormalSum((label,)))
 
 
 def _tensor_layer(a: FiltModule, b: FiltModule, w: int) -> list[int]:

@@ -81,9 +81,6 @@ class BitMatrix:
     def entry(self, i: int, j: int) -> int:
         return (self.data[i] >> j) & 1
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.cols)] for r in self.data]
-
     def is_zero(self) -> bool:
         return not any(self.data)
 
@@ -462,12 +459,6 @@ class Subspace:
     def perp(self) -> "Subspace":
         """Orthogonal complement for the standard dot product."""
         return _perp_cached(self)
-
-    def complement(self) -> "Subspace":
-        """Complement spanned by the non-pivot coordinates (deterministic)."""
-        pivots = {b.bit_length() - 1 for b in (r & -r for r in self.basis.data)}
-        vecs = [1 << j for j in range(self.ambient) if j not in pivots]
-        return Subspace.span(self.ambient, vecs)
 
     def map_through(self, m: BitMatrix) -> "Subspace":
         """Image of this subspace under the matrix m (acting on columns)."""

@@ -6,11 +6,12 @@ complexes of the `chains` catalog and the cones of the named maps is a
 `to_filtered` translates a tree structurally into a filtered complex, and
 hom dimensions and realizations are answered by the engine on the
 translated object; `expr_support` computes supports (and so classes and
-ideal membership) on the tree, with residue tests on the leaves only.  The
-translation is a hard-coded dictionary on generators: the base point goes
-to the unit, the quadratic extension point to the pure regular module;
-the other atoms are the `CATALOG_ATOMS` of `chains.named`.  Only support-level
-statements are exposed for tensor expressions.
+ideal membership) on the tree, with label atoms in closed form and
+residue tests on the other leaves only.  The translation is a hard-coded
+dictionary on generators: the base point goes to the unit, the quadratic
+extension point to the pure regular module; the other atoms are the
+`CATALOG_ATOMS` of `chains.named`.  Only support-level statements are
+exposed for tensor expressions.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .chains import (
     tensor_complex,
     twist_complex,
 )
-from .filtmod import _CACHE_SIZE, e_label, realize, unit_label
+from .filtmod import _CACHE_SIZE, IndecLabel, e_label, realize, unit_label
 from .functors import betti, fgt_complex, hom_DE, homology, res_complex
-from .spectrum import check_support, supp
+from .spectrum import check_support, label_support, supp
 
 
 # ---------------------------------------------------------------------------
@@ -94,15 +95,20 @@ CATALOG_ATOMS = ("fund0", "T", "conebeta", "conerho", "coneomega", "fundl", "Lpu
 _LABELS = {"1": unit_label, "E": e_label}
 
 
+def _atom_label(e: MotiveExpr) -> IndecLabel | None:
+    """The label of an atom 1(n), E(l, m), M(R) or M(C); None for any other leaf."""
+    if e.op == "atom" and e.name in _LABELS:
+        return _LABELS[e.name](*e.params)
+    return GENERATORS.get(e.name) if e.op == "atom" else None
+
+
 def to_filtered(e: MotiveExpr) -> Complex:
     """Structural translation into a filtered complex."""
     if e.op == "atom":
         if e.name == "0":
             return Complex(FILT, 0, (), ())
-        if e.name in _LABELS:
-            return single(FILT, realize(_LABELS[e.name](*e.params)))
-        if e.name in GENERATORS:
-            return single(FILT, realize(GENERATORS[e.name]))
+        if (lab := _atom_label(e)) is not None:
+            return single(FILT, realize(lab))
         if e.name in CATALOG_ATOMS:
             return named(e.name, *e.params)
         raise ValueError(f"unknown atom: {e.name}")
@@ -127,22 +133,22 @@ def expr_support(e: MotiveExpr) -> frozenset:
     Support is a support datum, so
       - supp(a + b) = supp a | supp b and supp(a * b) = supp a & supp b;
       - twist, shift and dual leave the support unchanged.
-    The residue tests run only on the leaves (atoms and cones), each
-    through spectrum.supp on its own evaluated complex, memoized by a leaf
-    key with the twist normalized away: E(l,m) is keyed as E(l,0) and 1(n)
-    as 1(0), since realize(e_label(l, m)) is realize(e_label(l, 0)) twisted
-    by m; every other leaf is its own key.  Every leaf is evaluated, left to
-    right, even after an empty support has decided a product, so that an
-    invalid leaf raises as it does when the whole tree is evaluated.  No
-    tensor product is built.  The result passes the specialization-closed
-    check once more.
+    A label atom (1(n), E(l,m), M(R), M(C)) takes the closed form
+    spectrum.label_support of its label, which builds no complex.  The
+    residue tests run only on the other leaves (catalog atoms, 0 and
+    cones), each through spectrum.supp on its own evaluated complex,
+    memoized by the leaf itself.  Every leaf is read, left to right, even
+    after an empty support has decided a product, so that an invalid leaf
+    raises as it does when the whole tree is evaluated.  No tensor product
+    is built.  The result passes the specialization-closed check once more.
     """
     return check_support(_tree_support(e))
 
 
 def _tree_support(e: MotiveExpr) -> frozenset:
     if e.op in ("atom", "cone"):
-        return _leaf_support(_leaf_key(e))
+        lab = _atom_label(e)
+        return _leaf_support(e) if lab is None else label_support(lab)
     if e.op in ("twist", "shift", "dual"):
         return _tree_support(e.args[0])
     if e.op == "sum":
@@ -150,14 +156,6 @@ def _tree_support(e: MotiveExpr) -> frozenset:
     if e.op == "tensor":
         return _tree_support(e.args[0]) & _tree_support(e.args[1])
     raise ValueError(f"malformed expression: {e.op}")
-
-
-def _leaf_key(e: MotiveExpr) -> MotiveExpr:
-    if e.op == "atom" and e.name == "E":
-        return MotiveExpr("atom", "E", (e.params[0], 0))
-    if e.op == "atom" and e.name == "1":
-        return MotiveExpr("atom", "1", (0,))
-    return e
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

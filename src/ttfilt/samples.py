@@ -13,14 +13,16 @@ from .gf2 import BitMatrix, C2Module, LinearSystem
 from .chains import (
     C2,
     FILT,
+    NAMED_PARAM,
     ChainMap,
     Complex,
     _hom_block,
     build_complex,
+    chain_map_basis,
     validate_complex,
 )
 from .filtmod import FiltModule, FormalSum, IndecLabel, e_label, realize_sum, unit_label
-from .motives import MAPNAMES, MotiveExpr, to_filtered
+from .motives import CATALOG_ATOMS, GENERATORS, MAPNAMES, MotiveExpr, to_filtered
 
 
 def random_label(rng: random.Random, max_l: int = 3, weight_span: tuple[int, int] = (-2, 2)) -> IndecLabel:
@@ -98,8 +100,6 @@ def random_complex(rng: random.Random, kind: str, n_degrees: int = 3,
 
 def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:
     """Random chain map x -> y, sampled uniformly from the hom space."""
-    from .chains import chain_map_basis
-
     basis = chain_map_basis(x, y)
     f = ChainMap.of(x, y, {})
     for b in basis:
@@ -109,7 +109,8 @@ def random_chain_map(rng: random.Random, x: Complex, y: Complex) -> ChainMap:
     return f
 
 
-_CONSTANT_LEAVES = ("0", "M(R)", "M(C)", "fund0", "T", "conebeta", "conerho", "coneomega")
+# the grammar's atoms without parameters, in the order the seeded draws rely on
+_CONSTANT_LEAVES = ("0", *GENERATORS, *(a for a in CATALOG_ATOMS if a not in NAMED_PARAM))
 
 
 def random_expr(rng: random.Random, depth: int = 3, max_dim: int = 16) -> MotiveExpr:
@@ -139,7 +140,7 @@ def _random_leaf(rng: random.Random) -> MotiveExpr:
     if kind <= 2:
         return MotiveExpr("atom", "E", (rng.randint(0, 3), rng.randint(-3, 3)))
     if kind == 3:
-        return MotiveExpr("atom", rng.choice(("fundl", "Lpure")), (rng.randint(1, 2),))
+        return MotiveExpr("atom", rng.choice([a for a in CATALOG_ATOMS if a in NAMED_PARAM]), (rng.randint(1, 2),))
     if kind == 4:
         return MotiveExpr.cone_of(rng.choice(MAPNAMES))
     return MotiveExpr("atom", rng.choice(_CONSTANT_LEAVES))

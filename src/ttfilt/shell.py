@@ -18,9 +18,10 @@
 '*' binds tighter than '+'.  Sums are direct sums, '*' is the tensor.
 
 `run` answers `support`, `classify` and `member` from `expr_support` on
-the parsed tree: residue tests run on the leaves only, so no tensor
-product is built; the `--trace` line lists each prime as nonzero iff it
-lies in the support.  Every other command evaluates its arguments; `hom`
+the parsed tree: 1(n), E(l,m), M(R) and M(C) read their support off their
+label, residue tests run on the other leaves only, and no tensor product
+is built; the `--trace` line lists each prime as nonzero iff it lies in
+the support.  Every other command evaluates its arguments; `hom`
 of two modules (each in one degree, or zero) sums a closed form over their
 labels (`functors.hom_modules`), and of anything else runs `hom_DE`.
 
@@ -42,26 +43,33 @@ from .filtmod import (
     e_label,
     unit_label,
 )
+from . import spectrum
 from .chains import (
     C2,
     F2,
     FILT,
+    ChainMap,
     Complex,
     NAMED_PARAM,
     build_complex,
     cone_beta,
     dual_complex,
+    eps_tilde,
     fund0,
     fundpur,
+    invertpur_pow,
+    is_nullhomotopic,
     minimize,
     shift,
     signature,
     tensor_complex,
+    tensor_map,
     validate_complex,
 )
-from .functors import fgt_complex
-from .motives import CATALOG_ATOMS, MAPNAMES, MotiveExpr as Expr, expr_support, to_filtered as evaluate
-from .spectrum import PRIMES
+from .functors import fgt_complex, gr_complex, hom_DE, hom_modules, homology, tate_dim, tfgt
+from .motives import (CATALOG_ATOMS, MAPNAMES, MotiveExpr as Expr, expr_support, motivic_cohomology,
+                      to_filtered as evaluate)
+from .spectrum import PRIMES, support_text
 
 
 class ParseError(Exception):
@@ -555,8 +563,6 @@ def _support(text: str) -> frozenset:
 
 
 def _supp_report(command: str, query: str, points: frozenset) -> Report:
-    from .spectrum import support_text
-
     rep = Report(command, query, [support_text(points)])
     rep.trace = [f"{p}:{'nonzero' if p in points else 'zero'}" for p in sorted(PRIMES)]
     return rep
@@ -564,9 +570,6 @@ def _supp_report(command: str, query: str, points: frozenset) -> Report:
 
 def run(command: str, args: list[str]) -> Report:
     """Execute one engine query; deterministic output for fixed input."""
-    from . import spectrum
-    from .functors import gr_complex, hom_DE, hom_modules, tate_dim, tfgt
-
     if command == "decompose":
         (text,) = _args(args, 1)
         # decompose validates its certificate and raises MathEngineError if it fails
@@ -636,8 +639,6 @@ def _args(args: list[str], n: int) -> list[str]:
 
 
 def _atlas_report(args: list[str]) -> Report:
-    from . import spectrum
-
     if not args:
         raise UsageError("atlas needs a name")
     name, rest = args[0], args[1:]
@@ -655,8 +656,6 @@ def _atlas_report(args: list[str]) -> Report:
     if rest[0] == "--closed-subsets":
         if name == "DATMZ":
             raise UsageError("the integral atlas has infinitely many closed subsets")
-        from .spectrum import support_text
-
         lines = [support_text(s, atl.points) for s in atl.closed_subsets()]
         return Report("atlas", name, lines)
     if rest[0] == "--closure":
@@ -664,8 +663,6 @@ def _atlas_report(args: list[str]) -> Report:
             raise UsageError("--closure needs a point")
         if name == "DATMZ":
             return Report("atlas", f"{name} closure {rest[1]}", [atl.closure_of(rest[1]).text()])
-        from .spectrum import support_text
-
         return Report("atlas", f"{name} closure {rest[1]}",
                       [support_text(atl.closure_of(rest[1]), atl.points)])
     if rest[0] == "--compare":
@@ -681,17 +678,12 @@ def _atlas_report(args: list[str]) -> Report:
 
 
 def _verify_checks() -> list[tuple[str, bool, str]]:
-    from . import spectrum
-    from .chains import ChainMap, invertpur_pow, is_nullhomotopic, tensor_map
-    from .functors import homology, tfgt
-    from .motives import motivic_cohomology
-
     checks: list[tuple[str, bool, str]] = []
 
     def add(slug: str, got, expected):
         checks.append((slug, got == expected, f"got {got}, expected {expected}"))
 
-    sup = lambda t: spectrum.support_text(spectrum.supp(_eval_arg(t)))
+    sup = lambda t: support_text(spectrum.supp(_eval_arg(t)))
     add("support/E0", sup("E(0,0)"), "{N, Ns}")
     add("support/E1", sup("E(1,0)"), "{Ls, Ms, N, Ns}")
     add("support/E2", sup("E(2,0)"), "{L, Ls, Ms, N, Ns}")
@@ -749,14 +741,12 @@ def _verify_checks() -> list[tuple[str, bool, str]]:
 
 def _eps_power(l: int):
     """The l-fold tensor power of the counit collapse, source pre-minimized."""
-    from .chains import ChainMap, eps_tilde, minimize as mini, tensor_map
-
     f = eps_tilde()
     for _ in range(l - 1):
         f = tensor_map(f, eps_tilde())
-    mf = mini(f.source)
+    mf = minimize(f.source)
     # absorb the unit-complex target into a single degree-zero line
-    tgt = mini(f.target)
+    tgt = minimize(f.target)
     return ChainMap.of(mf.complex, tgt.complex,
                        {n: tgt.proj.comp(n).mul(f.comp(n)).mul(mf.incl.comp(n))
                         for n in mf.complex.degrees()})

@@ -14,7 +14,9 @@ from typing import Iterable
 from .chains import (
     C2,
     FILT,
+    ChainMap,
     Complex,
+    cone,
     cone_beta,
     cone_beta_rho,
     cone_rho,
@@ -26,7 +28,7 @@ from .chains import (
     twist_complex,
     upsilon,
 )
-from .filtmod import MathEngineError, e_label, realize
+from .filtmod import UNIT, IndecLabel, MathEngineError, e_label, realize
 from .functors import (
     fgt_complex,
     gr_complex,
@@ -38,7 +40,6 @@ from .functors import (
     sta_complex,
     tate_dim,
 )
-from .chains import cone
 
 PRIMES = ("L", "Ls", "M", "Ms", "N", "Ns")
 
@@ -109,6 +110,25 @@ def supp_detail(x: Complex) -> dict[str, bool]:
 
 def supp(x: Complex) -> frozenset:
     return check_support(frozenset(p for p, hit in supp_detail(x).items() if hit))
+
+
+def label_support(lab: IndecLabel) -> frozenset:
+    """Support of the indecomposable realize(lab), read off its label.
+
+    1(m) is the unit up to twist, so its support is all six primes.  For
+    E(l, m) the six tests of supp_detail on the one-term complex give:
+      - gr is kC2 when l = 0 and two trivial lines when l >= 1, so Ns
+        always, and Ms and Ls once l >= 1;
+      - fgt is kC2, so N and not M;
+      - at minimum weight 0, sta(rwz(.)) is one line in each drop degree,
+        0 and -l, and zero elsewhere.  For l >= 2 a free term lies between
+        them, so it is not exact: L is in.  For l = 1 the map between them
+        is an isomorphism, and for l = 0 every term is free: L is out.
+    `supp` of the evaluated complex stays the oracle of this closed form.
+    """
+    if lab.kind == UNIT:
+        return frozenset(PRIMES)
+    return frozenset(("N", "Ns") + ("Ls", "Ms") * (lab.l >= 1) + ("L",) * (lab.l >= 2))
 
 
 def check_support(points: frozenset) -> frozenset:
@@ -384,8 +404,6 @@ def compare(map_name: str, point: str) -> str:
 
 def pwz_map(f):
     """Lift a plain chain map to pure weight zero."""
-    from .chains import ChainMap
-
     return ChainMap.of(pwz_complex(f.source), pwz_complex(f.target), dict(f.comps))
 
 

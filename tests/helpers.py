@@ -28,10 +28,14 @@ before it decided exactness and splitting by ranks: one joint linear solve
 for the equivariant retraction and section, and `random_graded_sequence`
 draws its inputs.
 
+`realize_by_twist` is `filtmod.realize` as it was before it became the
+one-label `realize_sum`.
+
 The hom bases of cells (over `chain_map_basis`), `find_chain_iso` (a
-seeded search that may give up), the truncations and `intersect` serve
-tests only.  `check_values` runs the checks that the gf2 value types and
-`FiltMorphism` no longer run on construction.
+seeded search that may give up), the truncations, `intersect`, and the
+accessors `unit_complex`, `to_lists`, `labels_at`, `is_effective` and
+`complement` serve tests only.  `check_values` runs the checks that the
+gf2 value types and `FiltMorphism` no longer run on construction.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from ttfilt.chains import (
     validate_complex,
 )
 from ttfilt.filtmod import (
+    UNIT,
     Decomposition,
     FiltModule,
     FiltMorphism,
@@ -81,6 +86,7 @@ from ttfilt.filtmod import (
     MathEngineError,
     direct_sum,
     e_label,
+    pwz_module,
     realize,
     realize_sum,
     unit_label,
@@ -450,6 +456,33 @@ def check_values(*values) -> None:
         walk(value)
 
 
+def unit_complex() -> Complex:
+    """The unit 1(0) as a one-term filtered complex in degree 0."""
+    return single(FILT, realize(unit_label(0)))
+
+
+def to_lists(m: BitMatrix) -> list[list[int]]:
+    """The entries of m, one list of 0/1 ints per row."""
+    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def labels_at(mf: MinimalForm, n: int) -> tuple:
+    """The summand labels of the degree-n term of a minimal form; () outside its range."""
+    return dict(mf.labels).get(n, ())
+
+
+def is_effective(a: FiltModule) -> bool:
+    """True iff a has no weight below 0."""
+    return a.is_zero() or a.layer(0).is_full()
+
+
+def complement(s: Subspace) -> Subspace:
+    """The complement of s spanned by the coordinates that are not the
+    lowest set bit of a basis vector (deterministic)."""
+    pivots = {(r & -r).bit_length() - 1 for r in s.basis.data}
+    return Subspace.span(s.ambient, [1 << j for j in range(s.ambient) if j not in pivots])
+
+
 def intersect(s: Subspace, t: Subspace) -> Subspace:
     """Zassenhaus: row-reduce [u|u] for u in the basis of s and [v|0] for v
     in that of t, left half in the low bits; the reduced rows whose left
@@ -675,10 +708,23 @@ def is_valid_by_weights(f: FiltMorphism) -> bool:
     return True
 
 
+def realize_by_twist(label: IndecLabel) -> FiltModule:
+    """The model of one label built from its module: 1(m) and E(0, m) are
+    their C2-module in pure weight zero twisted by m, and E(l, m) for l >= 1
+    is kC2 with the line e0 + e1 from weight m + 1 up to m + l."""
+    if label.kind == UNIT:
+        return pwz_module(C2Module.trivial(1)).twist(label.m)
+    mod = C2Module.free(1)
+    if label.l == 0:
+        return pwz_module(mod).twist(label.m)
+    return FiltModule.of(mod, [(label.m + 1, Subspace.span(2, (0b11,))),
+                               (label.m + label.l + 1, Subspace.zero(2))])
+
+
 def realize_sum_by_direct_sum(fs: FormalSum) -> FiltModule:
-    """The standard model as the n-ary direct sum of the realized labels,
+    """The standard model as the n-ary direct sum of the labels' models,
     one spanned layer per weight of the summands."""
-    return direct_sum(*map(realize, fs.labels))
+    return direct_sum(*map(realize_by_twist, fs.labels))
 
 
 def validate_two_sided(dec: Decomposition) -> bool:

@@ -38,7 +38,6 @@ from ttfilt.chains import (
     tensor_complex,
     tensor_map,
     twist_complex,
-    unit_complex,
 )
 from ttfilt.functors import (
     fgt_complex,
@@ -63,7 +62,7 @@ from ttfilt.spectrum import (
 from ttfilt.shell import evaluate, parse, print_expr
 from ttfilt.cli import main as cli_main
 
-from helpers import find_chain_iso
+from helpers import find_chain_iso, unit_complex
 
 
 def ev(text):

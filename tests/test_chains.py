@@ -41,7 +41,6 @@ from ttfilt.chains import (
     tensor_complex,
     tensor_map,
     twist_complex,
-    unit_complex,
     upsilon,
     validate_complex,
 )
@@ -49,8 +48,9 @@ from ttfilt.functors import fgt_complex, gr_complex, min_weight, res_complex, rw
 from ttfilt.samples import random_c2_module, random_chain_map, random_complex, random_formal_sum
 from ttfilt.spectrum import supp
 
-from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, tensor_diff_by_placement,
-                     tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta)
+from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, labels_at,
+                     tensor_diff_by_placement, tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta,
+                     unit_complex)
 
 
 def unit_c2():
@@ -299,8 +299,8 @@ def test_minimal_form_has_no_unit_entries():
         for n in mf.complex.degrees():
             if n == mf.complex.d_min:
                 continue
-            labs_t = mf.labels_at(n - 1)
-            labs_s = mf.labels_at(n)
+            labs_t = labels_at(mf, n - 1)
+            labs_s = labels_at(mf, n)
             offs_t, offs_s = _offsets(kind, labs_t), _offsets(kind, labs_s)
             d = mf.complex.diff(n)
             for i, lt in enumerate(labs_t):

@@ -37,8 +37,10 @@ from helpers import (
     direct_sum_by_weights,
     dual_by_weights,
     hom_basis,
+    is_effective,
     is_valid_by_weights,
     random_graded_sequence,
+    realize_by_twist,
     realize_sum_by_direct_sum,
     split_exact_by_solve,
     tensor_by_weights,
@@ -61,6 +63,15 @@ def test_realize_pure_regular():
     e = realize(e_label(0, 3))
     assert e.dim == 2 and (e.w_min, e.w_max) == (3, 3)
     assert e.layer(3).is_full() and e.layer(4).is_zero()
+
+
+def test_realize_is_the_model_built_from_the_module():
+    # realize is the one-label realize_sum; bit for bit the model it built from the module
+    for l in range(61):
+        for m in range(-60, 61):
+            assert realize(e_label(l, m)) == realize_by_twist(e_label(l, m)), (l, m)
+    for n in range(-60, 61):
+        assert realize(unit_label(n)) == realize_by_twist(unit_label(n)), n
 
 
 def test_realize_filtered_regular():
@@ -203,9 +214,9 @@ def test_weight_ge():
 
 
 def test_effective():
-    assert realize(e_label(2, 0)).is_effective()
-    assert realize(unit_label(1)).is_effective()
-    assert not realize(unit_label(-1)).is_effective()
+    assert is_effective(realize(e_label(2, 0)))
+    assert is_effective(realize(unit_label(1)))
+    assert not is_effective(realize(unit_label(-1)))
 
 
 # -- decomposition ------------------------------------------------------------

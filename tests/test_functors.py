@@ -27,7 +27,6 @@ from ttfilt.chains import (
     tensor_complex,
     tensor_map,
     twist_complex,
-    unit_complex,
     is_nullhomotopic,
     validate_complex,
 )
@@ -53,7 +52,7 @@ from ttfilt.functors import (
 from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
 
 from helpers import (brute_exact_f2, brute_kernel_vectors, brute_tate_dim, gr_complex_by_placement, hom_basis,
-                     hom_DE_by_single_solves, weight_zero_part)
+                     hom_DE_by_single_solves, unit_complex, weight_zero_part)
 
 
 def unit_c2():

@@ -67,12 +67,13 @@ def test_hom_modules_of_units_is_the_motivic_cohomology_of_the_point():
 
 
 def test_run_hom_answers_modules_in_closed_form_and_complexes_through_hom_DE(monkeypatch):
-    from ttfilt import functors
+    from ttfilt import shell
 
+    # run reads the two functions through the names shell imports
     calls = []
     for name in ("hom_DE", "hom_modules"):
-        fn = getattr(functors, name)
-        monkeypatch.setattr(functors, name, lambda x, y, fn=fn, name=name: calls.append(name) or fn(x, y))
+        fn = getattr(shell, name)
+        monkeypatch.setattr(shell, name, lambda x, y, fn=fn, name=name: calls.append(name) or fn(x, y))
     assert run("hom", ["E(2,0) + 1(1)", "shift(E(3,1), 1)"]).result == \
         ["n=-1 dim=3", "n=0 dim=1", "n=1 dim=1", "n=2 dim=1", "n=3 dim=1"]
     assert run("hom", ["0", "1(2)"]).result == ["zero in all shifts"]

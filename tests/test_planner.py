@@ -106,12 +106,17 @@ def test_unit_atom_support_ignores_the_twist():
         assert expr_support(parse(f"1({n})")) == frozenset(PRIMES)
 
 
-def test_leaves_are_memoized_by_the_twist_normalized_key():
+def test_label_atoms_skip_the_leaf_memo_and_other_leaves_hit_it():
+    # label atoms take the closed form of their label; the memo holds catalog atoms and cones
     motives._leaf_support.cache_clear()
-    for text in ("E(3,5)", "E(3,-2)", "twist(E(3,0), 4)", "1(7)", "1(-7)", "fund0", "fund0"):
+    for text in ("E(3,5)", "E(3,-2)", "twist(E(3,0), 4)", "1(7)", "1(-7)", "M(R)", "M(C)", "E(100000,0)"):
         expr_support(parse(text))
     info = motives._leaf_support.cache_info()
-    assert (info.misses, info.hits) == (3, 4)
+    assert (info.misses, info.hits) == (0, 0)
+    for text in ("fund0", "fund0", "cone(beta) * E(2,0)", "cone(beta)"):
+        expr_support(parse(text))
+    info = motives._leaf_support.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_leaf_cache_is_bounded_like_the_realize_caches():

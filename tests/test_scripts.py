@@ -63,7 +63,7 @@ def test_cli_import_loads_motives():
 ])
 def test_cli_support_of_a_large_twist_is_fast(expr, expected):
     # the L test normalizes the twist away, so the size of the weight costs nothing;
-    # a long E(l,0) is tensored over its live degrees only (about 2 s at l = 4000)
+    # a label atom such as E(4000,0) takes its support from its label
     proc = _python("-m", "ttfilt.cli", "support", expr, timeout=30)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert expected in proc.stdout
@@ -81,6 +81,19 @@ def test_cli_long_weight_span_is_fast(argv, expected):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert all(line in lines for line in expected), proc.stdout
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["support", "E(1000000,0)"], ["{L, Ls, Ms, N, Ns}"]),
+    (["classify", "dual(E(1000000,5)) * 1(-1000000) + E(3,0)"],
+     ["support {L, Ls, Ms, N, Ns}", "ideal generated by: conebeta + E(0,0)"]),
+    (["member", "E(1000000,0)", "E(2,0)"], ["true"]),
+])
+def test_cli_support_of_a_long_label_atom_is_read_off_its_label(argv, expected):
+    # no rwz complex of l + 1 terms is built: the label gives the support, within 5 s
+    proc = _python("-m", "ttfilt.cli", *argv, timeout=5)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == expected
 
 
 @pytest.mark.parametrize("argv,expected", [

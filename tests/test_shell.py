@@ -13,6 +13,7 @@ from ttfilt.chains import (
     C2,
     F2,
     FILT,
+    NAMED_PARAM,
     ChainMap,
     build_complex,
     cone,
@@ -32,7 +33,7 @@ from ttfilt.chains import (
 )
 from ttfilt.functors import res_complex
 from ttfilt.filtmod import FiltModule, FormalSum, direct_sum, e_label, realize, unit_label
-from ttfilt.motives import MotiveExpr
+from ttfilt.motives import CATALOG_ATOMS, GENERATORS, MAPNAMES, MotiveExpr
 from ttfilt.shell import (
     ParseError,
     SchemaError,
@@ -148,11 +149,12 @@ def test_print_parse_print_roundtrip():
 _INTS = st.integers(-5, 5)
 _ATOMS = st.one_of(
     st.sampled_from([MotiveExpr("atom", name) for name in
-                     ("0", "M(R)", "M(C)", "fund0", "T", "conebeta", "conerho", "coneomega")]),
+                     ("0", *GENERATORS, *(a for a in CATALOG_ATOMS if a not in NAMED_PARAM))]),
     st.builds(lambda n: MotiveExpr("atom", "1", (n,)), _INTS),
     st.builds(lambda l, m: MotiveExpr("atom", "E", (l, m)), st.integers(0, 4), _INTS),
-    st.builds(lambda name, n: MotiveExpr("atom", name, (n,)), st.sampled_from(["fundl", "Lpure"]), _INTS),
-    st.builds(MotiveExpr.cone_of, st.sampled_from(["beta", "rho", "eta", "eps"])),
+    st.builds(lambda name, n: MotiveExpr("atom", name, (n,)),
+              st.sampled_from([a for a in CATALOG_ATOMS if a in NAMED_PARAM]), _INTS),
+    st.builds(MotiveExpr.cone_of, st.sampled_from(MAPNAMES)),
 )
 _TREES = st.recursive(_ATOMS, lambda sub: st.one_of(
     st.builds(lambda op, a, b: MotiveExpr(op, args=(a, b)), st.sampled_from(["sum", "tensor"]), sub, sub),

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ttfilt.filtmod import e_label, realize
+from ttfilt.filtmod import e_label, realize, unit_label
 from ttfilt.chains import (
     FILT,
     Complex,
@@ -13,7 +13,6 @@ from ttfilt.chains import (
     single,
     tensor_complex,
     twist_complex,
-    unit_complex,
 )
 from ttfilt.functors import is_exact_F2, is_zero_DE, min_weight, sta_complex, tfgt
 from ttfilt.samples import random_complex
@@ -26,13 +25,17 @@ from ttfilt.spectrum import (
     compare,
     ideal_contains,
     is_specialization_closed,
+    label_support,
     supp,
     supp_KbA,
     supp_detail,
     support_text,
     verify_prime_generators,
 )
+from ttfilt.motives import GENERATORS
 from ttfilt.shell import evaluate, parse
+
+from helpers import unit_complex
 
 
 def ev(text):
@@ -298,3 +301,18 @@ def test_verify_prime_generators():
 
 def test_support_text_order():
     assert support_text(frozenset({"Ns", "L", "Ms"})) == "{L, Ms, Ns}"
+
+
+def test_label_support_is_the_support_of_the_evaluated_leaf():
+    # every twist of -5 .. 5 for l <= 30; each longer l up to 200 with one of them in turn,
+    # since the residue tests cost about l per label (the whole grid takes about 50 s)
+    labels = [unit_label(n) for n in range(-50, 51)]
+    labels += [e_label(l, m) for l in range(31) for m in range(-5, 6)]
+    labels += [e_label(l, l % 11 - 5) for l in range(31, 201)]
+    labels += list(GENERATORS.values())
+    for lab in labels:
+        got = label_support(lab)
+        assert got == supp(single(FILT, realize(lab))), lab.text()
+        assert is_specialization_closed(got)
+    for name, lab in GENERATORS.items():
+        assert label_support(lab) == supp(ev(name))
