@@ -13,6 +13,7 @@ from ttfilt.chains import (
     FILT,
     ChainMap,
     Complex,
+    MinimalForm,
     cone,
     direct_sum_complex,
     dual_complex,
@@ -52,7 +53,7 @@ from ttfilt.functors import (
     tfgt,
 )
 from ttfilt.motives import expr_support, to_filtered
-from ttfilt.shell import deserialize, print_expr, serialize
+from ttfilt.shell import deserialize, parse, print_expr, serialize
 from ttfilt.samples import (
     random_chain_map,
     random_complex,
@@ -71,9 +72,16 @@ from helpers import (  # noqa: E402
     minimize_by_conjugation,
     random_graded_sequence,
     realize_by_twist,
+    split_by_gather,
     split_exact_by_solve,
     validate_two_sided,
 )
+
+
+def _random_range(rng, n: int) -> range:
+    """A contiguous range inside range(n), possibly empty, at either end or inside."""
+    lo = rng.randint(0, n)
+    return range(lo, rng.randint(lo, n))
 
 
 def main(rounds: int = 25, seed: int = 0) -> int:
@@ -206,6 +214,21 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         if label_support(lab) != supp(single(FILT, realize(lab))):
             print(f"[{i}] closed-form support of {lab.text()} differs from the evaluated one")
             failures += 1
+        # on its own generator, so the draws above stay those of earlier versions
+        side = random.Random(f"{seed}/{i}")
+        # split against the entrywise gather, on one random cut of each matrix of the round
+        mats = [d for c in made if isinstance(c, Complex) for d in c.diffs]
+        mats += [m for mf in made if isinstance(mf, MinimalForm) for _, m in mf.incl.comps + mf.proj.comps]
+        for m in mats:
+            r, c = _random_range(side, m.rows), _random_range(side, m.cols)
+            if m.split(r, c) != split_by_gather(m, r, c):
+                print(f"[{i}] split of a {m.rows} x {m.cols} matrix at {r}, {c} differs from the gather")
+                failures += 1
+        # fundl(l) and Lpure(n) take their support from the name: the residue tests must agree
+        for text in (f"fundl({side.randint(1, 40)})", f"Lpure({side.randint(-10, 10)})"):
+            if expr_support(parse(text)) != supp(to_filtered(parse(text))):
+                print(f"[{i}] planned support of {text} differs from the evaluated one")
+                failures += 1
         # gf2 values check nothing on construction: every output of the round must be well formed
         plain = [fgt_complex(x), gr_complex(x), z] + [c for c in made if isinstance(c, Complex) and c.kind == C2]
         made += [a, b, gr(a), to_filtered(e), pwz_complex(z), tfgt(x)] + plain

@@ -451,14 +451,6 @@ def _offsets(kind, labels) -> list[int]:
     return [0, *accumulate(_label_dim(kind, lab) for lab in labels)][:-1]
 
 
-def _rows(m: BitMatrix, idx) -> BitMatrix:
-    return m.submatrix(idx, range(m.cols))
-
-
-def _cols(m: BitMatrix, idx) -> BitMatrix:
-    return m.submatrix(range(m.rows), idx)
-
-
 def _rebuild_term(kind, labels):
     if kind == F2:
         return len(labels)
@@ -487,7 +479,8 @@ def minimize(x: Complex) -> MinimalForm:
     i_n becomes i_n[:, other] + i_n[:, a].a^-1.b, p_{n-1} becomes
     p_{n-1}[other, :] + c.a^-1.p_{n-1}[a, :], and d_{n+1}, d_{n-1},
     i_{n-1} and p_n only lose the rows or columns of the eliminated pair.
-    In standard coordinates a unit block is 1 or sigma, so a^-1 = a.
+    In standard coordinates a unit block is 1 or sigma, so a^-1 = a.  It lies
+    on contiguous rows and columns, so each block comes from BitMatrix.split.
     """
     kind = x.kind
     labels: dict[int, list] = {}
@@ -502,48 +495,42 @@ def minimize(x: Complex) -> MinimalForm:
             diffs[n] = proj_comps[n - 1].mul(x.diff(n)).mul(incl_comps[n])
 
     def find_unit_at(n):
-        # the block between equal labels is [a] or the equivariant
-        # [[a, b], [b, a]], a unit iff its first row is (1, 0) or (0, 1)
+        # the block between equal labels is [a] or the equivariant [[a, b], [b, a]],
+        # a unit iff its first row is (1, 0) or (0, 1): its label indices, rows and columns
         d = diffs[n]
         labs_t, labs_s = labels[n - 1], labels[n]
         offs_t, offs_s = _offsets(kind, labs_t), _offsets(kind, labs_s)
         for i, lt in enumerate(labs_t):
-            row, mask = d.data[offs_t[i]], (1 << _label_dim(kind, lt)) - 1
+            dim = _label_dim(kind, lt)
+            row, mask = d.data[offs_t[i]], (1 << dim) - 1
             for j, ls in enumerate(labs_s):
                 if lt == ls and (row >> offs_s[j]) & mask in (1, 2):
-                    return i, j
+                    return i, j, range(offs_t[i], offs_t[i] + dim), range(offs_s[j], offs_s[j] + dim)
         return None
 
     for n in sorted(diffs):
         while (hit := find_unit_at(n)) is not None:
-            i, j = hit
-            d = diffs[n]
-            dt = _label_dim(kind, labels[n - 1][i])
-            t0, s0 = _offsets(kind, labels[n - 1])[i], _offsets(kind, labels[n])[j]
-            t_idx, s_idx = range(t0, t0 + dt), range(s0, s0 + dt)
-            other_t = [r for r in range(d.rows) if r not in t_idx]
-            other_s = [c for c in range(d.cols) if c not in s_idx]
-            # d_n = [[a, b], [c, e]] with a the unit block at (t_idx, s_idx)
-            # the unit block a is 1 or sigma, so it is its own inverse
-            a = d.submatrix(t_idx, s_idx)
+            i, j, t, s = hit
+            # d_n = [[a, b], [c, e]], the unit block a at rows t and columns s
+            a, b, c, e = diffs[n].split(t, s)
             if not a.mul(a).is_identity():
                 raise MathEngineError("elimination failed to isolate the unit block")
-            if n + 1 in diffs and not _rows(d, t_idx).mul(diffs[n + 1]).is_zero():
-                raise MathEngineError("incoming differential leaks into eliminated summand")
-            if n - 1 in diffs and not diffs[n - 1].mul(_cols(d, s_idx)).is_zero():
-                raise MathEngineError("outgoing differential leaks from eliminated summand")
-            b, c = d.submatrix(t_idx, other_s), d.submatrix(other_t, s_idx)
+            if n + 1 in diffs:  # rows t of d_n.d_{n+1} vanish; d_{n+1} keeps the other rows
+                _, into_s, _, diffs[n + 1] = diffs[n + 1].split(s, range(0))
+                if not a.mul(into_s).add(b.mul(diffs[n + 1])).is_zero():
+                    raise MathEngineError("incoming differential leaks into eliminated summand")
+            if n - 1 in diffs:  # columns s of d_{n-1}.d_n vanish; d_{n-1} keeps the other columns
+                _, _, from_t, diffs[n - 1] = diffs[n - 1].split(range(0), t)
+                if not from_t.mul(a).add(diffs[n - 1].mul(c)).is_zero():
+                    raise MathEngineError("outgoing differential leaks from eliminated summand")
             ab, ca = a.mul(b), c.mul(a)
-            diffs[n] = d.submatrix(other_t, other_s).add(c.mul(ab))
-            if n + 1 in diffs:
-                diffs[n + 1] = _rows(diffs[n + 1], other_s)
-            if n - 1 in diffs:
-                diffs[n - 1] = _cols(diffs[n - 1], other_t)
-            incl_n, proj_t = incl_comps[n], proj_comps[n - 1]
-            incl_comps[n] = _cols(incl_n, other_s).add(_cols(incl_n, s_idx).mul(ab))
-            incl_comps[n - 1] = _cols(incl_comps[n - 1], other_t)
-            proj_comps[n] = _rows(proj_comps[n], other_s)
-            proj_comps[n - 1] = _rows(proj_t, other_t).add(ca.mul(_rows(proj_t, t_idx)))
+            diffs[n] = e.add(c.mul(ab))
+            _, _, incl_s, incl_rest = incl_comps[n].split(range(0), s)
+            incl_comps[n] = incl_rest.add(incl_s.mul(ab))
+            incl_comps[n - 1] = incl_comps[n - 1].split(range(0), t)[3]
+            proj_comps[n] = proj_comps[n].split(s, range(0))[3]
+            _, proj_t, _, proj_rest = proj_comps[n - 1].split(t, range(0))
+            proj_comps[n - 1] = proj_rest.add(ca.mul(proj_t))
             del labels[n][j]
             del labels[n - 1][i]
             # zero-dimensional terms keep zero-size matrices; build_complex trims ends
@@ -628,8 +615,9 @@ def fund0() -> Complex:
     return build_complex(FILT, {2: u, 1: e0, 0: u}, {2: _ETA, 1: _EPS})
 
 
+@lru_cache(maxsize=64)
 def fund_seq(l: int) -> Complex:
-    """The admissible fundamental sequence as a complex, degrees 2, 1, 0."""
+    """The admissible fundamental sequence as a complex, degrees 2, 1, 0, built once per l."""
     if l < 1:
         raise ValueError("fundamental sequences need positive length")
     return build_complex(

@@ -172,34 +172,20 @@ class BitMatrix:
             data.extend(r2 * spread for r2 in other.data)
         return BitMatrix(self.rows * other.rows, self.cols * other.cols, tuple(data))
 
-    def submatrix(self, row_idx: Iterable[int], col_idx: Iterable[int]) -> "BitMatrix":
-        """The rows row_idx (any order) and the columns col_idx, which must be
-        strictly increasing: rows are spliced from maximal contiguous runs."""
-        cols = list(col_idx)
-        if any(b <= a for a, b in zip(cols, cols[1:])):
-            raise ValueError("submatrix columns must be strictly increasing")
-        rows_sel = [self.data[i] for i in row_idx]
-        k = len(cols)
-        if k == 0 or not rows_sel:
-            return BitMatrix(len(rows_sel), k, (0,) * len(rows_sel))
-        runs = []
-        start = prev = cols[0]
-        for j in cols[1:]:
-            if j == prev + 1:
-                prev = j
-            else:
-                runs.append((start, prev - start + 1))
-                start = prev = j
-        runs.append((start, prev - start + 1))
-        out = []
-        for r in rows_sel:
-            acc = 0
-            pos = 0
-            for a, width in runs:
-                acc |= ((r >> a) & ((1 << width) - 1)) << pos
-                pos += width
-            out.append(acc)
-        return BitMatrix(len(out), k, tuple(out))
+    def split(self, r: range, c: range) -> tuple["BitMatrix", ...]:
+        """The blocks (a, b, c, e) of self = [[a, b], [c, e]] up to the order of
+        rows and columns: a on the rows r and columns c, b on the rows r and the
+        other columns, c on the other rows and the columns c, e on the rest.  r
+        and c are contiguous and may be empty; the rest keeps its order."""
+        lo, width = c.start, len(c)
+        below, inner = (1 << lo) - 1, (1 << width) - 1
+
+        def cut(rows):
+            inside = BitMatrix(len(rows), width, tuple([(x >> lo) & inner for x in rows]))
+            outside = tuple([(x & below) | ((x >> (lo + width)) << lo) for x in rows])
+            return inside, BitMatrix(len(rows), self.cols - width, outside)
+
+        return (*cut(self.data[r.start:r.stop]), *cut(self.data[:r.start] + self.data[r.stop:]))
 
     # -- elimination -------------------------------------------------------
 
@@ -403,11 +389,8 @@ class Subspace:
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[int]) -> "Subspace":
-        mat = BitMatrix(0, ambient, ())
         vecs = tuple(vectors)
-        if vecs:
-            mat = BitMatrix(len(vecs), ambient, vecs)
-        red, pivots = mat.rref()
+        red, pivots = BitMatrix(len(vecs), ambient, vecs).rref()
         return Subspace(ambient, BitMatrix(len(pivots), ambient, red.data[: len(pivots)]))
 
     @staticmethod

@@ -32,7 +32,7 @@ from .chains import (
 )
 from .filtmod import _CACHE_SIZE, IndecLabel, e_label, realize, unit_label
 from .functors import betti, fgt_complex, hom_DE, homology, res_complex
-from .spectrum import check_support, label_support, supp
+from .spectrum import PRIMES, check_support, label_support, supp
 
 
 # ---------------------------------------------------------------------------
@@ -134,21 +134,35 @@ def expr_support(e: MotiveExpr) -> frozenset:
       - supp(a + b) = supp a | supp b and supp(a * b) = supp a & supp b;
       - twist, shift and dual leave the support unchanged.
     A label atom (1(n), E(l,m), M(R), M(C)) takes the closed form
-    spectrum.label_support of its label, which builds no complex.  The
-    residue tests run only on the other leaves (catalog atoms, 0 and
-    cones), each through spectrum.supp on its own evaluated complex,
-    memoized by the leaf itself.  Every leaf is read, left to right, even
-    after an empty support has decided a product, so that an invalid leaf
-    raises as it does when the whole tree is evaluated.  No tensor product
-    is built.  The result passes the specialization-closed check once more.
+    spectrum.label_support of its label, which builds no complex, and
+    fundl(l) and Lpure(n) are read off the name:
+      - fundl(l) is the complex of the admissible short exact sequence
+        1(l) -> E(l,0) -> 1(0) (filtmod.is_admissible holds on its maps), so
+        it is acyclic, zero in the derived category: its support is empty;
+      - Lpure(n) (x) Lpure(-n) = 1(0) as pwz is a tensor functor (verify's
+        invertible/n1 and /n2 check the plain case), so by the rule for
+        a * b the support of Lpure(n) contains that of 1(0): all six primes.
+    Residue tests run only on the other leaves (the catalog atoms without a
+    parameter, 0 and the cones), each through spectrum.supp on its own
+    evaluated complex, memoized by the leaf.  Every leaf is read, left to
+    right, even after an empty support has decided a product, so that an
+    invalid leaf raises as it does when the whole tree is evaluated.  No
+    tensor product is built.  The result passes the specialization-closed
+    check once more.
     """
     return check_support(_tree_support(e))
 
 
 def _tree_support(e: MotiveExpr) -> frozenset:
+    if (lab := _atom_label(e)) is not None:
+        return label_support(lab)
+    if e.op == "atom" and e.name == "fundl":
+        to_filtered(e)  # raises for l < 1; fund_seq is built once per l, so a repeat costs a lookup
+        return frozenset()
+    if e.op == "atom" and e.name == "Lpure":
+        return frozenset(PRIMES)
     if e.op in ("atom", "cone"):
-        lab = _atom_label(e)
-        return _leaf_support(e) if lab is None else label_support(lab)
+        return _leaf_support(e)
     if e.op in ("twist", "shift", "dual"):
         return _tree_support(e.args[0])
     if e.op == "sum":

@@ -34,7 +34,9 @@ one-label `realize_sum`.
 The hom bases of cells (over `chain_map_basis`), `find_chain_iso` (a
 seeded search that may give up), the truncations, `intersect`, and the
 accessors `unit_complex`, `to_lists`, `labels_at`, `is_effective` and
-`complement` serve tests only.  `check_values` runs the checks that the
+`complement` serve tests only, and so does `gather`, the entry-by-entry
+gather that `minimize_by_conjugation` cuts blocks with and that
+`split_by_gather`, the oracle of `BitMatrix.split`, is made of.  `check_values` runs the checks that the
 gf2 value types and `FiltMorphism` no longer run on construction.
 """
 
@@ -304,8 +306,8 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
                 if lt != ls:
                     continue
                 dt = _label_dim(kind, lt)
-                block = d.submatrix(range(offs_t[i], offs_t[i] + dt),
-                                    range(offs_s[j], offs_s[j] + dt))
+                block = gather(d, range(offs_t[i], offs_t[i] + dt),
+                               range(offs_s[j], offs_s[j] + dt))
                 if block.inverse() is not None:
                     return i, j
         return None
@@ -342,10 +344,10 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
         dim_t = sum(_label_dim(kind, l) for l in labs_t)
         other_s = [c for c in range(dim_s) if c not in s_idx]
         other_t = [r for r in range(dim_t) if r not in t_idx]
-        a = d.submatrix(t_idx, s_idx)
+        a = gather(d, t_idx, s_idx)
         ainv = a.inverse()
-        b = d.submatrix(t_idx, other_s)
-        c = d.submatrix(other_t, s_idx)
+        b = gather(d, t_idx, other_s)
+        c = gather(d, other_t, s_idx)
         # P = I + E on the source term, E supported on (block rows, other cols)
         ab = ainv.mul(b)
         p_data = list(BitMatrix.identity(dim_s).data)
@@ -377,23 +379,23 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
         proj_comps[n] = p_mat.mul(proj_comps[n])
         proj_comps[n - 1] = q_mat.mul(proj_comps[n - 1])
         # split off the contractible (L = L') pair and restrict everything
-        sel_s = BitMatrix.identity(dim_s).submatrix(range(dim_s), other_s)
-        sel_s_rows = BitMatrix.identity(dim_s).submatrix(other_s, range(dim_s))
-        sel_t = BitMatrix.identity(dim_t).submatrix(range(dim_t), other_t)
-        sel_t_rows = BitMatrix.identity(dim_t).submatrix(other_t, range(dim_t))
-        new_dn = diffs[n].submatrix(other_t, other_s)
-        leak = diffs[n].submatrix(t_idx, other_s)
-        if not leak.is_zero() or not diffs[n].submatrix(other_t, s_idx).is_zero():
+        sel_s = gather(BitMatrix.identity(dim_s), range(dim_s), other_s)
+        sel_s_rows = gather(BitMatrix.identity(dim_s), other_s, range(dim_s))
+        sel_t = gather(BitMatrix.identity(dim_t), range(dim_t), other_t)
+        sel_t_rows = gather(BitMatrix.identity(dim_t), other_t, range(dim_t))
+        new_dn = gather(diffs[n], other_t, other_s)
+        leak = gather(diffs[n], t_idx, other_s)
+        if not leak.is_zero() or not gather(diffs[n], other_t, s_idx).is_zero():
             raise MathEngineError("elimination failed to isolate the unit block")
         diffs[n] = new_dn
         if n + 1 in diffs:
-            kept = diffs[n + 1].submatrix(other_s, range(diffs[n + 1].cols))
-            if not diffs[n + 1].submatrix(s_idx, range(diffs[n + 1].cols)).is_zero():
+            kept = gather(diffs[n + 1], other_s, range(diffs[n + 1].cols))
+            if not gather(diffs[n + 1], s_idx, range(diffs[n + 1].cols)).is_zero():
                 raise MathEngineError("incoming differential leaks into eliminated summand")
             diffs[n + 1] = kept
         if n - 1 in diffs:
-            kept = diffs[n - 1].submatrix(range(diffs[n - 1].rows), other_t)
-            if not diffs[n - 1].submatrix(range(diffs[n - 1].rows), t_idx).is_zero():
+            kept = gather(diffs[n - 1], range(diffs[n - 1].rows), other_t)
+            if not gather(diffs[n - 1], range(diffs[n - 1].rows), t_idx).is_zero():
                 raise MathEngineError("outgoing differential leaks from eliminated summand")
             diffs[n - 1] = kept
         incl_comps[n] = incl_comps[n].mul(sel_s)
@@ -464,6 +466,21 @@ def unit_complex() -> Complex:
 def to_lists(m: BitMatrix) -> list[list[int]]:
     """The entries of m, one list of 0/1 ints per row."""
     return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def gather(m: BitMatrix, rows, cols) -> BitMatrix:
+    """The entries of m at the given rows and columns, each list in any order,
+    read one entry at a time: the oracle of BitMatrix.split."""
+    rows, cols = list(rows), list(cols)
+    data = tuple(sum(m.entry(i, j) << k for k, j in enumerate(cols)) for i in rows)
+    return BitMatrix(len(rows), len(cols), data)
+
+
+def split_by_gather(m: BitMatrix, r: range, c: range) -> tuple[BitMatrix, ...]:
+    """BitMatrix.split(r, c), each block read through gather."""
+    other_r = [i for i in range(m.rows) if i not in r]
+    other_c = [j for j in range(m.cols) if j not in c]
+    return gather(m, r, c), gather(m, r, other_c), gather(m, other_r, c), gather(m, other_r, other_c)
 
 
 def labels_at(mf: MinimalForm, n: int) -> tuple:

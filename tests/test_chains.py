@@ -48,7 +48,7 @@ from ttfilt.functors import fgt_complex, gr_complex, min_weight, res_complex, rw
 from ttfilt.samples import random_c2_module, random_chain_map, random_complex, random_formal_sum
 from ttfilt.spectrum import supp
 
-from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, labels_at,
+from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, gather, labels_at,
                      tensor_diff_by_placement, tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta,
                      unit_complex)
 
@@ -308,8 +308,8 @@ def test_minimal_form_has_no_unit_entries():
                     if lt != ls:
                         continue
                     dt = _label_dim(kind, lt)
-                    block = d.submatrix(range(offs_t[i], offs_t[i] + dt),
-                                        range(offs_s[j], offs_s[j] + dt))
+                    block = gather(d, range(offs_t[i], offs_t[i] + dt),
+                                   range(offs_s[j], offs_s[j] + dt))
                     assert block.inverse() is None
 
 

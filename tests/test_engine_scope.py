@@ -36,6 +36,8 @@ MOVED_OR_DELETED = {
     "unit_complex", "to_lists", "labels_at", "is_effective", "complement",
     # label atoms take their support from the label, so no leaf key normalizes the twist
     "_leaf_key",
+    # the unit block lies on contiguous rows and columns: BitMatrix.split cuts every block
+    "submatrix", "_rows", "_cols",
 }
 
 

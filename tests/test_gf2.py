@@ -9,7 +9,8 @@ from ttfilt.chains import C2, single
 from ttfilt.filtmod import FiltModule
 from ttfilt.shell import SchemaError, deserialize, serialize
 
-from helpers import brute_rank, complement, hom_basis_c2, intersect, rref_by_column_scan, to_lists
+from helpers import (brute_rank, complement, gather, hom_basis_c2, intersect, rref_by_column_scan, split_by_gather,
+                     to_lists)
 
 
 def rand_matrix(rng, rows, cols):
@@ -263,10 +264,19 @@ def test_from_blocks_sums_the_placed_entries():
 
 def test_submatrix_needs_increasing_columns():
     m = BitMatrix.from_rows([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]])
-    assert to_lists(m.submatrix([2, 0], [0, 2, 3])) == [[1, 0, 1], [1, 1, 1]]
-    for cols in ([2, 0], [1, 1], [3, 2, 0]):
-        with pytest.raises(ValueError):
-            m.submatrix(range(3), cols)
+    assert to_lists(gather(m, [2, 0], [0, 2, 3])) == [[1, 0, 1], [1, 1, 1]]
+
+
+def test_split_matches_the_entrywise_gather():
+    # every pair of contiguous ranges, empty ones at both ends and inside included
+    rng = random.Random(22)
+    shapes = [(0, 0), (1, 0), (0, 3), (1, 1), (12, 12)]
+    shapes += [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(8)]
+    for rows, cols in shapes:
+        m = rand_matrix(rng, rows, cols)
+        for r in (range(i, k) for i in range(rows + 1) for k in range(i, rows + 1)):
+            for c in (range(j, l) for j in range(cols + 1) for l in range(j, cols + 1)):
+                assert m.split(r, c) == split_by_gather(m, r, c), (m, r, c)
 
 
 def _random_linear_system(rng):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ttfilt import filtmod, motives
+from ttfilt import chains, filtmod, motives
 from ttfilt.motives import expr_support
 from ttfilt.samples import random_expr
 from ttfilt.shell import Report, evaluate, parse, print_expr, run
@@ -117,6 +117,28 @@ def test_label_atoms_skip_the_leaf_memo_and_other_leaves_hit_it():
         expr_support(parse(text))
     info = motives._leaf_support.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def test_fundl_and_Lpure_supports_are_read_off_the_name():
+    # the residue tests on the evaluated leaf stay the oracle
+    texts = [f"fundl({l})" for l in range(1, 121)] + [f"Lpure({n})" for n in range(-40, 41)]
+    for text in texts:
+        assert expr_support(parse(text)) == supp(ev(text)), text
+    assert {expr_support(parse(t)) for t in texts} == {frozenset(), frozenset(PRIMES)}
+
+
+def test_fundl_and_Lpure_skip_the_leaf_memo_and_Lpure_is_not_evaluated(monkeypatch):
+    def unevaluated(n):
+        raise AssertionError(f"Lpure({n}) was evaluated")
+
+    monkeypatch.setitem(chains.NAMED_PARAM, "Lpure", unevaluated)
+    motives._leaf_support.cache_clear()
+    for text in ("fundl(1)", "fundl(30000)", "Lpure(5000)", "Lpure(-3) * fundl(2)", "twist(Lpure(0), 4)"):
+        expr_support(parse(text))
+    info = motives._leaf_support.cache_info()
+    assert (info.misses, info.hits) == (0, 0)
+    with pytest.raises(ValueError, match="fundamental sequences need positive length"):
+        expr_support(parse("Lpure(2) * fundl(0)"))
 
 
 def test_leaf_cache_is_bounded_like_the_realize_caches():

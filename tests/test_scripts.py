@@ -97,6 +97,25 @@ def test_cli_support_of_a_long_label_atom_is_read_off_its_label(argv, expected):
 
 
 @pytest.mark.parametrize("argv,expected", [
+    (["support", "fundl(1000000)"], ["{}"]),
+    (["support", "Lpure(1000000)"], ["{L, Ls, M, Ms, N, Ns}"]),
+    (["member", "fundl(1000000)", "E(0,0)"], ["true"]),
+])
+def test_cli_support_of_fundl_and_Lpure_is_read_off_the_name(argv, expected):
+    # fundl(l) is acyclic and Lpure(n) is invertible: no residue test runs, within 5 s
+    proc = _python("-m", "ttfilt.cli", *argv, timeout=5)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == expected
+
+
+def test_cli_support_of_fundl_0_still_exits_one():
+    proc = _python("-m", "ttfilt.cli", "support", "fundl(0)", timeout=30)
+    assert proc.returncode == 1
+    assert "error: fundamental sequences need positive length" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,expected", [
     (["support", "T * T * T * T * T * T * T * T"], "{Ls, Ms, Ns}"),
     (["member", "fund0 * fund0 * fund0 * fund0 * fund0 * fund0", "fund0"], "true"),
 ])
