@@ -144,9 +144,6 @@ class Complex:
             return self.diffs[i]
         return BitMatrix.zero(self.dim(n - 1), self.dim(n))
 
-    def width(self) -> int:
-        return 0 if self.is_zero() else self.d_max - self.d_min
-
 
 def build_complex(kind: str, terms: dict, diffs: dict) -> Complex:
     """Assemble and normalize a complex from degree-indexed terms and maps,

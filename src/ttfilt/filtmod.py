@@ -5,7 +5,7 @@ chain of invariant subspaces indexed by integer weights, stored only where
 it strictly drops, as a persistence barcode is stored at its critical
 values: every operation below costs by drops, not by the weight span.
 This module implements the tensor category structure (tensor, dual,
-twist), the weight functors (gr, fgt, weight parts), Krull-Schmidt
+twist), the weight functors (gr, fgt), Krull-Schmidt
 decomposition with explicit isomorphism certificates, and the
 exactness/projectivity tests that the derived-category layer builds on.
 The decomposition is one persistence reduction of N = 1 + sigma on a basis
@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .gf2 import (
     BitMatrix,
@@ -45,21 +46,16 @@ UNIT = "1"
 REG = "E"
 
 
-@dataclass(frozen=True, order=True)
-class IndecLabel:
-    """Indecomposable label: the trivial line 1(n) or the regular module E(l, m)."""
+class IndecLabel(NamedTuple):
+    """Indecomposable label: the trivial line 1(n) or the regular module E(l, m).
+
+    Plain data: kind is UNIT (with l = 0) or REG, and l >= 0.  Outside text
+    becomes a label only in the grammar (motives._atom_label) and in
+    shell.deserialize, which check these fields there."""
 
     kind: str
     l: int
     m: int
-
-    def __post_init__(self):
-        if self.kind not in (UNIT, REG):
-            raise ValueError("unknown label kind")
-        if self.kind == UNIT and self.l != 0:
-            raise ValueError("unit labels carry no length")
-        if self.l < 0:
-            raise ValueError("length must be nonnegative")
 
     @property
     def dim(self) -> int:
@@ -87,10 +83,6 @@ class FormalSum:
 
     @staticmethod
     def of(*labels: IndecLabel) -> "FormalSum":
-        return FormalSum(tuple(sorted(labels)))
-
-    @staticmethod
-    def from_iter(labels) -> "FormalSum":
         return FormalSum(tuple(sorted(labels)))
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
@@ -168,7 +160,7 @@ class FiltModule:
     def _of(module: C2Module, pairs) -> "FiltModule":
         """`of` without the checks of __post_init__: the one unchecked
         constructor.  Only the engine's own constructions call it
-        (realize_sum, pwz_module, and direct_sum, tensor, dual, weight_ge and
+        (the standard models, pwz_module, and direct_sum, tensor, dual and
         twist of valid modules), whose layers are invariant and decreasing by
         the argument in each docstring; the tests re-check their outputs
         through the public constructor, which deserializing and the sample
@@ -261,35 +253,41 @@ def direct_sum(*mods: FiltModule) -> FiltModule:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def realize_sum(fs: FormalSum) -> FiltModule:
-    """The standard model of fs, the direct sum of its labels in label
-    order, in closed form.  sigma is block diagonal: 1 on each 1(m), the
+    """The standard model of fs, the direct sum of its labels in label order."""
+    return _standard_model(fs.labels)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def realize(label: IndecLabel) -> FiltModule:
+    """Canonical concrete model of an indecomposable label, as in realize_sum."""
+    return _standard_model((label,))
+
+
+def _standard_model(labels: tuple[IndecLabel, ...]) -> FiltModule:
+    """The direct sum of labels in the given order, in closed form, uncached:
+    realize and realize_sum each keep their own cache of it, so a realize
+    miss fills no realize_sum slot.  sigma is block diagonal: 1 on each 1(m), the
     swap on each E(l, m).  With a the offset of a summand, the weight-w
     layer is spanned by the summand's coordinates when m >= w, and by
     e_a + e_{a+1} for an E(l, m) with m < w <= m + l.  These vectors have
     disjoint supports and come in the order of their lowest bits, so they
     are already the reduced echelon basis.  The layers change only at the
     weights m, m + 1 and m + l + 1 of the summands (m + 1 twice when l = 0)."""
-    offsets = [0, *accumulate(lab.dim for lab in fs.labels)]
+    offsets = [0, *accumulate(lab.dim for lab in labels)]
     n = offsets[-1]
     sigma = []
-    for lab, a in zip(fs.labels, offsets):
+    for lab, a in zip(labels, offsets):
         sigma += [1 << a] if lab.kind == UNIT else [2 << a, 1 << a]
     pairs = []
-    for w in sorted({w for lab in fs.labels for w in (lab.m, lab.m + 1, lab.m + lab.l + 1)}):
+    for w in sorted({w for lab in labels for w in (lab.m, lab.m + 1, lab.m + lab.l + 1)}):
         vecs = []
-        for lab, a in zip(fs.labels, offsets):
+        for lab, a in zip(labels, offsets):
             if lab.m >= w:
                 vecs += [1 << a] if lab.kind == UNIT else [1 << a, 2 << a]
             elif lab.kind == REG and w <= lab.m + lab.l:
                 vecs.append(3 << a)
         pairs.append((w, Subspace(n, BitMatrix(len(vecs), n, tuple(vecs)))))
     return FiltModule._of(C2Module(n, BitMatrix(n, n, tuple(sigma))), pairs)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def realize(label: IndecLabel) -> FiltModule:
-    """Canonical concrete model of an indecomposable label: its one-label realize_sum."""
-    return realize_sum(FormalSum((label,)))
 
 
 def _tensor_layer(a: FiltModule, b: FiltModule, w: int) -> list[int]:
@@ -326,19 +324,6 @@ def dual(a: FiltModule) -> FiltModule:
     if a.is_zero():
         return a
     return FiltModule._of(a.module.dual(), [(1 - top, lay.perp()) for top, lay in reversed(a.drops())])
-
-
-def weight_ge(a: FiltModule, m: int) -> FiltModule:
-    """Filtered submodule of weight at least m (weights below m filled up)."""
-    mod, reps = quotient_module(a.module, a.layer(m), Subspace.zero(a.dim))
-    if mod.dim == 0:
-        return FiltModule.zero()
-    inject = reps.transpose()
-    pairs = []
-    for w in [m] + [w for w in a.weights if w > m]:
-        cut = a.layer(w).perp().basis.mul(inject)
-        pairs.append((w, Subspace.span(mod.dim, cut.kernel().data)))
-    return FiltModule._of(mod, pairs)
 
 
 def gr(a: FiltModule) -> list[tuple[int, C2Module]]:

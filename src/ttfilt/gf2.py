@@ -78,9 +78,6 @@ class BitMatrix:
 
     # -- basic access ------------------------------------------------------
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
     def is_zero(self) -> bool:
         return not any(self.data)
 
@@ -494,9 +491,6 @@ class C2Module:
     def norm(self) -> BitMatrix:
         """The matrix 1 + sigma."""
         return self.sigma.add(BitMatrix.identity(self.dim))
-
-    def direct_sum(self, other: "C2Module") -> "C2Module":
-        return C2Module(self.dim + other.dim, BitMatrix.block_diag([self.sigma, other.sigma]))
 
     def tensor(self, other: "C2Module") -> "C2Module":
         return C2Module(self.dim * other.dim, self.sigma.kron(other.sigma))

@@ -2,7 +2,9 @@
 
 Every expression over the two generating motives M(R) and M(C), the named
 complexes of the `chains` catalog and the cones of the named maps is a
-`MotiveExpr` tree; the grammar in `shell` parses text into the same tree.
+`MotiveExpr` tree, a plain named tuple; the grammar in `shell` parses text
+into the same tree.  A label atom becomes an `IndecLabel` in `_atom_label`
+only, so the length of E(l, m) is checked there and nowhere else.
 `to_filtered` translates a tree structurally into a filtered complex, and
 hom dimensions and realizations are answered by the engine on the
 translated object; `expr_support` computes supports (and so classes and
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chains import (
     FILT,
@@ -42,50 +45,21 @@ from .spectrum import PRIMES, check_support, label_support, supp
 MAPNAMES = ("beta", "rho", "eta", "eps")
 
 
-@dataclass(frozen=True)
-class MotiveExpr:
+class MotiveExpr(NamedTuple):
     """Node of a motivic expression.
 
     op is one of: "atom" (name with integer params: "0", "1", "E", a
     generator "M(R)"/"M(C)", or a catalog name such as "fund0"), "cone" (of
     the named map in name), "twist", "shift" (one child, one param),
-    "dual" (one child), "sum", "tensor" (two children).
+    "dual" (one child), "sum", "tensor" (two children).  Plain data with
+    no builders: trees are written as MotiveExpr(...) or read by
+    shell.parse, and a + b of two trees is the tuple concatenation.
     """
 
     op: str
     name: str = ""          # atom/cone identifier
     params: tuple = ()      # integer parameters
     args: tuple = ()        # child expressions
-
-    @staticmethod
-    def base() -> "MotiveExpr":
-        return MotiveExpr("atom", "M(R)")
-
-    @staticmethod
-    def extension() -> "MotiveExpr":
-        return MotiveExpr("atom", "M(C)")
-
-    @staticmethod
-    def fundamental() -> "MotiveExpr":
-        return MotiveExpr("atom", "fund0")
-
-    @staticmethod
-    def cone_of(name: str) -> "MotiveExpr":
-        if name not in MAPNAMES:
-            raise ValueError(f"unknown named map: {name}")
-        return MotiveExpr("cone", name)
-
-    def twist(self, i: int) -> "MotiveExpr":
-        return MotiveExpr("twist", params=(i,), args=(self,))
-
-    def shift(self, n: int) -> "MotiveExpr":
-        return MotiveExpr("shift", params=(n,), args=(self,))
-
-    def __add__(self, other: "MotiveExpr") -> "MotiveExpr":
-        return MotiveExpr("sum", args=(self, other))
-
-    def __mul__(self, other: "MotiveExpr") -> "MotiveExpr":
-        return MotiveExpr("tensor", args=(self, other))
 
 
 GENERATORS = {"M(R)": unit_label(0), "M(C)": e_label(0, 0)}
@@ -96,8 +70,12 @@ _LABELS = {"1": unit_label, "E": e_label}
 
 
 def _atom_label(e: MotiveExpr) -> IndecLabel | None:
-    """The label of an atom 1(n), E(l, m), M(R) or M(C); None for any other leaf."""
+    """The label of an atom 1(n), E(l, m), M(R) or M(C); None for any other
+    leaf.  Here grammar text becomes a label, so the length is checked here:
+    ValueError for E(l, m) with l < 0."""
     if e.op == "atom" and e.name in _LABELS:
+        if e.name == "E" and e.params[0] < 0:
+            raise ValueError("length must be nonnegative")
         return _LABELS[e.name](*e.params)
     return GENERATORS.get(e.name) if e.op == "atom" else None
 

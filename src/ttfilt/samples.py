@@ -34,7 +34,7 @@ def random_label(rng: random.Random, max_l: int = 3, weight_span: tuple[int, int
 
 def random_formal_sum(rng: random.Random, max_summands: int = 6, **kw) -> FormalSum:
     n = rng.randint(1, max_summands)
-    return FormalSum.from_iter(random_label(rng, **kw) for _ in range(n))
+    return FormalSum.of(*(random_label(rng, **kw) for _ in range(n)))
 
 
 def random_invertible(rng: random.Random, n: int) -> BitMatrix:
@@ -142,5 +142,5 @@ def _random_leaf(rng: random.Random) -> MotiveExpr:
     if kind == 3:
         return MotiveExpr("atom", rng.choice([a for a in CATALOG_ATOMS if a in NAMED_PARAM]), (rng.randint(1, 2),))
     if kind == 4:
-        return MotiveExpr.cone_of(rng.choice(MAPNAMES))
+        return MotiveExpr("cone", rng.choice(MAPNAMES))
     return MotiveExpr("atom", rng.choice(_CONSTANT_LEAVES))

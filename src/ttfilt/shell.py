@@ -444,12 +444,15 @@ def serialize(value) -> str:
 
 
 def _label_parse(text: str) -> IndecLabel:
+    """The label written as 1(n) or E(l,m), l >= 0: the one place where
+    serialized text becomes a label, so its fields are checked here."""
     try:
         if text.startswith("1(") and text.endswith(")"):
             return unit_label(int(text[2:-1]))
         if text.startswith("E(") and text.endswith(")"):
-            l, m = text[2:-1].split(",")
-            return e_label(int(l), int(m))
+            l, m = map(int, text[2:-1].split(","))
+            if l >= 0:
+                return e_label(l, m)
     except ValueError:
         pass
     raise SchemaError(f"bad label '{text}'")
@@ -475,7 +478,7 @@ def _value_read(r: _LineReader):
         labs = r.field("labels")
         if labs == "-":
             return FormalSum(())
-        return FormalSum.from_iter(_label_parse(t) for t in labs.split("|"))
+        return FormalSum.of(*(_label_parse(t) for t in labs.split("|")))
     if kind == "support":
         pts = r.field("points")
         if pts == "-":

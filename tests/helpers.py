@@ -32,12 +32,13 @@ draws its inputs.
 one-label `realize_sum`.
 
 The hom bases of cells (over `chain_map_basis`), `find_chain_iso` (a
-seeded search that may give up), the truncations, `intersect`, and the
-accessors `unit_complex`, `to_lists`, `labels_at`, `is_effective` and
-`complement` serve tests only, and so does `gather`, the entry-by-entry
+seeded search that may give up), the truncations, `intersect`, the
+weight >= m part `weight_ge`, and the accessors `unit_complex`,
+`to_lists`, `entry`, `c2_direct_sum`, `width`, `labels_at`, `is_effective`
+and `complement` serve tests only, and so does `gather`, the entry-by-entry
 gather that `minimize_by_conjugation` cuts blocks with and that
 `split_by_gather`, the oracle of `BitMatrix.split`, is made of.  `check_values` runs the checks that the
-gf2 value types and `FiltMorphism` no longer run on construction.
+gf2 value types, `FiltMorphism` and `IndecLabel` no longer run on construction.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from ttfilt.chains import (
     validate_complex,
 )
 from ttfilt.filtmod import (
+    REG,
     UNIT,
     Decomposition,
     FiltModule,
@@ -364,7 +366,7 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
         for k, row_i in enumerate(other_t):
             add = 0
             for bi in range(dt):
-                if ca.entry(k, bi):
+                if entry(ca, k, bi):
                     add |= 1 << t_idx[bi]
             q_data[row_i] ^= add
         q_mat = BitMatrix(dim_t, dim_t, tuple(q_data))
@@ -417,17 +419,26 @@ def minimize_by_conjugation(x: Complex) -> MinimalForm:
 
 
 def check_values(*values) -> None:
-    """ValueError unless every matrix, subspace, module and filtered
-    morphism reachable from values, through dataclass fields, tuples, lists
-    and dicts, is well formed: a matrix has `rows` rows, none with a bit
-    past `cols`; a subspace's basis has `ambient` columns; a module's sigma
-    is a dim x dim involution; a morphism's matrix is target x source."""
+    """ValueError unless every matrix, subspace, module, filtered
+    morphism and label reachable from values, through dataclass fields,
+    tuples, lists and dicts, is well formed: a matrix has `rows` rows, none
+    with a bit past `cols`; a subspace's basis has `ambient` columns; a
+    module's sigma is a dim x dim involution; a morphism's matrix is
+    target x source; a label is 1(n) with no length or E(l, m) with l >= 0."""
     seen: set[int] = set()
 
     def walk(v) -> None:
         if isinstance(v, (int, str)) or id(v) in seen:
             return
         seen.add(id(v))
+        if isinstance(v, IndecLabel):
+            if v.kind not in (UNIT, REG):
+                raise ValueError("unknown label kind")
+            if v.kind == UNIT and v.l != 0:
+                raise ValueError("unit labels carry no length")
+            if v.l < 0:
+                raise ValueError("length must be nonnegative")
+            return
         if isinstance(v, BitMatrix):
             if len(v.data) != v.rows:
                 raise ValueError(f"row count mismatch: {len(v.data)} rows stored for {v.rows}")
@@ -463,16 +474,31 @@ def unit_complex() -> Complex:
     return single(FILT, realize(unit_label(0)))
 
 
+def entry(m: BitMatrix, i: int, j: int) -> int:
+    """The entry of m in row i and column j."""
+    return (m.data[i] >> j) & 1
+
+
+def c2_direct_sum(*mods: C2Module) -> C2Module:
+    """The direct sum of kC2-modules, in the given order."""
+    return C2Module(sum(a.dim for a in mods), BitMatrix.block_diag([a.sigma for a in mods]))
+
+
+def width(x: Complex) -> int:
+    """d_max - d_min, or 0 for the zero complex."""
+    return 0 if x.is_zero() else x.d_max - x.d_min
+
+
 def to_lists(m: BitMatrix) -> list[list[int]]:
     """The entries of m, one list of 0/1 ints per row."""
-    return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+    return [[entry(m, i, j) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def gather(m: BitMatrix, rows, cols) -> BitMatrix:
     """The entries of m at the given rows and columns, each list in any order,
     read one entry at a time: the oracle of BitMatrix.split."""
     rows, cols = list(rows), list(cols)
-    data = tuple(sum(m.entry(i, j) << k for k, j in enumerate(cols)) for i in rows)
+    data = tuple(sum(entry(m, i, j) << k for k, j in enumerate(cols)) for i in rows)
     return BitMatrix(len(rows), len(cols), data)
 
 
@@ -701,6 +727,20 @@ def tensor_by_weights(a: FiltModule, b: FiltModule) -> FiltModule:
     return _of_layers(mod, w_min, layers)
 
 
+def weight_ge(a: FiltModule, m: int) -> FiltModule:
+    """Filtered submodule of weight at least m (weights below m filled up),
+    one layer per stored weight above m."""
+    mod, reps = quotient_module(a.module, a.layer(m), Subspace.zero(a.dim))
+    if mod.dim == 0:
+        return FiltModule.zero()
+    inject = reps.transpose()
+    pairs = []
+    for w in [m] + [w for w in a.weights if w > m]:
+        cut = a.layer(w).perp().basis.mul(inject)
+        pairs.append((w, Subspace.span(mod.dim, cut.kernel().data)))
+    return FiltModule.of(mod, pairs)
+
+
 def weight_ge_by_weights(a: FiltModule, m: int) -> FiltModule:
     """The weight >= m part, its layer cut out at every weight from m to the top."""
     mod, reps = quotient_module(a.module, a.layer(m), Subspace.zero(a.dim))
@@ -825,8 +865,8 @@ def random_graded_sequence(rng):
     a1, a2, c1, c2 = (rng.randint(0, 2) for _ in range(4))
     j = rng.choice((0, 0, 0, 1, 2, 3))
     a0, c0, reg = C2Module.standard(a1, a2), C2Module.standard(c1, c2), C2Module.free(j)
-    amod, cmod = a0.direct_sum(C2Module.trivial(j)), c0.direct_sum(C2Module.trivial(j))
-    bmod = a0.direct_sum(c0).direct_sum(reg)
+    amod, cmod = c2_direct_sum(a0, C2Module.trivial(j)), c2_direct_sum(c0, C2Module.trivial(j))
+    bmod = c2_direct_sum(a0, c0, reg)
     eta, eps = BitMatrix.block_diag([_ETA] * j), BitMatrix.block_diag([_EPS] * j)
     gf = BitMatrix.from_blocks(bmod.dim, amod.dim,
                                [(0, 0, BitMatrix.identity(a0.dim)), (a0.dim + c0.dim, a0.dim, eta)])
@@ -838,7 +878,7 @@ def random_graded_sequence(rng):
     elif broken == 1:
         gg = gg.add(_random_equivariant(rng, bmod, cmod))
     elif broken == 2:
-        bmod = bmod.direct_sum(C2Module.trivial(1))
+        bmod = c2_direct_sum(bmod, C2Module.trivial(1))
         gf = BitMatrix.from_blocks(bmod.dim, amod.dim, [(0, 0, gf)])
         gg = BitMatrix.from_blocks(cmod.dim, bmod.dim, [(0, 0, gg)])
     (amod, _, ua_inv), (bmod, ub, ub_inv), (cmod, uc, _) = (_conjugate(rng, m) for m in (amod, bmod, cmod))

@@ -62,7 +62,7 @@ from ttfilt.spectrum import (
 from ttfilt.shell import evaluate, parse, print_expr
 from ttfilt.cli import main as cli_main
 
-from helpers import find_chain_iso, unit_complex
+from helpers import find_chain_iso, unit_complex, width
 
 
 def ev(text):
@@ -215,7 +215,7 @@ def test_08_nilpotence():
              tensor_complex(fundpur(), fundpur())]
     ok = True
     for m in cases:
-        bound = m.width() + 1
+        bound = width(m) + 1
         idm = ChainMap.identity(m)
         found = None
         for l in range(1, bound + 1):

@@ -50,7 +50,7 @@ from ttfilt.spectrum import supp
 
 from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, gather, labels_at,
                      tensor_diff_by_placement, tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta,
-                     unit_complex)
+                     unit_complex, width)
 
 
 def unit_c2():
@@ -523,7 +523,7 @@ def _eps_power_map(l: int) -> ChainMap:
 ])
 def test_nilpotence_bound(build_m):
     m = build_m()
-    bound = m.width() + 1
+    bound = width(m) + 1
     idm = ChainMap.identity(m)
     found = None
     for l in range(1, bound + 1):

@@ -6,9 +6,11 @@ bases of cells, the bounded search for chain isomorphisms, the truncations,
 `Subspace.intersect` and the one-line wrappers and accessors that only
 tests used live in `tests/helpers.py` or are written out where they are used.
 
-The gf2 value types and `FiltMorphism` are plain data: values are checked
-where they enter (`shell.deserialize`, the public `FiltModule`
-constructors), and no constructor of theirs checks its fields.
+The gf2 value types, `FiltMorphism`, the labels `IndecLabel` and the trees
+`MotiveExpr` are plain data: values are checked where they enter
+(`shell.deserialize`, the grammar's label atoms, the public `FiltModule`
+constructors), and no constructor of theirs checks its fields.  Trees have
+no builder methods, and a formal sum has one constructor, `FormalSum.of`.
 
 Each job has one mechanism: `BitMatrix.from_blocks` places blocks (no
 `hstack` or `vstack`), `minimize` eliminates in one ascending pass (no
@@ -38,6 +40,8 @@ MOVED_OR_DELETED = {
     "_leaf_key",
     # the unit block lies on contiguous rows and columns: BitMatrix.split cuts every block
     "submatrix", "_rows", "_cols",
+    # a truncation that states no claim of the paper: only the tests take it
+    "weight_ge",
 }
 
 
@@ -73,7 +77,8 @@ def test_no_moved_or_deleted_name_is_defined(path):
     assert not defined & MOVED_OR_DELETED
 
 
-@pytest.mark.parametrize("name", ["gf2.BitMatrix", "gf2.Subspace", "gf2.C2Module", "filtmod.FiltMorphism"])
+@pytest.mark.parametrize("name", ["gf2.BitMatrix", "gf2.Subspace", "gf2.C2Module", "filtmod.FiltMorphism",
+                                  "filtmod.IndecLabel", "motives.MotiveExpr"])
 def test_plain_value_types_check_nothing_on_construction(name):
     module, cls = name.split(".")
     assert "__post_init__" not in vars(getattr(importlib.import_module(f"ttfilt.{module}"), cls))
@@ -82,3 +87,17 @@ def test_plain_value_types_check_nothing_on_construction(name):
 def test_filtmodule_has_one_pair_constructor():
     # FiltModule.of takes (weight, layer) pairs; no second builder takes one layer per weight
     assert not hasattr(importlib.import_module("ttfilt.filtmod").FiltModule, "build")
+
+
+def test_trees_have_no_builders_and_test_only_methods_are_gone():
+    # by attribute, not by name: twist, shift, extension and direct_sum also name engine functions
+    gf2, chains, filtmod, motives = (importlib.import_module(f"ttfilt.{m}")
+                                     for m in ("gf2", "chains", "filtmod", "motives"))
+    tree = motives.MotiveExpr
+    for name in ("base", "extension", "fundamental", "cone_of", "twist", "shift"):
+        assert not hasattr(tree, name), name
+    # + and * are those of a tuple: they concatenate and repeat, and build no node
+    assert tree.__add__ is tuple.__add__ and tree.__mul__ is tuple.__mul__
+    assert hasattr(filtmod.FormalSum, "of") and not hasattr(filtmod.FormalSum, "from_iter")
+    for cls, name in ((gf2.BitMatrix, "entry"), (gf2.C2Module, "direct_sum"), (chains.Complex, "width")):
+        assert not hasattr(cls, name), name

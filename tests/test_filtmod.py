@@ -10,6 +10,7 @@ from ttfilt.filtmod import (
     FiltModule,
     FiltMorphism,
     FormalSum,
+    IndecLabel,
     MathEngineError,
     _split_exact_equivariant,
     beta_map,
@@ -26,7 +27,6 @@ from ttfilt.filtmod import (
     realize_sum,
     tensor,
     unit_label,
-    weight_ge,
 )
 from ttfilt.samples import random_c2_module, random_formal_sum, random_invertible, scrambled_module
 
@@ -45,6 +45,7 @@ from helpers import (
     split_exact_by_solve,
     tensor_by_weights,
     validate_two_sided,
+    weight_ge,
     weight_ge_by_weights,
 )
 
@@ -66,12 +67,32 @@ def test_realize_pure_regular():
 
 
 def test_realize_is_the_model_built_from_the_module():
-    # realize is the one-label realize_sum; bit for bit the model it built from the module
+    # realize is the one-label standard model; bit for bit the model it built from the module
     for l in range(61):
         for m in range(-60, 61):
             assert realize(e_label(l, m)) == realize_by_twist(e_label(l, m)), (l, m)
     for n in range(-60, 61):
         assert realize(unit_label(n)) == realize_by_twist(unit_label(n)), n
+
+
+def test_a_realize_miss_leaves_the_realize_sum_cache_alone():
+    # each cache holds its own models, so a one-label model is not stored twice
+    label = e_label(7, 9_876_543)
+    before = realize_sum.cache_info()
+    model = realize(label)
+    assert realize_sum.cache_info() == before
+    assert model == realize_sum(FormalSum((label,)))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("E", -1, 0), "length must be nonnegative"),
+    (("1", 2, 0), "unit labels carry no length"),
+    (("X", 0, 0), "unknown label kind"),
+])
+def test_check_values_rejects_a_malformed_label(fields, message):
+    # only a label written by hand can be malformed: the readers of text check theirs
+    with pytest.raises(ValueError, match=message):
+        check_values([realize(unit_label(0)), FormalSum((IndecLabel(*fields),))])
 
 
 def test_realize_filtered_regular():
@@ -235,7 +256,7 @@ def _corpus_sum(rng: random.Random) -> FormalSum:
     pool = [unit_label(rng.choice(weights)) if rng.random() < 0.4
             else e_label(rng.randint(0, 4), rng.choice(weights))
             for _ in range(rng.randint(1, 6))]
-    return FormalSum.from_iter(rng.choice(pool) for _ in range(rng.randint(1, 12)))
+    return FormalSum.of(*(rng.choice(pool) for _ in range(rng.randint(1, 12))))
 
 
 def test_decompose_scrambled():

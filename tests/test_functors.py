@@ -379,7 +379,7 @@ def test_subquotient_functors_pass_the_full_validation():
     cases = [random_complex(rng, FILT, rng.randint(1, 4)) for _ in range(40)]
     cases += [single(FILT, realize(e_label(l, 0))) for l in range(9)]
     atoms = [MotiveExpr("atom", name) for name in _CONSTANT_LEAVES]
-    atoms += [MotiveExpr.cone_of(name) for name in MAPNAMES]
+    atoms += [MotiveExpr("cone", name) for name in MAPNAMES]
     atoms += [MotiveExpr("atom", name, (l,)) for name in ("fundl", "Lpure") for l in (1, 2, 3)]
     cases += [to_filtered(e) for e in atoms]
     for x in cases:

@@ -245,7 +245,7 @@ def test_decompose_labels_move_with_a_twist():
     for a in [FiltModule.zero()] + [scrambled_module(rng, fs) for fs in sums]:
         labs = decompose(a).sum.labels
         for r in (-4, -1, 1, 3):
-            moved = FormalSum.from_iter(IndecLabel(lab.kind, lab.l, lab.m + r) for lab in labs)
+            moved = FormalSum.of(*(IndecLabel(lab.kind, lab.l, lab.m + r) for lab in labs))
             assert decompose(a.twist(r)).sum == moved, r
 
 

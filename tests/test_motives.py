@@ -1,28 +1,30 @@
 import pytest
 
 from ttfilt.motives import CATALOG_ATOMS, MotiveExpr, expr_support, motivic_cohomology, realization, to_filtered
-from ttfilt.shell import parse
+from ttfilt.shell import ParseError, parse
 from ttfilt.spectrum import PRIMES, supp
 from ttfilt.chains import NAMED_PARAM, cone_rho, fund0, named
 
 
 def test_generators_translate():
-    assert supp(to_filtered(MotiveExpr.extension())) == frozenset({"N", "Ns"})
-    assert supp(to_filtered(MotiveExpr.base())) == frozenset(PRIMES)
+    assert supp(to_filtered(parse("M(C)"))) == frozenset({"N", "Ns"})
+    assert supp(to_filtered(parse("M(R)"))) == frozenset(PRIMES)
 
 
 def test_cone_translations():
-    assert to_filtered(MotiveExpr.cone_of("rho")) == cone_rho()
-    assert supp(to_filtered(MotiveExpr.cone_of("beta"))) == frozenset({"L", "Ls", "Ms", "Ns"})
+    assert to_filtered(parse("cone(rho)")) == cone_rho()
+    assert supp(to_filtered(parse("cone(beta)"))) == frozenset({"L", "Ls", "Ms", "Ns"})
     # the cones of the unit and counit of the extension point are invertible
-    assert supp(to_filtered(MotiveExpr.cone_of("eta"))) == frozenset(PRIMES)
-    assert supp(to_filtered(MotiveExpr.cone_of("eps"))) == frozenset(PRIMES)
-    assert to_filtered(MotiveExpr.fundamental()) == fund0()
+    assert supp(to_filtered(parse("cone(eta)"))) == frozenset(PRIMES)
+    assert supp(to_filtered(parse("cone(eps)"))) == frozenset(PRIMES)
+    assert to_filtered(parse("fund0")) == fund0()
 
 
 def test_unknown_cone_rejected():
-    with pytest.raises(ValueError):
-        MotiveExpr.cone_of("sigma")
+    with pytest.raises(ParseError, match="unknown map name 'sigma'"):
+        parse("cone(sigma)")
+    with pytest.raises(ValueError, match="unknown name: conesigma"):
+        to_filtered(MotiveExpr("cone", "sigma"))
 
 
 @pytest.mark.parametrize("name", ["fundpur", "epstilde", "injres", "nonsense"])
@@ -41,22 +43,22 @@ def test_every_catalog_atom_parses_and_evaluates():
 
 
 def test_translation_structural():
-    e = (MotiveExpr.extension().twist(2) + MotiveExpr.base().shift(1)) * MotiveExpr.cone_of("beta")
-    x = to_filtered(e)
-    left = to_filtered(MotiveExpr.extension().twist(2) + MotiveExpr.base().shift(1))
-    right = to_filtered(MotiveExpr.cone_of("beta"))
-    assert supp(x) == supp(left) & supp(right)
+    left = MotiveExpr("sum", args=(MotiveExpr("twist", params=(2,), args=(parse("M(C)"),)),
+                                   MotiveExpr("shift", params=(1,), args=(parse("M(R)"),))))
+    right = parse("cone(beta)")
+    x = to_filtered(MotiveExpr("tensor", args=(left, right)))
+    assert supp(x) == supp(to_filtered(left)) & supp(to_filtered(right))
 
 
 def test_tensor_supports_are_homomorphic():
     pairs = [
-        (MotiveExpr.extension(), MotiveExpr.cone_of("beta")),
-        (MotiveExpr.fundamental(), MotiveExpr.extension()),
-        (MotiveExpr.cone_of("rho"), MotiveExpr.cone_of("beta")),
+        (parse("M(C)"), parse("cone(beta)")),
+        (parse("fund0"), parse("M(C)")),
+        (parse("cone(rho)"), parse("cone(beta)")),
     ]
     for e1, e2 in pairs:
-        assert supp(to_filtered(e1 * e2)) == supp(to_filtered(e1)) & supp(to_filtered(e2))
-        assert supp(to_filtered(e1 + e2)) == supp(to_filtered(e1)) | supp(to_filtered(e2))
+        assert supp(to_filtered(MotiveExpr("tensor", args=(e1, e2)))) == supp(to_filtered(e1)) & supp(to_filtered(e2))
+        assert supp(to_filtered(MotiveExpr("sum", args=(e1, e2)))) == supp(to_filtered(e1)) | supp(to_filtered(e2))
 
 
 def test_cohomology_window():
@@ -66,14 +68,14 @@ def test_cohomology_window():
 
 
 def test_realizations():
-    assert realization("etale", MotiveExpr.fundamental()).homology_splits == {}
-    bc = realization("base_change", MotiveExpr.extension())
+    assert realization("etale", parse("fund0")).homology_splits == {}
+    bc = realization("base_change", parse("M(C)"))
     assert bc.dims == {0: 2} and bc.homology_dims == {0: 2}
     assert bc.support_shadow == frozenset({"N", "Ns"})
-    assert realization("real", MotiveExpr.cone_of("beta")).support_shadow == frozenset({"L"})
-    assert realization("real", MotiveExpr.base()).support_shadow == frozenset({"L", "M"})
+    assert realization("real", parse("cone(beta)")).support_shadow == frozenset({"L"})
+    assert realization("real", parse("M(R)")).support_shadow == frozenset({"L", "M"})
     with pytest.raises(ValueError):
-        realization("crystalline", MotiveExpr.base())
+        realization("crystalline", parse("M(R)"))
 
 
 def test_prime_generator_dictionary():
@@ -82,12 +84,12 @@ def test_prime_generator_dictionary():
     from ttfilt.chains import direct_sum_complex
 
     table = {
-        "Ls": [MotiveExpr.extension()],
-        "Ns": [MotiveExpr.fundamental()],
-        "L": [MotiveExpr.cone_of("rho")],
-        "N": [MotiveExpr.cone_of("beta")],
-        "Ms": [MotiveExpr.extension(), MotiveExpr.fundamental()],
-        "M": [MotiveExpr.cone_of("rho"), MotiveExpr.cone_of("beta")],
+        "Ls": [parse("M(C)")],
+        "Ns": [parse("fund0")],
+        "L": [parse("cone(rho)")],
+        "N": [parse("cone(beta)")],
+        "Ms": [parse("M(C)"), parse("fund0")],
+        "M": [parse("cone(rho)"), parse("cone(beta)")],
     }
     for prime, gens in table.items():
         union = frozenset()

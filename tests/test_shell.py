@@ -154,7 +154,7 @@ _ATOMS = st.one_of(
     st.builds(lambda l, m: MotiveExpr("atom", "E", (l, m)), st.integers(0, 4), _INTS),
     st.builds(lambda name, n: MotiveExpr("atom", name, (n,)),
               st.sampled_from([a for a in CATALOG_ATOMS if a in NAMED_PARAM]), _INTS),
-    st.builds(MotiveExpr.cone_of, st.sampled_from(MAPNAMES)),
+    st.builds(lambda name: MotiveExpr("cone", name), st.sampled_from(MAPNAMES)),
 )
 _TREES = st.recursive(_ATOMS, lambda sub: st.one_of(
     st.builds(lambda op, a, b: MotiveExpr(op, args=(a, b)), st.sampled_from(["sum", "tensor"]), sub, sub),
@@ -172,9 +172,11 @@ def test_parse_inverts_print_expr(e):
 
 def test_print_expr_parenthesizes_right_nesting():
     a, b, c = parse("E(1,0)"), parse("1(2)"), parse("E(0,1)")
-    assert print_expr(a + (b + c)) == "E(1,0) + (1(2) + E(0,1))"
-    assert print_expr(a * (b * c)) == "E(1,0) * (1(2) * E(0,1))"
-    assert print_expr((a + b) + c) == "E(1,0) + 1(2) + E(0,1)"
+    for op, sign in (("sum", "+"), ("tensor", "*")):
+        right = MotiveExpr(op, args=(a, MotiveExpr(op, args=(b, c))))
+        assert print_expr(right) == f"E(1,0) {sign} (1(2) {sign} E(0,1))"
+    left = MotiveExpr("sum", args=(MotiveExpr("sum", args=(a, b)), c))
+    assert print_expr(left) == "E(1,0) + 1(2) + E(0,1)"
 
 
 def test_evaluate_atoms():
@@ -206,8 +208,10 @@ def test_evaluate_atoms():
 
 
 def test_motive_expr_is_the_grammar_tree():
-    gen_r, gen_c = MotiveExpr.base(), MotiveExpr.extension()
-    e = (gen_c.twist(2) + gen_r.shift(1)) * MotiveExpr.cone_of("eta") + MotiveExpr.fundamental()
+    gen_r, gen_c = MotiveExpr("atom", "M(R)"), MotiveExpr("atom", "M(C)")
+    twisted, shifted = MotiveExpr("twist", params=(2,), args=(gen_c,)), MotiveExpr("shift", params=(1,), args=(gen_r,))
+    product = MotiveExpr("tensor", args=(MotiveExpr("sum", args=(twisted, shifted)), MotiveExpr("cone", "eta")))
+    e = MotiveExpr("sum", args=(product, MotiveExpr("atom", "fund0")))
     assert print_expr(e) == "(twist(M(C), 2) + shift(M(R), 1)) * cone(eta) + fund0"
     assert parse(print_expr(e)) == e
 
@@ -259,6 +263,12 @@ def test_serialize_roundtrip_formalsum_and_support():
     assert deserialize(serialize(fs)) == fs
     s = frozenset({"L", "Ls"})
     assert deserialize(serialize(s)) == s
+
+
+def test_deserialize_rejects_a_negative_length():
+    with pytest.raises(SchemaError) as err:
+        deserialize("ttfilt-io 1\ntype formalsum\nlabels E(1,0)|E(-2,3)\n")
+    assert str(err.value) == "bad label 'E(-2,3)'"
 
 
 def test_deserialize_rejects_unstable_layer():
@@ -429,6 +439,14 @@ def test_cli_exit_codes(capsys):
     assert "{L, Ls}" in out
     assert main(["support", "fund0 +"]) == 1
     assert main(["atlas", "NOPE"]) == 1
+
+
+@pytest.mark.parametrize("argv", [["support", "E(-1,0)"], ["decompose", "E(-1,0)"], ["hom", "1", "E(-1,0)"]])
+def test_cli_rejects_a_negative_length(argv, capsys):
+    # the grammar reader checks E(l, m) where its text becomes a label
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: length must be nonnegative\n")
 
 
 @pytest.mark.parametrize("point", ["e(02)", "e(+3)", "m( 5)"])
