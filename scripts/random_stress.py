@@ -28,6 +28,7 @@ from ttfilt.chains import (
 )
 from ttfilt.filtmod import (
     FiltModule,
+    FormalSum,
     _split_exact_equivariant,
     decompose,
     direct_sum,
@@ -52,26 +53,24 @@ from ttfilt.functors import (
     tate_dim,
     tfgt,
 )
-from ttfilt.motives import expr_support, to_filtered
+from ttfilt.motives import expr_labels, expr_support, to_filtered
 from ttfilt.shell import deserialize, parse, print_expr, serialize
-from ttfilt.samples import (
-    random_chain_map,
-    random_complex,
-    random_expr,
-    random_formal_sum,
-    random_label,
-    scrambled_module,
-)
+from ttfilt.samples import random_complex, random_formal_sum, random_label
 from ttfilt.spectrum import is_specialization_closed, label_support, supp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-# the test oracles live beside the tests
+# the test oracles and the samplers built on ttfilt.samples live beside the tests
 from helpers import (  # noqa: E402
     check_values,
+    has_sum_in_two_degrees,
     hom_basis,
     minimize_by_conjugation,
+    random_chain_map,
+    random_expr,
     random_graded_sequence,
+    random_module_tree,
     realize_by_twist,
+    scrambled_module,
     split_by_gather,
     split_exact_by_solve,
     validate_two_sided,
@@ -229,6 +228,15 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             if expr_support(parse(text)) != supp(to_filtered(parse(text))):
                 print(f"[{i}] planned support of {text} differs from the evaluated one")
                 failures += 1
+        # the label planner reads the labels off the tree: decompose of the evaluated module must agree
+        t = random_module_tree(side)
+        planned, xt = expr_labels(t), to_filtered(t)
+        if planned is None and not has_sum_in_two_degrees(t):
+            print(f"[{i}] the label planner gave up on the module {print_expr(t)}")
+            failures += 1
+        elif planned is not None and (FormalSum(()) if xt.is_zero() else decompose(xt.term(planned[0])).sum) != planned[1]:
+            print(f"[{i}] planned labels differ from the decomposition on {print_expr(t)}")
+            failures += 1
         # gf2 values check nothing on construction: every output of the round must be well formed
         plain = [fgt_complex(x), gr_complex(x), z] + [c for c in made if isinstance(c, Complex) and c.kind == C2]
         made += [a, b, gr(a), to_filtered(e), pwz_complex(z), tfgt(x)] + plain

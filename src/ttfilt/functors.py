@@ -9,10 +9,11 @@ derived weight-zero functors rwz / tfgt.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain
 
 from .gf2 import BitMatrix, C2Module, Subspace, image, kernel_space, quotient_module, induced_map
-from .filtmod import UNIT, FiltMorphism, MathEngineError, _tensor_layer, decompose, fgt, gr_map, pwz_module
+from .filtmod import (UNIT, FiltMorphism, FormalSum, MathEngineError, _tensor_layer, decompose, dual_labels, fgt,
+                      gr_map, pwz_module, tensor_labels)
 from .chains import (
     C2,
     F2,
@@ -296,32 +297,34 @@ def hom_DE(x: Complex, y: Complex) -> dict[int, int]:
     return out
 
 
-def hom_modules(x: Complex, y: Complex) -> dict[int, int]:
-    """hom_DE(x, y) in closed form, for x and y each a module in one degree
-    (or zero): a sum over the label pairs of their decompositions.
+def hom_labels(shift: int, xs: FormalSum, ys: FormalSum) -> dict[int, int]:
+    """hom_DE(x, y) in closed form for modules x and y with labels xs and ys,
+    in degrees p and q with p - q = shift; nothing is evaluated or decomposed.
 
     hom is additive in each argument and unchanged by a common twist, and by
-    rigidity hom(lam, mu) = hom(1(0), dual(lam) (x) mu).  On labels,
-    dual(E(l, m)) = E(l, -l-m) (1(m) is the case l = 0), E(l, m) (x) 1(n) =
-    E(l, m+n) and E(l, m) (x) E(l', m') = E(a, m+m') + E(a, m+m'+b), with
-    a = min(l, l') and b = max(l, l').  hom(1(0), 1(n)) has one dimension in
-    each shift 0 .. n: H^{p,q}(R; Z/2) = Z/2 for 0 <= p <= q (Voevodsky's
-    proof of the Milnor conjecture).  hom(1(0), E(l, n)) has the shifts
-    0 <= k <= n+l other than 1 <= k <= n+1: for l >= 1 by the long exact
-    sequence of 1(n+l) -> E(l, n) -> 1(n), whose connecting class
-    rho.tau^(l-1) in H^{1,l} multiplies injectively on Z/2[tau, rho]; E(0, n)
-    is free, with the cohomology Z/2[tau] of C.  x in degree p and y in degree
-    q move every shift by p - q.  The cost follows the number of labels and
-    the length of the answer, not the weight span.
+    rigidity hom(lam, mu) = hom(1(0), dual(lam) (x) mu), whose labels follow
+    from filtmod's label arithmetic: dual(E(l, m)) = E(l, -l-m) (1(m) is the
+    case l = 0), E(l, m) (x) 1(n) = E(l, m+n) and E(l, m) (x) E(l', m') =
+    E(a, m+m') + E(a, m+m'+b), with a = min(l, l') and b = max(l, l').
+    hom(1(0), 1(n)) has one dimension in each shift 0 .. n: H^{p,q}(R; Z/2) =
+    Z/2 for 0 <= p <= q (Voevodsky's proof of the Milnor conjecture).
+    hom(1(0), E(l, n)) has the shifts 0 <= k <= n+l other than 1 <= k <= n+1:
+    for l >= 1 by the long exact sequence of 1(n+l) -> E(l, n) -> 1(n), whose
+    connecting class rho.tau^(l-1) in H^{1,l} multiplies injectively on
+    Z/2[tau, rho]; E(0, n) is free, with the cohomology Z/2[tau] of C.  The
+    degrees move every shift by p - q.  The cost follows the number of labels
+    and the length of the answer, not the weight span.
     """
-    labels = lambda z: () if z.is_zero() else decompose(z.term(z.d_min)).sum.labels
-    s, out = x.d_min - y.d_min, Counter()
-    for lam, mu in product(labels(x), labels(y)):
-        n = mu.m - lam.l - lam.m  # the weight of the first label of dual(lam) (x) mu
-        if lam.kind == mu.kind == UNIT:
-            out.update(range(s, s + n + 1))
-            continue
-        a, b = sorted((lam.l, mu.l)) if lam.kind == mu.kind else (lam.l + mu.l, None)
-        for w in (n,) if b is None else (n, n + b):
-            out.update(chain(range(s, s + min(1, w + a + 1)), range(s + max(1, w + 2), s + w + a + 1)))
-    return dict(out)
+    out = Counter()
+    for nu in tensor_labels(dual_labels(xs), ys).labels:
+        w, a = nu.m, nu.l
+        out.update(range(w + 1) if nu.kind == UNIT
+                   else chain(range(min(1, w + a + 1)), range(max(1, w + 2), w + a + 1)))
+    return {k + shift: d for k, d in out.items()}
+
+
+def hom_modules(x: Complex, y: Complex) -> dict[int, int]:
+    """hom_DE(x, y) for x and y each a module in one degree (or zero):
+    hom_labels of their validated decompositions."""
+    labels = lambda z: FormalSum(()) if z.is_zero() else decompose(z.term(z.d_min)).sum
+    return hom_labels(x.d_min - y.d_min, labels(x), labels(y))

@@ -6,14 +6,17 @@ complexes of the `chains` catalog and the cones of the named maps is a
 into the same tree.  A label atom becomes an `IndecLabel` in `_atom_label`
 only, so the length of E(l, m) is checked there and nowhere else.
 `to_filtered` translates a tree structurally into a filtered complex, and
-hom dimensions and realizations are answered by the engine on the
-translated object; `expr_support` computes supports (and so classes and
-ideal membership) on the tree, with label atoms in closed form and
-residue tests on the other leaves only.  The translation is a hard-coded
-dictionary on generators: the base point goes to the unit, the quadratic
-extension point to the pure regular module; the other atoms are the
-`CATALOG_ATOMS` of `chains.named`.  Only support-level statements are
-exposed for tensor expressions.
+realizations are answered by the engine on the translated object.  Two
+planners read the tree instead: `expr_support` computes supports (and so
+classes and ideal membership), with label atoms in closed form and residue
+tests on the other leaves only, and `expr_labels` gives the degree and the
+labels of a tree of label atoms by label arithmetic, so that tensor, dual
+and hom of it evaluate nothing and decompose of it can take the identity
+as its certificate.  The translation is a hard-coded dictionary on
+generators: the base point goes to the unit, the quadratic extension point
+to the pure regular module; the other atoms are the `CATALOG_ATOMS` of
+`chains.named`.  Only support-level statements are exposed for tensor
+expressions.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .chains import (
     tensor_complex,
     twist_complex,
 )
-from .filtmod import _CACHE_SIZE, IndecLabel, e_label, realize, unit_label
+from .filtmod import _CACHE_SIZE, FormalSum, IndecLabel, dual_labels, e_label, realize, tensor_labels, unit_label
 from .functors import betti, fgt_complex, hom_DE, homology, res_complex
 from .spectrum import PRIMES, check_support, label_support, supp
 
@@ -103,6 +106,36 @@ def to_filtered(e: MotiveExpr) -> Complex:
     if e.op == "tensor":
         return tensor_complex(to_filtered(e.args[0]), to_filtered(e.args[1]))
     raise ValueError(f"malformed expression: {e.op}")
+
+
+def expr_labels(e: MotiveExpr) -> tuple[int, FormalSum] | None:
+    """(degree, labels) of to_filtered(e), read off a tree of label atoms and
+    0 under twist, shift, dual, + and * by filtmod's label arithmetic: shift
+    moves the degree, dual negates it, * adds degrees, and 0 is in degree 0.
+    None for a catalog atom, a cone or a sum in two degrees.  Reading stops
+    at the first None, left to right, so a planned tree evaluates without
+    error and any error raised here is the one to_filtered raises."""
+    if e.op == "atom" and e.name == "0":
+        return 0, FormalSum(())
+    if (lab := _atom_label(e)) is not None:
+        return 0, FormalSum((lab,))
+    if e.op not in ("twist", "shift", "dual", "sum", "tensor"):
+        return None
+    planned = []
+    for arg in e.args:
+        if (p := expr_labels(arg)) is None:
+            return None
+        planned.append(p)
+    (d, fs), (d2, gs) = planned[0], planned[-1]
+    if e.op == "twist":
+        return d, tensor_labels(fs, FormalSum((unit_label(e.params[0]),)))
+    if e.op == "shift":
+        return d + e.params[0], fs
+    if e.op == "dual":
+        return -d, dual_labels(fs)
+    if e.op == "tensor":
+        return d + d2, tensor_labels(fs, gs)
+    return (d2 if fs.is_zero() else d, fs + gs) if d == d2 or fs.is_zero() or gs.is_zero() else None
 
 
 def expr_support(e: MotiveExpr) -> frozenset:

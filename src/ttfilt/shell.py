@@ -21,9 +21,13 @@
 the parsed tree: 1(n), E(l,m), M(R) and M(C) read their support off their
 label, residue tests run on the other leaves only, and no tensor product
 is built; the `--trace` line lists each prime as nonzero iff it lies in
-the support.  Every other command evaluates its arguments; `hom`
-of two modules (each in one degree, or zero) sums a closed form over their
-labels (`functors.hom_modules`), and of anything else runs `hom_DE`.
+the support.  `tensor`, `dual` and `hom` of trees that the label planner
+`expr_labels` reads (label atoms under twist, shift, dual, + and *, each
+sum in one degree) answer from the labels, with nothing evaluated
+(`hom_labels`); `decompose` evaluates, and when the module is the standard
+model of the planned labels the identity is its certificate.  Other trees
+are evaluated: `hom` of two modules then decomposes them (`hom_modules`),
+and of anything else runs `hom_DE`.
 
 Serialized values carry the versioned schema field "ttfilt-io 1" and use
 one line per field; subspace and matrix rows are 0/1 strings, '|'-joined,
@@ -32,6 +36,7 @@ with '-' for an empty list of rows.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .gf2 import BitMatrix, C2Module, Subspace
@@ -39,8 +44,11 @@ from .filtmod import (
     FiltModule,
     FormalSum,
     IndecLabel,
+    certify,
     decompose,
+    dual_labels,
     e_label,
+    tensor_labels,
     unit_label,
 )
 from . import spectrum
@@ -66,9 +74,9 @@ from .chains import (
     tensor_map,
     validate_complex,
 )
-from .functors import fgt_complex, gr_complex, hom_DE, hom_modules, homology, tate_dim, tfgt
-from .motives import (CATALOG_ATOMS, MAPNAMES, MotiveExpr as Expr, expr_support, motivic_cohomology,
-                      to_filtered as evaluate)
+from .functors import fgt_complex, gr_complex, hom_DE, hom_labels, hom_modules, homology, tate_dim, tfgt
+from .motives import (CATALOG_ATOMS, MAPNAMES, MotiveExpr as Expr, expr_labels, expr_support,
+                      motivic_cohomology, to_filtered as evaluate)
 from .spectrum import PRIMES, support_text
 
 
@@ -117,8 +125,7 @@ class _Parser:
         if self.src[start:start + 1] in ("+", "-"):
             self.pos += 1
         digits = self.pos
-        # isdecimal, not isdigit: int() rejects digits such as superscripts
-        while self.pos < len(self.src) and self.src[self.pos].isdecimal():
+        while self.pos < len(self.src) and self.src[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             self.error("expected an integer")
@@ -445,15 +452,16 @@ def serialize(value) -> str:
 
 def _label_parse(text: str) -> IndecLabel:
     """The label written as 1(n) or E(l,m), l >= 0: the one place where
-    serialized text becomes a label, so its fields are checked here."""
+    serialized text becomes a label, so its fields are checked here.  Each
+    integer is an optional ASCII sign and ASCII digits, as in the grammar
+    (int() alone also takes '_', spaces and the digits of other scripts)."""
+    found = re.fullmatch(r"(?:1\(|E\(([+-]?[0-9]+),)([+-]?[0-9]+)\)", text)
     try:
-        if text.startswith("1(") and text.endswith(")"):
-            return unit_label(int(text[2:-1]))
-        if text.startswith("E(") and text.endswith(")"):
-            l, m = map(int, text[2:-1].split(","))
-            if l >= 0:
-                return e_label(l, m)
-    except ValueError:
+        if found and found[1] is None:
+            return unit_label(int(found[2]))
+        if found and int(found[1]) >= 0:
+            return e_label(int(found[1]), int(found[2]))
+    except ValueError:  # more digits than int() converts
         pass
     raise SchemaError(f"bad label '{text}'")
 
@@ -553,6 +561,19 @@ def _eval_arg(text: str) -> Complex:
     return evaluate(parse(text))
 
 
+def _plan_args(texts: list[str]) -> tuple[list | None, list]:
+    """(the expr_labels of each argument, Nones) when every tree plans, else
+    (None, the evaluated complexes).  Read in order up to the first tree that
+    does not plan; a planned tree evaluates without error, so any error is
+    the one evaluating the arguments in order raises."""
+    planned = []
+    for i, text in enumerate(texts):
+        if (p := expr_labels(e := parse(text))) is None:
+            return None, [*map(_eval_arg, texts[:i]), evaluate(e), *map(_eval_arg, texts[i + 1:])]
+        planned.append(p)
+    return planned, [None] * len(texts)
+
+
 def _as_module(x: Complex) -> FiltModule:
     if x.is_zero():
         return FiltModule.zero()
@@ -575,22 +596,23 @@ def run(command: str, args: list[str]) -> Report:
     """Execute one engine query; deterministic output for fixed input."""
     if command == "decompose":
         (text,) = _args(args, 1)
-        # decompose validates its certificate and raises MathEngineError if it fails
-        dec = decompose(_as_module(_eval_arg(text)))
+        planned = expr_labels(e := parse(text))
+        a = _as_module(evaluate(e))
+        # both validate their certificate, and raise MathEngineError if it fails
+        dec = certify(a, planned[1]) if planned else decompose(a)
         return Report(command, text, [dec.sum.text()], trace=["certificate validated: True"])
-    if command == "tensor":
-        a_text, b_text = _args(args, 2)
-        x = tensor_complex(_eval_arg(a_text), _eval_arg(b_text))
-        query = f"{a_text} * {b_text}"
+    if command in ("tensor", "dual"):
+        tensor = command == "tensor"
+        query = " * ".join(_args(args, 2 if tensor else 1))
+        planned, xs = _plan_args(args)
+        if planned:
+            labels = [fs for _, fs in planned]
+            fs = tensor_labels(*labels) if tensor else dual_labels(*labels)
+            return Report(command, query, [fs.text()])
+        x = tensor_complex(*xs) if tensor else dual_complex(*xs)
         if x.is_zero() or x.d_min == x.d_max:
             return Report(command, query, [decompose(_as_module(x)).sum.text()])
-        return Report(command, query, [complex_text(minimize(x).complex)])
-    if command == "dual":
-        (text,) = _args(args, 1)
-        x = dual_complex(_eval_arg(text))
-        if x.is_zero() or x.d_min == x.d_max:
-            return Report(command, text, [decompose(_as_module(x)).sum.text()])
-        return Report(command, text, [complex_text(x)])
+        return Report(command, query, [complex_text(minimize(x).complex if tensor else x)])
     if command == "minimize":
         (text,) = _args(args, 1)
         return Report(command, text, [complex_text(minimize(_eval_arg(text)).complex)])
@@ -610,12 +632,15 @@ def run(command: str, args: list[str]) -> Report:
         union = frozenset().union(*(_support(t) for t in args[1:]))
         return Report(command, " ".join(args), [str(x <= union).lower()])
     if command == "hom":
-        a_text, b_text = _args(args, 2)
-        x, y = _eval_arg(a_text), _eval_arg(b_text)
-        modules = all(z.is_zero() or z.d_min == z.d_max for z in (x, y))
-        dims = (hom_modules if modules else hom_DE)(x, y)
+        planned, (x, y) = _plan_args(_args(args, 2))
+        if planned:
+            (p, xs), (q, ys) = planned
+            dims = hom_labels(p - q, xs, ys)
+        else:
+            modules = all(z.is_zero() or z.d_min == z.d_max for z in (x, y))
+            dims = (hom_modules if modules else hom_DE)(x, y)
         lines = [f"n={n} dim={d}" for n, d in sorted(dims.items())] or ["zero in all shifts"]
-        return Report(command, f"{a_text} -> {b_text}", lines)
+        return Report(command, " -> ".join(args), lines)
     if command == "gr":
         (text,) = _args(args, 1)
         return Report(command, text, [complex_text(gr_complex(_eval_arg(text)))])

@@ -31,6 +31,13 @@ draws its inputs.
 `realize_by_twist` is `filtmod.realize` as it was before it became the
 one-label `realize_sum`.
 
+The samplers built on `ttfilt.samples` serve the tests and
+scripts/random_stress.py only: `scrambled_module` (a standard model moved
+by a random change of basis), `random_chain_map`, `random_expr` (small
+grammar trees over every kind of leaf) and `random_module_tree` (the trees
+of label atoms that the label planner `motives.expr_labels` reads);
+`has_sum_in_two_degrees` says where that planner may give up on a tree.
+
 The hom bases of cells (over `chain_map_basis`), `find_chain_iso` (a
 seeded search that may give up), the truncations, `intersect`, the
 weight >= m part `weight_ge`, and the accessors `unit_complex`,
@@ -71,6 +78,7 @@ from ttfilt.chains import (
     cell_is_morphism,
     cell_is_zero,
     chain_map_basis,
+    NAMED_PARAM,
     injres_trunc,
     shift,
     signature,
@@ -96,6 +104,7 @@ from ttfilt.filtmod import (
     unit_label,
 )
 from ttfilt.functors import max_weight, min_weight
+from ttfilt.motives import CATALOG_ATOMS, GENERATORS, MAPNAMES, MotiveExpr, to_filtered
 from ttfilt.samples import random_invertible
 
 
@@ -776,6 +785,105 @@ def realize_by_twist(label: IndecLabel) -> FiltModule:
         return pwz_module(mod).twist(label.m)
     return FiltModule.of(mod, [(label.m + 1, Subspace.span(2, (0b11,))),
                                (label.m + label.l + 1, Subspace.zero(2))])
+
+
+def scrambled_module(rng, fs: FormalSum) -> FiltModule:
+    """Realize a formal sum and transport it along a random basis change."""
+    a = realize_sum(fs)
+    if a.dim == 0:
+        return a
+    u = random_invertible(rng, a.dim)
+    uinv = u.inverse()
+    sigma = u.mul(a.module.sigma).mul(uinv)
+    layers = [lay.map_through(u) for lay in a.layers]
+    return FiltModule(C2Module(a.dim, sigma), a.weights, tuple(layers))
+
+
+def random_chain_map(rng, x: Complex, y: Complex) -> ChainMap:
+    """Random chain map x -> y, sampled uniformly from the hom space."""
+    basis = chain_map_basis(x, y)
+    f = ChainMap.of(x, y, {})
+    for b in basis:
+        if rng.getrandbits(1):
+            f = f.add(b)
+    f.validate()
+    return f
+
+
+# the grammar's atoms without parameters, in the order the seeded draws rely on
+CONSTANT_LEAVES = ("0", *GENERATORS, *(a for a in CATALOG_ATOMS if a not in NAMED_PARAM))
+
+
+def random_expr(rng, depth: int = 3, max_dim: int = 16) -> MotiveExpr:
+    """A grammar tree with at most `depth` operator levels over small leaves,
+    redrawn until its evaluated complex has total dimension at most max_dim."""
+    while True:
+        e = _random_tree(rng, depth)
+        if to_filtered(e).total_dim() <= max_dim:
+            return e
+
+
+def _random_tree(rng, depth: int) -> MotiveExpr:
+    if depth == 0 or rng.random() < 0.3:
+        return _random_leaf(rng)
+    op = rng.choice(("sum", "tensor", "twist", "shift", "dual"))
+    if op in ("sum", "tensor"):
+        return MotiveExpr(op, args=(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1)))
+    if op == "dual":
+        return MotiveExpr(op, args=(_random_tree(rng, depth - 1),))
+    return MotiveExpr(op, params=(rng.randint(-3, 3),), args=(_random_tree(rng, depth - 1),))
+
+
+def _random_leaf(rng) -> MotiveExpr:
+    kind = rng.randrange(8)
+    if kind == 0:
+        return MotiveExpr("atom", "1", (rng.randint(-3, 3),))
+    if kind <= 2:
+        return MotiveExpr("atom", "E", (rng.randint(0, 3), rng.randint(-3, 3)))
+    if kind == 3:
+        return MotiveExpr("atom", rng.choice([a for a in CATALOG_ATOMS if a in NAMED_PARAM]), (rng.randint(1, 2),))
+    if kind == 4:
+        return MotiveExpr("cone", rng.choice(MAPNAMES))
+    return MotiveExpr("atom", rng.choice(CONSTANT_LEAVES))
+
+
+def random_module_tree(rng, depth: int = 3, max_dim: int = 40) -> MotiveExpr:
+    """A tree of label atoms (1(n), E(l, m) with l <= 6 and |n|, |m| <= 7,
+    M(R), M(C), and 0 one leaf in twenty) under twist by -7..7, shift by
+    -1..1, dual, + and *, with at most `depth` operator levels, redrawn until
+    its evaluated complex has total dimension at most max_dim.  A shift
+    under a sum can leave the sum in two degrees, which does not plan."""
+    while True:
+        e = _module_tree(rng, depth)
+        if to_filtered(e).total_dim() <= max_dim:
+            return e
+
+
+def has_sum_in_two_degrees(e: MotiveExpr) -> bool:
+    """True iff some sum in the tree evaluates to a complex in two degrees,
+    which is where the label planner gives up on a tree of label atoms."""
+    if e.op == "sum" and (x := to_filtered(e)).d_min < x.d_max:
+        return True
+    return any(map(has_sum_in_two_degrees, e.args))
+
+
+def _module_tree(rng, depth: int) -> MotiveExpr:
+    if depth == 0 or rng.random() < 0.25:
+        r = rng.random()
+        if r < 0.05:
+            return MotiveExpr("atom", "0")
+        if r < 0.1:
+            return MotiveExpr("atom", rng.choice(("M(R)", "M(C)")))
+        if r < 0.45:
+            return MotiveExpr("atom", "1", (rng.randint(-7, 7),))
+        return MotiveExpr("atom", "E", (rng.randint(0, 6), rng.randint(-7, 7)))
+    op = rng.choice(("twist", "shift", "dual", "sum", "tensor", "tensor"))
+    if op in ("sum", "tensor"):
+        return MotiveExpr(op, args=(_module_tree(rng, depth - 1), _module_tree(rng, depth - 1)))
+    if op == "dual":
+        return MotiveExpr(op, args=(_module_tree(rng, depth - 1),))
+    bound = 7 if op == "twist" else 1
+    return MotiveExpr(op, params=(rng.randint(-bound, bound),), args=(_module_tree(rng, depth - 1),))
 
 
 def realize_sum_by_direct_sum(fs: FormalSum) -> FiltModule:

@@ -48,7 +48,7 @@ from ttfilt.functors import (
     tfgt,
 )
 from ttfilt.motives import motivic_cohomology
-from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
+from ttfilt.samples import random_complex, random_formal_sum
 from ttfilt.spectrum import (
     CLASS_GENERATORS,
     PRIMES,
@@ -62,7 +62,7 @@ from ttfilt.spectrum import (
 from ttfilt.shell import evaluate, parse, print_expr
 from ttfilt.cli import main as cli_main
 
-from helpers import find_chain_iso, unit_complex, width
+from helpers import find_chain_iso, scrambled_module, unit_complex, width
 
 
 def ev(text):

@@ -45,11 +45,11 @@ from ttfilt.chains import (
     validate_complex,
 )
 from ttfilt.functors import fgt_complex, gr_complex, min_weight, res_complex, rwz, sta_complex
-from ttfilt.samples import random_c2_module, random_chain_map, random_complex, random_formal_sum
+from ttfilt.samples import random_c2_module, random_complex, random_formal_sum
 from ttfilt.spectrum import supp
 
 from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, gather, labels_at,
-                     tensor_diff_by_placement, tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta,
+                     random_chain_map, tensor_diff_by_placement, tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta,
                      unit_complex, width)
 
 

@@ -3,8 +3,10 @@
 Every answer of the engine is a rank, a kernel or a certified isomorphism,
 so nothing in it draws random numbers but the sample generators.  The hom
 bases of cells, the bounded search for chain isomorphisms, the truncations,
-`Subspace.intersect` and the one-line wrappers and accessors that only
-tests used live in `tests/helpers.py` or are written out where they are used.
+`Subspace.intersect`, the one-line wrappers and accessors that only
+tests used and the samplers that only tests draw from (scrambled modules,
+chain maps and grammar trees) live in `tests/helpers.py` or are written out
+where they are used.
 
 The gf2 value types, `FiltMorphism`, the labels `IndecLabel` and the trees
 `MotiveExpr` are plain data: values are checked where they enter
@@ -42,6 +44,8 @@ MOVED_OR_DELETED = {
     "submatrix", "_rows", "_cols",
     # a truncation that states no claim of the paper: only the tests take it
     "weight_ge",
+    # samplers built on ttfilt.samples that only the tests and the stress script draw from
+    "scrambled_module", "random_chain_map", "random_expr", "_random_tree", "_random_leaf", "_CONSTANT_LEAVES",
 }
 
 

@@ -28,7 +28,7 @@ from ttfilt.filtmod import (
     tensor,
     unit_label,
 )
-from ttfilt.samples import random_c2_module, random_formal_sum, random_invertible, scrambled_module
+from ttfilt.samples import random_c2_module, random_formal_sum, random_invertible
 
 from helpers import (
     brute_hom_count,
@@ -42,6 +42,7 @@ from helpers import (
     random_graded_sequence,
     realize_by_twist,
     realize_sum_by_direct_sum,
+    scrambled_module,
     split_exact_by_solve,
     tensor_by_weights,
     validate_two_sided,

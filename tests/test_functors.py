@@ -49,10 +49,10 @@ from ttfilt.functors import (
     tate_dim,
     tfgt,
 )
-from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
+from ttfilt.samples import random_complex, random_formal_sum
 
 from helpers import (brute_exact_f2, brute_kernel_vectors, brute_tate_dim, gr_complex_by_placement, hom_basis,
-                     hom_DE_by_single_solves, unit_complex, weight_zero_part)
+                     hom_DE_by_single_solves, scrambled_module, unit_complex, weight_zero_part)
 
 
 def unit_c2():
@@ -373,12 +373,12 @@ def test_rwz_matches_the_weight_zero_part_of_the_tensor():
 def test_subquotient_functors_pass_the_full_validation():
     # rwz, sta and the gr pieces are assembled unchecked; the public check re-runs here
     from ttfilt.motives import MAPNAMES, MotiveExpr, to_filtered
-    from ttfilt.samples import _CONSTANT_LEAVES
+    from helpers import CONSTANT_LEAVES
 
     rng = random.Random(83)
     cases = [random_complex(rng, FILT, rng.randint(1, 4)) for _ in range(40)]
     cases += [single(FILT, realize(e_label(l, 0))) for l in range(9)]
-    atoms = [MotiveExpr("atom", name) for name in _CONSTANT_LEAVES]
+    atoms = [MotiveExpr("atom", name) for name in CONSTANT_LEAVES]
     atoms += [MotiveExpr("cone", name) for name in MAPNAMES]
     atoms += [MotiveExpr("atom", name, (l,)) for name in ("fundl", "Lpure") for l in (1, 2, 3)]
     cases += [to_filtered(e) for e in atoms]

@@ -12,7 +12,8 @@ import random
 from ttfilt.chains import FILT, shift, single
 from ttfilt.filtmod import FiltModule, FormalSum, dual, e_label, realize, unit_label
 from ttfilt.functors import hom_DE, hom_modules
-from ttfilt.samples import random_formal_sum, scrambled_module
+from ttfilt.samples import random_formal_sum
+from helpers import scrambled_module
 from ttfilt.shell import run
 
 
@@ -67,16 +68,25 @@ def test_hom_modules_of_units_is_the_motivic_cohomology_of_the_point():
 
 
 def test_run_hom_answers_modules_in_closed_form_and_complexes_through_hom_DE(monkeypatch):
-    from ttfilt import shell
+    from ttfilt import functors, shell
 
-    # run reads the two functions through the names shell imports
+    # run reads the functions through the names shell imports; hom_modules
+    # decomposes through the name functors imports
     calls = []
-    for name in ("hom_DE", "hom_modules"):
-        fn = getattr(shell, name)
-        monkeypatch.setattr(shell, name, lambda x, y, fn=fn, name=name: calls.append(name) or fn(x, y))
+    for module, name in ((shell, "hom_DE"), (shell, "hom_modules"), (shell, "hom_labels"),
+                         (shell, "evaluate"), (functors, "decompose")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    # label trees: the planner's labels, nothing evaluated or decomposed
     assert run("hom", ["E(2,0) + 1(1)", "shift(E(3,1), 1)"]).result == \
         ["n=-1 dim=3", "n=0 dim=1", "n=1 dim=1", "n=2 dim=1", "n=3 dim=1"]
     assert run("hom", ["0", "1(2)"]).result == ["zero in all shifts"]
-    assert calls == ["hom_modules", "hom_modules"]
+    assert calls == ["hom_labels", "hom_labels"]
+    # a module in one degree with a catalog leaf: evaluated, then hom_modules
+    del calls[:]
+    assert run("hom", ["Lpure(0)", "1(2)"]).result == ["n=0 dim=1", "n=1 dim=1", "n=2 dim=1"]
+    assert calls == ["evaluate", "evaluate", "hom_modules", "decompose", "decompose"]
+    # a complex: hom_DE
+    del calls[:]
     assert run("hom", ["fund0", "1(2)"]).result == ["n=4 dim=1"]
-    assert calls[2:] == ["hom_DE"]
+    assert calls == ["evaluate", "evaluate", "hom_DE"]

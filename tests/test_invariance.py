@@ -53,11 +53,11 @@ from ttfilt.filtmod import (
     unit_label,
 )
 from ttfilt.functors import hom_DE, hom_modules, pwz_complex
-from ttfilt.samples import random_c2_module, random_complex, random_formal_sum, scrambled_module
+from ttfilt.samples import random_c2_module, random_complex, random_formal_sum
 from ttfilt.shell import deserialize, serialize
 from ttfilt.spectrum import supp
 
-from helpers import scrambled_complex
+from helpers import scrambled_complex, scrambled_module
 
 UNIT_COMPLEX = single(FILT, realize(unit_label(0)))
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import chain_iso_inverse, decompose_by_meets, minimize_by_conjugation
+from helpers import chain_iso_inverse, decompose_by_meets, minimize_by_conjugation, scrambled_module
 from ttfilt import chains
 from ttfilt.gf2 import BitMatrix, C2Module
 from ttfilt.filtmod import MathEngineError, e_label, realize
@@ -20,7 +20,7 @@ from ttfilt.chains import (
     tensor_complex,
 )
 from ttfilt.functors import rwz
-from ttfilt.samples import random_complex, random_formal_sum, scrambled_module
+from ttfilt.samples import random_complex, random_formal_sum
 
 
 def _same_as_oracle(x):

@@ -1,15 +1,26 @@
-"""The support planner `motives.expr_support` against the materialized path:
-`spectrum.supp` on the evaluated complex, and the reports `shell.run` built
-from `supp_detail` of that complex before it planned on the tree."""
+"""The two planners on the expression tree against the materialized path.
+
+The support planner `motives.expr_support` against `spectrum.supp` on the
+evaluated complex, and the reports `shell.run` built from `supp_detail` of
+that complex before it planned on the tree.  The label planner
+`motives.expr_labels` against `filtmod.decompose` of the evaluated module,
+its labels against `hom_DE`, and `shell.run`'s planned `decompose`,
+`tensor`, `dual` and `hom` against the answers of the evaluated path.
+"""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from ttfilt import chains, filtmod, motives
-from ttfilt.motives import expr_support
-from ttfilt.samples import random_expr
-from ttfilt.shell import Report, evaluate, parse, print_expr, run
+from helpers import has_sum_in_two_degrees, random_expr, random_module_tree
+from ttfilt import chains, filtmod, motives, shell
+from ttfilt.chains import dual_complex, tensor_complex
+from ttfilt.filtmod import FormalSum, certify, decompose, dual_labels, e_label, tensor_labels, unit_label
+from ttfilt.functors import hom_DE, hom_labels
+from ttfilt.motives import expr_labels, expr_support
+from ttfilt.shell import ParseError, Report, UsageError, evaluate, parse, print_expr, run
 from ttfilt.spectrum import CLASS_GENERATORS, PRIMES, classify, ideal_contains, supp, supp_detail, support_text
 
 # the texts of acceptance tests 1, 2 and 12
@@ -158,3 +169,137 @@ def test_invalid_leaf_raises_after_an_empty_factor(text):
 def test_real_realization_of_a_large_product_is_planned():
     e = parse("fund0 * fund0 * fund0 * fund0 * fund0 * fund0 * fund0 * fund0")
     assert motives.realization("real", e).support_shadow == frozenset({"L"})
+
+
+# ---------------------------------------------------------------------------
+# The label planner
+# ---------------------------------------------------------------------------
+
+
+def _ops(e):
+    """The operators of a tree, with "dual2" for a dual under a dual and
+    "EE" for a tensor of two E atoms."""
+    out = {e.op}
+    if e.op == "dual" and "dual" in _ops(e.args[0]):
+        out.add("dual2")
+    if e.op == "tensor" and all(a.op == "atom" and a.name == "E" for a in e.args):
+        out.add("EE")
+    return out.union(*map(_ops, e.args))
+
+
+def _module_corpus(seed, count):
+    rng = random.Random(seed)
+    return [random_module_tree(rng) for _ in range(count)]
+
+
+def test_label_planner_matches_decompose_on_random_module_trees():
+    planned = unplanned = zero = identity = 0
+    ops = set()
+    for e in _module_corpus(24, 1200):
+        x, got = evaluate(e), expr_labels(e)
+        if got is None:
+            # only a sum in two degrees fails to plan here
+            assert has_sum_in_two_degrees(e), print_expr(e)
+            unplanned += 1
+            continue
+        degree, fs = got
+        if x.is_zero():
+            assert fs.is_zero(), print_expr(e)
+            zero += 1
+            continue
+        assert x.d_min == x.d_max == degree, print_expr(e)
+        a = x.term(degree)
+        assert fs == decompose(a).sum, print_expr(e)
+        # the planned certificate: the identity exactly when a is the standard model
+        dec = certify(a, fs)
+        assert dec.sum == fs and dec.validate(), print_expr(e)
+        assert dec.iso.matrix.is_identity() == (a == filtmod.realize_sum(fs))
+        identity += dec.iso.matrix.is_identity()
+        planned += 1
+        ops |= _ops(e)
+    assert planned >= 1000 and unplanned >= 20 and zero >= 20
+    assert 300 <= identity <= planned - 200       # both certificates occur
+    assert {"twist", "shift", "dual", "dual2", "sum", "tensor", "EE"} <= ops
+
+
+def _high_weight_decompose_texts():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench import inputs
+
+    return [q.args[0] for seed in (1, 2, 3) for q in inputs.generate("high_weight", seed, 600)
+            if q.kind == "decompose"]
+
+
+def test_label_planner_matches_decompose_on_the_high_weight_texts():
+    texts = _high_weight_decompose_texts()
+    assert len(texts) == 360
+    identity = 0
+    for text in texts:
+        e = parse(text)
+        degree, fs = expr_labels(e)
+        a = evaluate(e).term(degree)
+        assert fs == decompose(a).sum, text
+        dec = certify(a, fs)
+        assert dec.sum == fs and dec.validate(), text
+        identity += dec.iso.matrix.is_identity()
+        assert run("decompose", [text]).result == [fs.text()]
+    assert 200 <= identity < 360
+
+
+def test_hom_labels_matches_hom_DE_on_planned_trees():
+    checked = nonzero = 0
+    for e, f in zip(_module_corpus(25, 400), _module_corpus(26, 400)):
+        x, y = evaluate(e), evaluate(f)
+        if x.total_dim() + y.total_dim() > 12 or (p := expr_labels(e)) is None or (q := expr_labels(f)) is None:
+            continue
+        dims = hom_DE(x, y)
+        assert hom_labels(p[0] - q[0], p[1], q[1]) == dims, (print_expr(e), print_expr(f))
+        checked += 1
+        nonzero += bool(dims)
+    assert checked >= 100 and 20 <= nonzero < checked
+
+
+def test_label_rules_on_single_labels():
+    E = e_label
+    assert tensor_labels(FormalSum.of(E(2, 1)), FormalSum.of(E(5, -3))) == FormalSum.of(E(2, -2), E(2, 3))
+    assert tensor_labels(FormalSum.of(unit_label(4)), FormalSum.of(E(3, 1))) == FormalSum.of(E(3, 5))
+    assert tensor_labels(FormalSum.of(unit_label(4)), FormalSum.of(unit_label(-6))) == FormalSum.of(unit_label(-2))
+    assert dual_labels(FormalSum.of(E(3, 1), unit_label(2))) == FormalSum.of(unit_label(-2), E(3, -4))
+    assert tensor_labels(FormalSum(()), FormalSum.of(E(1, 0))) == FormalSum(())
+
+
+def test_run_answers_label_trees_as_the_evaluated_path(monkeypatch):
+    """tensor and dual print the planned labels, decompose prints its certified
+    labels, and none of them runs decompose on a module the tree names."""
+    cases = []
+    for e, f in zip(_module_corpus(28, 150), _module_corpus(29, 150)):
+        a, b = print_expr(e), print_expr(f)
+        x, y = evaluate(e), evaluate(f)
+        z = tensor_complex(x, y)
+        if z.is_zero() or z.d_min == z.d_max:
+            cases.append(("tensor", [a, b], decompose(filtmod.FiltModule.zero() if z.is_zero() else z.term(z.d_min))))
+        d = dual_complex(x)
+        if d.is_zero() or d.d_min == d.d_max:
+            cases.append(("dual", [a], decompose(filtmod.FiltModule.zero() if d.is_zero() else d.term(d.d_min))))
+    calls = []
+    monkeypatch.setattr(shell, "decompose", lambda a: calls.append(a) or decompose(a))
+    for command, args, dec in cases:
+        assert run(command, args).result == [dec.sum.text()], (command, args)
+    assert len(cases) >= 250 and not calls
+
+
+@pytest.mark.parametrize("command, args, error, message", [
+    # the first argument is read first, as when both are evaluated in order
+    ("hom", ["E(-1,0)", "1("], ValueError, "length must be nonnegative"),
+    ("hom", ["fundl(0)", "E(-1,0)"], ValueError, "positive length"),
+    ("hom", ["fundl(0) + E(1,0)", "1("], ValueError, "positive length"),
+    ("hom", ["E(1,0)", "1("], ParseError, "expected an integer"),
+    ("hom", ["E(1,0)", "1(0) * E(-2,0)"], ValueError, "length must be nonnegative"),
+    ("tensor", ["1(1) + E(-1,0)", "fund0"], ValueError, "length must be nonnegative"),
+    ("tensor", ["fund0", "E(-1,0)"], ValueError, "length must be nonnegative"),
+    ("dual", ["twist(E(-3,0), 2)"], ValueError, "length must be nonnegative"),
+    ("decompose", ["E(1,0) + shift(1(0), 1)"], UsageError, "one degree"),
+])
+def test_planned_commands_raise_as_the_evaluated_path(command, args, error, message):
+    with pytest.raises(error, match=message):
+        run(command, args)

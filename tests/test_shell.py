@@ -97,6 +97,9 @@ _INTEGER_ERRORS = [
     ("1(+", "expected an integer (at position 3)"),
     ("E(²,0)", "expected an integer (at position 2)"),
     ("1(-²)", "expected an integer (at position 3)"),
+    # decimal digits of other scripts are no integer either: ASCII digits only
+    ("1(١)", "expected an integer (at position 2)"),
+    ("E(1,-٣)", "expected an integer (at position 5)"),
 ] + [pytest.param(text, message, marks=pytest.mark.skipif(not _MAX_DIGITS, reason="no digit limit"))
      for text, message in [("1(" + "9" * (_MAX_DIGITS + 1) + ")", "integer too long (at position 2)"),
                            ("twist(1, -" + "7" * (_MAX_DIGITS + 700) + ")", "integer too long (at position 10)")]]
@@ -269,6 +272,21 @@ def test_deserialize_rejects_a_negative_length():
     with pytest.raises(SchemaError) as err:
         deserialize("ttfilt-io 1\ntype formalsum\nlabels E(1,0)|E(-2,3)\n")
     assert str(err.value) == "bad label 'E(-2,3)'"
+
+
+@pytest.mark.parametrize("label", ["1(1_0)", "E( 1,+0)", "1(١)", "E(1,٠)", "1( 1)", "1(1 )", "E(1,--1)",
+                                   "1()", "1(+)", "E(1)", "1(1,2)", "E(1,2,3)"])
+def test_deserialize_reads_labels_as_serialize_writes_them(label):
+    # an optional ASCII sign and ASCII digits, as the grammar scans them:
+    # int() alone would take '_', spaces and the digits of other scripts
+    with pytest.raises(SchemaError) as err:
+        deserialize(f"ttfilt-io 1\ntype formalsum\nlabels E(1,0)|{label}\n")
+    assert str(err.value) == f"bad label '{label}'"
+
+
+def test_deserialize_reads_signed_ascii_labels():
+    text = "ttfilt-io 1\ntype formalsum\nlabels 1(+10)|E(2,-3)|1(-0)\n"
+    assert deserialize(text) == FormalSum.of(unit_label(10), e_label(2, -3), unit_label(0))
 
 
 def test_deserialize_rejects_unstable_layer():
