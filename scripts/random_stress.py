@@ -53,6 +53,7 @@ from ttfilt.functors import (
     tate_dim,
     tfgt,
 )
+from ttfilt.gf2 import BitMatrix
 from ttfilt.motives import expr_labels, expr_support, to_filtered
 from ttfilt.shell import deserialize, parse, print_expr, serialize
 from ttfilt.samples import random_complex, random_formal_sum, random_label
@@ -64,6 +65,7 @@ from helpers import (  # noqa: E402
     check_values,
     has_sum_in_two_degrees,
     hom_basis,
+    hom_DE_unminimized,
     minimize_by_conjugation,
     random_chain_map,
     random_expr,
@@ -223,6 +225,19 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             if m.split(r, c) != split_by_gather(m, r, c):
                 print(f"[{i}] split of a {m.rows} x {m.cols} matrix at {r}, {c} differs from the gather")
                 failures += 1
+            # every kernel of transpose and mul on the same matrix, whatever the rule picks
+            other = BitMatrix(m.cols, m.rows, tuple(side.getrandbits(m.rows) for _ in range(m.cols)))
+            if not (m._transpose_rows() == m._transpose_packed() == m._transpose_wide()):
+                print(f"[{i}] the transpose kernels differ on a {m.rows} x {m.cols} matrix")
+                failures += 1
+            if not (m._mul_rows(other) == m._mul_packed(other) == m._mul_wide(other)):
+                print(f"[{i}] the product kernels differ on a {m.rows} x {m.cols} matrix")
+                failures += 1
+        # hom_DE runs on minimal models: the hom complex of x and y themselves must agree
+        if hom_DE(x, y) != hom_DE_unminimized(x, y) or hom_DE(tensor_complex(x, y), x) != \
+                hom_DE_unminimized(tensor_complex(x, y), x):
+            print(f"[{i}] hom_DE differs from the hom complex of the unminimized arguments")
+            failures += 1
         # fundl(l) and Lpure(n) take their support from the name: the residue tests must agree
         for text in (f"fundl({side.randint(1, 40)})", f"Lpure({side.randint(-10, 10)})"):
             if expr_support(parse(text)) != supp(to_filtered(parse(text))):

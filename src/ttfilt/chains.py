@@ -380,26 +380,19 @@ def twist_complex(x: Complex, r: int) -> Complex:
 # ---------------------------------------------------------------------------
 
 
-def _graded_system(x: Complex, y: Complex, degs: range, s: int, rhs=None):
-    """Unknown cell morphisms g_n: x_n -> y_{n+s} for n in degs, subject to
-    d_y g_n + g_{n-1} d_x = rhs(n) in every degree (zero if rhs is None).
-
-    Returns the system and the block of each g_n."""
-    system = LinearSystem()
-    blocks = {n: _hom_block(system, x.kind, x.term(n), y.term(n + s)) for n in degs}
-    for n in range(degs.start, degs.stop + 1):
-        terms = [(y.diff(n + s), blocks[n], None)] if n in blocks else []
-        if n - 1 in blocks:
-            terms.append((None, blocks[n - 1], x.diff(n).transpose().data))
-        system.equation(terms, None if rhs is None else rhs(n))
-    return system, blocks
-
-
 def is_nullhomotopic(f: ChainMap) -> Optional[Homotopy]:
-    """Solve d h + h d = f as one global linear system over the cell homs."""
+    """Solve d h + h d = f as one global linear system over the cell homs:
+    unknown cell morphisms h_n: x_n -> y_{n+1}, one block each, subject to
+    d_y h_n + h_{n-1} d_x = f_n in every degree n."""
     x, y = f.source, f.target
     degs = range(min(x.d_min, y.d_min) - 1, max(x.d_max, y.d_max) + 2)
-    system, blocks = _graded_system(x, y, degs, 1, f.comp)
+    system = LinearSystem()
+    blocks = {n: _hom_block(system, x.kind, x.term(n), y.term(n + 1)) for n in degs}
+    for n in range(degs.start, degs.stop + 1):
+        terms = [(y.diff(n + 1), blocks[n], None)] if n in blocks else []
+        if n - 1 in blocks:
+            terms.append((None, blocks[n - 1], x.diff(n).transpose().data))
+        system.equation(terms, f.comp(n))
     sol = system.solve()
     if sol is None:
         return None
@@ -539,16 +532,6 @@ def minimize(x: Complex) -> MinimalForm:
     proj = ChainMap.of(x, mini, {n: proj_comps[n] for n in mini.degrees()})
     labs = tuple(sorted((n, tuple(labels[n])) for n in mini.degrees()))
     return MinimalForm(mini, incl, proj, labs)
-
-
-def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
-    """Basis of the space of chain maps x -> y (one global kernel solve)."""
-    if x.kind != y.kind:
-        raise ValueError("cell-kind mismatch")
-    degs = range(min(x.d_min, y.d_min), max(x.d_max, y.d_max) + 1)
-    system, blocks = _graded_system(x, y, degs, 0)
-    return [ChainMap.of(x, y, {n: system.matrix(b, v) for n, b in blocks.items()})
-            for v in system.kernel()]
 
 
 def signature(x: Complex):

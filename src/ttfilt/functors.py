@@ -266,18 +266,33 @@ def hom_DE(x: Complex, y: Complex) -> dict[int, int]:
     blocks of rwz on w = dual(x) (x) y.  As for rwz, j = max-weight(w) + 1
     is exact: omitted resolution terms have no weight-zero part against w.
     It is at most max-weight(y) - min-weight(x) + 1.
+
+    x and y are replaced by their minimal models first, which only makes w
+    and injres (x) w smaller; a complex whose differentials are all zero
+    has no unit to eliminate and is kept.  The answer does not change:
+    minimize gives filtered chain maps i, p with p.i = id and i.p homotopic
+    to the identity, and the hom complex into the injective resolution is a
+    functor of x and y that is additive and takes filtered homotopies to
+    homotopies, so the homotopy equivalences induce isomorphisms on its
+    homology.  The minimal models' j may be smaller; it is exact for them by
+    the argument above.
     """
     if x.kind != FILT or y.kind != FILT:
         raise ValueError("hom_DE applies to filtered complexes")
+    x, y = (minimize(z).complex if any(not d.is_zero() for d in z.diffs) else z for z in (x, y))
     w = tensor_complex(dual_complex(x), y)
     inj, blocks = _weight_zero_blocks(w)
     fixed = {n: [] for n in blocks}
+    kept = {}  # the fixed vectors of each distinct block: along the resolution the blocks repeat
     for n, parts in blocks.items():
         for off, sigma, layer in parts:
-            span = Subspace.span(sigma.rows, layer).basis
-            cols = span.transpose()
-            # the combinations of the span that N = 1 + sigma kills
-            fixed[n].extend(v << off for v in sigma.mul(cols).add(cols).kernel().mul(span).data)
+            key = (sigma, tuple(layer))
+            if key not in kept:
+                span = Subspace.span(sigma.rows, layer).basis
+                cols = span.transpose()
+                # the combinations of the span that N = 1 + sigma kills
+                kept[key] = sigma.mul(cols).add(cols).kernel().mul(span).data
+            fixed[n].extend(v << off for v in kept[key])
     ranks = {}
     for n in list(blocks)[1:]:
         if fixed[n]:

@@ -29,7 +29,10 @@ for the equivariant retraction and section, and `random_graded_sequence`
 draws its inputs.
 
 `realize_by_twist` is `filtmod.realize` as it was before it became the
-one-label `realize_sum`.
+one-label `realize_sum`.  `hom_DE_unminimized` is `functors.hom_DE` as it
+was before it ran on the minimal models of its arguments, and
+`reduce_by_rows` is `Subspace.reduce` as it was before it read the pivots
+off one int: it visits every basis row.
 
 The samplers built on `ttfilt.samples` serve the tests and
 scripts/random_stress.py only: `scrambled_module` (a standard model moved
@@ -38,7 +41,8 @@ grammar trees over every kind of leaf) and `random_module_tree` (the trees
 of label atoms that the label planner `motives.expr_labels` reads);
 `has_sum_in_two_degrees` says where that planner may give up on a tree.
 
-The hom bases of cells (over `chain_map_basis`), `find_chain_iso` (a
+The hom bases of cells (over `chain_map_basis`, one kernel solve for the
+chain maps x -> y), the image of a subspace `map_through`, `find_chain_iso` (a
 seeded search that may give up), the truncations, `intersect`, the
 weight >= m part `weight_ge`, and the accessors `unit_complex`,
 `to_lists`, `entry`, `c2_direct_sum`, `width`, `labels_at`, `is_effective`
@@ -71,14 +75,16 @@ from ttfilt.chains import (
     Complex,
     MinimalForm,
     _label_dim,
+    _tensor_diff,
     _offsets,
     _rebuild_term,
     _split_term,
     build_complex,
     cell_is_morphism,
     cell_is_zero,
-    chain_map_basis,
+    dual_complex,
     NAMED_PARAM,
+    _hom_block,
     injres_trunc,
     shift,
     signature,
@@ -103,7 +109,7 @@ from ttfilt.filtmod import (
     realize_sum,
     unit_label,
 )
-from ttfilt.functors import max_weight, min_weight
+from ttfilt.functors import _weight_zero_blocks, max_weight, min_weight
 from ttfilt.motives import CATALOG_ATOMS, GENERATORS, MAPNAMES, MotiveExpr, to_filtered
 from ttfilt.samples import random_invertible
 
@@ -795,7 +801,7 @@ def scrambled_module(rng, fs: FormalSum) -> FiltModule:
     u = random_invertible(rng, a.dim)
     uinv = u.inverse()
     sigma = u.mul(a.module.sigma).mul(uinv)
-    layers = [lay.map_through(u) for lay in a.layers]
+    layers = [map_through(lay, u) for lay in a.layers]
     return FiltModule(C2Module(a.dim, sigma), a.weights, tuple(layers))
 
 
@@ -939,7 +945,7 @@ def _transported(kind, term, u: BitMatrix, uinv: BitMatrix):
     moved = C2Module(module.dim, u.mul(module.sigma).mul(uinv))
     if kind == C2:
         return moved
-    return FiltModule(moved, term.weights, tuple(lay.map_through(u) for lay in term.layers))
+    return FiltModule(moved, term.weights, tuple(map_through(lay, u) for lay in term.layers))
 
 
 def scrambled_complex(rng, x: Complex) -> Complex:
@@ -991,6 +997,71 @@ def random_graded_sequence(rng):
         gg = BitMatrix.from_blocks(cmod.dim, bmod.dim, [(0, 0, gg)])
     (amod, _, ua_inv), (bmod, ub, ub_inv), (cmod, uc, _) = (_conjugate(rng, m) for m in (amod, bmod, cmod))
     return amod, bmod, cmod, ub.mul(gf).mul(ua_inv), uc.mul(gg).mul(ub_inv)
+
+
+def map_through(space: Subspace, m: BitMatrix) -> Subspace:
+    """Image of a subspace under the matrix m (acting on columns)."""
+    if m.cols != space.ambient:
+        raise ValueError("shape mismatch")
+    return Subspace.span(m.rows, tuple(m.apply(v) for v in space.basis.data))
+
+
+def reduce_by_rows(space: Subspace, v: int) -> int:
+    """`Subspace.reduce` as it was before it read the pivots off one mask: every
+    basis row is visited, and v is cleared at the row's pivot if it has it."""
+    for b in space.basis.data:
+        pivot = b & -b
+        if v & pivot:
+            v ^= b
+    return v
+
+
+def chain_map_basis(x: Complex, y: Complex) -> list[ChainMap]:
+    """Basis of the space of chain maps x -> y, by one global kernel solve:
+    unknown cell morphisms g_n: x_n -> y_n subject to d_y g_n + g_{n-1} d_x = 0
+    in every degree."""
+    if x.kind != y.kind:
+        raise ValueError("cell-kind mismatch")
+    degs = range(min(x.d_min, y.d_min), max(x.d_max, y.d_max) + 1)
+    system = LinearSystem()
+    blocks = {n: _hom_block(system, x.kind, x.term(n), y.term(n)) for n in degs}
+    for n in range(degs.start, degs.stop + 1):
+        terms = [(y.diff(n), blocks[n], None)] if n in blocks else []
+        if n - 1 in blocks:
+            terms.append((None, blocks[n - 1], x.diff(n).transpose().data))
+        system.equation(terms)
+    return [ChainMap.of(x, y, {n: system.matrix(b, v) for n, b in blocks.items()})
+            for v in system.kernel()]
+
+
+def hom_DE_unminimized(x: Complex, y: Complex) -> dict[int, int]:
+    """`functors.hom_DE` as it was before it minimized its arguments: the
+    sigma-fixed part of rwz's weight-zero blocks on w = dual(x) (x) y itself."""
+    if x.kind != FILT or y.kind != FILT:
+        raise ValueError("hom_DE applies to filtered complexes")
+    w = tensor_complex(dual_complex(x), y)
+    inj, blocks = _weight_zero_blocks(w)
+    fixed = {n: [] for n in blocks}
+    for n, parts in blocks.items():
+        for off, sigma, layer in parts:
+            span = Subspace.span(sigma.rows, layer).basis
+            cols = span.transpose()
+            fixed[n].extend(v << off for v in sigma.mul(cols).add(cols).kernel().mul(span).data)
+    ranks = {}
+    for n in list(blocks)[1:]:
+        if fixed[n]:
+            d = _tensor_diff(inj, w, n)
+            f = BitMatrix(len(fixed[n]), d.cols, tuple(fixed[n])).transpose()
+            images = list(d.mul(f).transpose().data)
+            if Subspace.span(d.rows, fixed[n - 1] + images).dim > len(fixed[n - 1]):
+                raise MathEngineError("hom differential left the hom space")
+            ranks[n] = Subspace.span(d.rows, images).dim
+    out = {}
+    for n, vecs in fixed.items():
+        h = len(vecs) - ranks.get(n, 0) - ranks.get(n + 1, 0)
+        if h:
+            out[-n] = h
+    return out
 
 
 def hom_basis(source: FiltModule, target: FiltModule) -> list[FiltMorphism]:

@@ -21,7 +21,6 @@ from ttfilt.chains import (
     C2,
     FILT,
     ChainMap,
-    chain_map_basis,
     cone_beta,
     direct_sum_complex,
     eps_tilde,
@@ -62,7 +61,7 @@ from ttfilt.spectrum import (
 from ttfilt.shell import evaluate, parse, print_expr
 from ttfilt.cli import main as cli_main
 
-from helpers import find_chain_iso, scrambled_module, unit_complex, width
+from helpers import chain_map_basis, find_chain_iso, scrambled_module, unit_complex, width
 
 
 def ev(text):

@@ -2,8 +2,9 @@
 
 Every answer of the engine is a rank, a kernel or a certified isomorphism,
 so nothing in it draws random numbers but the sample generators.  The hom
-bases of cells, the bounded search for chain isomorphisms, the truncations,
-`Subspace.intersect`, the one-line wrappers and accessors that only
+bases of cells and the chain-map basis under them, the bounded search for
+chain isomorphisms, the truncations, `Subspace.intersect` and
+`Subspace.map_through`, the one-line wrappers and accessors that only
 tests used and the samplers that only tests draw from (scrambled modules,
 chain maps and grammar trees) live in `tests/helpers.py` or are written out
 where they are used.
@@ -46,6 +47,9 @@ MOVED_OR_DELETED = {
     "weight_ge",
     # samplers built on ttfilt.samples that only the tests and the stress script draw from
     "scrambled_module", "random_chain_map", "random_expr", "_random_tree", "_random_leaf", "_CONSTANT_LEAVES",
+    # no caller in the engine: the chain-map basis and the image of a subspace serve the tests only,
+    # and the one homotopy solve builds its own system
+    "chain_map_basis", "map_through", "_graded_system",
 }
 
 

@@ -1,16 +1,18 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttfilt import gf2
 from ttfilt.gf2 import BitMatrix, C2Module, LinearSystem, Subspace, image, kernel_space
 from ttfilt.chains import C2, single
 from ttfilt.filtmod import FiltModule
 from ttfilt.shell import SchemaError, deserialize, serialize
 
-from helpers import (brute_rank, c2_direct_sum, complement, entry, gather, hom_basis_c2, intersect, rref_by_column_scan,
-                     split_by_gather, to_lists)
+from helpers import (brute_rank, c2_direct_sum, complement, entry, gather, hom_basis_c2, intersect, reduce_by_rows,
+                     rref_by_column_scan, split_by_gather, to_lists)
 
 
 def rand_matrix(rng, rows, cols):
@@ -126,6 +128,82 @@ def test_apply_mul_transpose_against_entries(rows, cols, k, seed):
     t = a.transpose()
     assert (t.rows, t.cols) == (cols, rows)
     assert all(entry(t, j, i) == entry(a, i, j) for i in range(rows) for j in range(cols))
+
+
+SIDES = (0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129)
+
+
+def sparse_or_half(rng, rows, cols, sparse):
+    """Two random bits per row (they may coincide), or each bit with probability 1/2."""
+    if not sparse or not cols:
+        return rand_matrix(rng, rows, cols)
+    return BitMatrix(rows, cols, tuple((1 << rng.randrange(cols)) | (1 << rng.randrange(cols)) for _ in range(rows)))
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["2-bits-per-row", "half"])
+def test_packed_kernels_match_the_bit_loops(sparse):
+    # both kernels called directly, whatever the rule would pick
+    rng = random.Random(f"kernels/{sparse}")
+    for rows in SIDES:
+        for cols in SIDES:
+            m = sparse_or_half(rng, rows, cols, sparse)
+            assert m._transpose_packed() == m._transpose_rows(), (rows, cols)
+            other = sparse_or_half(rng, cols, rng.choice(SIDES), sparse)
+            assert m._mul_packed(other) == m._mul_rows(other), (rows, cols, other.cols)
+    # every slot width and side the sizes reach, and square products on both kernels
+    for n in SIDES:
+        m = rand_matrix(rng, n, n)
+        assert m._mul_packed(m) == m._mul_rows(m)
+        assert m._transpose_packed()._transpose_packed() == m
+
+
+def test_the_rule_packs_dense_matrices_and_takes_the_wide_loop_on_long_dense_lines():
+    rng = random.Random(5)
+    dense, sparse = rand_matrix(rng, 64, 64), sparse_or_half(rng, 64, 64, True)
+    assert gf2._kernel(dense) == gf2._kernel(dense, 64) == gf2.PACKED
+    assert gf2._kernel(sparse) == gf2._kernel(sparse, 64) == gf2.ROWS
+    for small in (rand_matrix(rng, 4, 4), sparse_or_half(rng, 8, 8, True)):
+        assert gf2._kernel(small) == gf2._kernel(small, small.cols) == gf2.ROWS
+    long_dense, long_sparse = rand_matrix(rng, 2, 20_000), sparse_or_half(rng, 2, 20_000, True)
+    assert gf2._kernel(long_dense) == gf2._kernel(long_dense, 2) == gf2.WIDE
+    assert gf2._kernel(long_sparse) == gf2._kernel(long_sparse, 2) == gf2.ROWS
+    for m in (long_dense, long_sparse):
+        assert m._transpose_wide() == m._transpose_rows()
+        other = rand_matrix(rng, m.cols, 3)
+        assert m._mul_wide(other) == m._mul_rows(other)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 100_000), (100_000, 2), (1, 1_000_000)])
+def test_lopsided_matrices_cost_their_entries(rows, cols):
+    # the packed square of a 1 x 10^6 matrix would have 2^40 bits, and the bit
+    # loop is quadratic in a long dense line: the cost follows the entries
+    rng = random.Random(rows)
+    m = rand_matrix(rng, rows, cols)
+    t0 = time.perf_counter()
+    t = m.transpose()
+    short = m.mul(t) if rows < cols else t.mul(m)
+    assert time.perf_counter() - t0 < 1.0
+    assert gf2.PACKED not in (gf2._kernel(m), gf2._kernel(t), gf2._kernel(m, rows), gf2._kernel(t, cols))
+    # the short product is the Gram matrix of the long lines: entry (i, j) is the parity of line i & line j
+    lines = m.data if rows < cols else t.data
+    assert short.data == tuple(sum(((a & b).bit_count() & 1) << j for j, b in enumerate(lines)) for a in lines)
+    one = BitMatrix.identity(min(rows, cols))
+    assert m == (one.mul(m) if rows < cols else m.mul(one))
+    for i, j in ((rng.randrange(rows), rng.randrange(cols)) for _ in range(200)):
+        assert (t.data[j] >> i) & 1 == (m.data[i] >> j) & 1
+
+
+def test_reduce_matches_the_row_loop():
+    rng = random.Random(11)
+    for n in (0, 1, 7, 8, 9, 63, 64, 65, 129):
+        spaces = [Subspace.zero(n), Subspace.full(n)]
+        spaces += [Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(1, n + 2))]) for _ in range(6)]
+        for space in spaces:
+            for _ in range(20):
+                v = rng.getrandbits(n)
+                assert space.reduce(v) == reduce_by_rows(space, v), (n, space.dim)
+            assert all(space.reduce(b) == 0 for b in space.basis.data)
+        assert Subspace.full(n).reduce(rng.getrandbits(n)) == 0
 
 
 def test_subspace_canonical_equality():

@@ -25,10 +25,12 @@ from ttfilt.chains import (
     C2,
     F2,
     FILT,
+    ChainMap,
     Complex,
     build_complex,
     cell_is_zero,
     cell_zero,
+    cone,
     direct_sum_complex,
     dual_complex,
     minimize,
@@ -53,11 +55,12 @@ from ttfilt.filtmod import (
     unit_label,
 )
 from ttfilt.functors import hom_DE, hom_modules, pwz_complex
+from ttfilt.motives import motivic_cohomology
 from ttfilt.samples import random_c2_module, random_complex, random_formal_sum
 from ttfilt.shell import deserialize, serialize
 from ttfilt.spectrum import supp
 
-from helpers import scrambled_complex, scrambled_module
+from helpers import hom_DE_unminimized, scrambled_complex, scrambled_module
 
 UNIT_COMPLEX = single(FILT, realize(unit_label(0)))
 
@@ -322,3 +325,29 @@ def test_hom_DE_does_not_see_minimize():
         assert hom_DE(as_filtered(x), minimize(y).complex) == dims, kind
         nonzero += bool(dims)
     assert nonzero >= 12 and shrunk >= 8, (nonzero, shrunk)
+
+
+def test_hom_DE_matches_the_hom_complex_of_the_unminimized_arguments():
+    # hom_DE runs on the minimal models; the oracle spans the hom complex of x and y
+    # themselves.  A contractible cone added in another basis gives minimize units to remove
+    rng, corpus = pairs(29, 150)
+
+    def padded(x):
+        z = random_filtered(rng)
+        return scrambled_complex(rng, direct_sum_complex(x, cone(ChainMap.identity(z))))
+
+    corpus += [(padded(x), y) for x, y in corpus[:25]] + [(x, padded(y)) for x, y in corpus[25:50]]
+    nonzero = shrunk = 0
+    for x, y in corpus:
+        dims = hom_DE(x, y)
+        assert dims == hom_DE_unminimized(x, y), (x, y)
+        nonzero += bool(dims)
+        shrunk += minimize(x).complex.total_dim() < x.total_dim() or minimize(y).complex.total_dim() < y.total_dim()
+    assert nonzero >= 130 and shrunk >= 40, (nonzero, shrunk)
+
+
+def test_motivic_cohomology_matches_the_unminimized_hom_complex():
+    for m in range(-4, 5):
+        dims = hom_DE_unminimized(UNIT_COMPLEX, twist_complex(UNIT_COMPLEX, m))
+        for n in range(-4, 5):
+            assert motivic_cohomology(n, m) == dims.get(n, 0) == int(0 <= n <= m), (n, m)
