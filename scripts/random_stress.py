@@ -14,6 +14,7 @@ from ttfilt.chains import (
     ChainMap,
     Complex,
     MinimalForm,
+    _tensor_diff,
     cone,
     direct_sum_complex,
     dual_complex,
@@ -22,6 +23,7 @@ from ttfilt.chains import (
     shift,
     single,
     tensor_complex,
+    tensor_layout,
     tensor_map,
     twist_complex,
     validate_complex,
@@ -63,6 +65,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 # the test oracles and the samplers built on ttfilt.samples live beside the tests
 from helpers import (  # noqa: E402
     check_values,
+    direct_sum_by_weights,
     has_sum_in_two_degrees,
     hom_basis,
     hom_DE_unminimized,
@@ -75,6 +78,8 @@ from helpers import (  # noqa: E402
     scrambled_module,
     split_by_gather,
     split_exact_by_solve,
+    tensor_diff_by_placement,
+    tensor_layout_by_degrees,
     validate_two_sided,
 )
 
@@ -251,6 +256,20 @@ def main(rounds: int = 25, seed: int = 0) -> int:
             failures += 1
         elif planned is not None and (FormalSum(()) if xt.is_zero() else decompose(xt.term(planned[0])).sum) != planned[1]:
             print(f"[{i}] planned labels differ from the decomposition on {print_expr(t)}")
+            failures += 1
+        # one layout per tensor product, and direct sums written down with no elimination, against
+        # the per-degree and per-weight oracles
+        xd = twist_complex(dual_complex(y), side.randint(-2, 2))
+        for u, v in ((x, y), (x, xd)):
+            layout = tensor_layout(u, v)
+            if layout != tensor_layout_by_degrees(u, v) or \
+                    any(_tensor_diff(u, v, layout, n) != tensor_diff_by_placement(u, v, n)
+                        for n in range(u.d_min + v.d_min - 1, u.d_max + v.d_max + 2)):
+                print(f"[{i}] the tensor layout or differential differs from the per-degree oracle")
+                failures += 1
+        parts = [a, b.twist(side.randint(-3, 3)), dual(a)]
+        if direct_sum(*parts) != direct_sum_by_weights(*parts):
+            print(f"[{i}] direct sum differs from the per-weight oracle on {fs.text()}, {fb.text()}")
             failures += 1
         # gf2 values check nothing on construction: every output of the round must be well formed
         plain = [fgt_complex(x), gr_complex(x), z] + [c for c in made if isinstance(c, Complex) and c.kind == C2]

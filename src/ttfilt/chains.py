@@ -313,48 +313,45 @@ def dual_complex(x: Complex) -> Complex:
     return build_complex(x.kind, terms, diffs)
 
 
-def tensor_layout(x: Complex, y: Complex, n: int) -> tuple[tuple[int, int, int], ...]:
-    """The summands of degree n of x (x) y: (p, q, offset) for each pair of
-    nonzero terms x_p, y_q with p + q = n, ordered by p."""
-    pairs = []
-    off = 0
-    for p in range(max(x.d_min, n - y.d_max), min(x.d_max, n - y.d_min) + 1):
-        q = n - p
-        dx, dy = x.dim(p), y.dim(q)
-        if dx and dy:
-            pairs.append((p, q, off))
-            off += dx * dy
-    return tuple(pairs)
+def tensor_layout(x: Complex, y: Complex) -> dict[int, tuple[int, list[tuple[int, int, int]]]]:
+    """The summands of x (x) y from one pass over the pairs of nonzero terms:
+    per degree n with a pair, (dim, [(p, q, offset), ...]) with one summand per
+    pair x_p, y_q, p + q = n, ordered by p.  The degrees come unsorted."""
+    dims, pairs = {}, {}
+    for p, a in zip(x.degrees(), x.terms):
+        if da := cell_dim(x.kind, a):
+            for q, b in zip(y.degrees(), y.terms):
+                if db := cell_dim(y.kind, b):
+                    off = dims.get(p + q, 0)
+                    pairs.setdefault(p + q, []).append((p, q, off))
+                    dims[p + q] = off + da * db
+    return {n: (dims[n], summands) for n, summands in pairs.items()}
 
 
-def _tensor_diff(x: Complex, y: Complex, n: int) -> BitMatrix:
-    """Differential of x (x) y out of degree n, in the summand order of
-    tensor_layout: d_x (x) 1 + 1 (x) d_y on each pair of terms.  In degree
-    n - 1 the pairs (p - 1, q) and (p, q - 1) are fixed by their first index."""
-    src = tensor_layout(x, y, n)
-    tgt_off = {p: off for p, _, off in tensor_layout(x, y, n - 1)}
+def _tensor_diff(x: Complex, y: Complex, layout: dict, n: int) -> BitMatrix:
+    """Differential of x (x) y out of degree n, in the summand order and shape of
+    layout = tensor_layout(x, y): d_x (x) 1 + 1 (x) d_y on each pair of terms.
+    In degree n - 1 the pairs (p - 1, q) and (p, q - 1) are fixed by their first index."""
+    cols, src = layout.get(n, (0, ()))
+    rows, tgt = layout.get(n - 1, (0, ()))
+    tgt_off = {p: off for p, _, off in tgt}
     blocks = []
     for p, q, off in src:
         if p - 1 in tgt_off:
             blocks.append((tgt_off[p - 1], off, x.diff(p).kron(BitMatrix.identity(y.dim(q)))))
         if p in tgt_off:
             blocks.append((tgt_off[p], off, BitMatrix.identity(x.dim(p)).kron(y.diff(q))))
-    rows = sum(x.dim(p) * y.dim(n - 1 - p) for p in tgt_off)
-    cols = sum(x.dim(p) * y.dim(q) for p, q, _ in src)
     return BitMatrix.from_blocks(rows, cols, blocks)
 
 
 def tensor_complex(x: Complex, y: Complex) -> Complex:
     if x.kind != y.kind:
         raise ValueError("cell-kind mismatch")
-    if x.is_zero() or y.is_zero():
-        return Complex(x.kind, 0, (), ())
     kind = x.kind
-    lo, hi = x.d_min + y.d_min, x.d_max + y.d_max
-    terms = {n: cell_sum(kind, *(cell_tensor(kind, x.term(p), y.term(q))
-                                 for p, q, _ in tensor_layout(x, y, n)))
-             for n in range(lo, hi + 1)}
-    diffs = {n: _tensor_diff(x, y, n) for n in range(lo + 1, hi + 1)}
+    layout = tensor_layout(x, y)
+    terms = {n: cell_sum(kind, *(cell_tensor(kind, x.term(p), y.term(q)) for p, q, _ in summands))
+             for n, (_, summands) in layout.items()}
+    diffs = {n: _tensor_diff(x, y, layout, n) for n in layout if n - 1 in layout}
     # d (x) 1 + 1 (x) d of two valid complexes is a differential of morphisms
     return build_complex(kind, terms, diffs)
 

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage error (bad arguments or parse failure),
-2 math-engine assertion failure.
+Exit codes: 0 success, 1 usage error (bad arguments, parse failure, or an
+expression nested too deeply), 2 math-engine assertion failure.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ def main(argv=None) -> int:
         report = run(ns.command, ns.args)
     except (UsageError, ParseError, SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # the parser and the tree walks recurse once per level of nesting
+        print("error: expression nested too deeply", file=sys.stderr)
         return 1
     except MathEngineError as exc:
         print(f"engine assertion failure: {exc}", file=sys.stderr)

@@ -254,20 +254,21 @@ _CACHE_SIZE = 1024
 
 
 def direct_sum(*mods: FiltModule) -> FiltModule:
-    """Direct sum of any number of filtered modules, in the given order."""
+    """Direct sum of any number of filtered modules, in the given order.  A
+    summand's reduced echelon layer basis, shifted onto its own coordinate
+    block, stays reduced; the blocks are disjoint and increasing, so the
+    shifted bases in order are the reduced echelon basis of the sum's layer."""
     live = [a for a in mods if not a.is_zero()]
     if len(live) <= 1:
         # one of the inputs when it is the sum, so no new object is built
         return (live or mods or [FiltModule.zero()])[0]
     mod = C2Module(sum(a.dim for a in live), BitMatrix.block_diag(a.module.sigma for a in live))
+    offsets = [0, *accumulate(a.dim for a in live)]
     # the sum is constant between the weights of its summands
     pairs = []
     for w in sorted({w for a in live for w in a.weights}):
-        vecs, offset = [], 0
-        for a in live:
-            vecs.extend(v << offset for v in a.layer(w).basis.data)
-            offset += a.dim
-        pairs.append((w, Subspace.span(mod.dim, vecs)))
+        vecs = [v << off for a, off in zip(live, offsets) for v in a.layer(w).basis.data]
+        pairs.append((w, Subspace(mod.dim, BitMatrix(len(vecs), mod.dim, tuple(vecs)))))
     return FiltModule._of(mod, pairs)
 
 

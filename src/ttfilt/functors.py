@@ -193,20 +193,21 @@ def min_weight(x: Complex) -> int:
 
 
 def _weight_zero_blocks(x: Complex):
-    """injres_trunc(j) for j = max-weight + 1, and per degree of its tensor
-    with x one (offset, Kronecker sigma, weight-zero layer span) block per
-    tensor_layout pair; no blocks when x is zero or j <= 0."""
+    """Per degree of injres_trunc(j) (x) x with a pair of nonzero terms, for
+    j = max-weight + 1, one (offset, Kronecker sigma, weight-zero layer span)
+    block per pair of one tensor_layout, and the differential out of a degree
+    n as a function of n.  No blocks when x is zero or j <= 0."""
     j = max_weight(x) + 1
     if x.is_zero() or j <= 0:
-        return None, {}
+        return {}, None
     inj = injres_trunc(j)
+    layout = tensor_layout(inj, x)
     blocks = {}
-    for n in range(inj.d_min + x.d_min, inj.d_max + x.d_max + 1):
-        blocks[n] = []
-        for p, q, off in tensor_layout(inj, x, n):
+    for n, (_, summands) in layout.items():
+        for p, q, off in summands:
             a, b = inj.term(p), x.term(q)
-            blocks[n].append((off, a.module.sigma.kron(b.module.sigma), _tensor_layer(a, b, 0)))
-    return inj, blocks
+            blocks.setdefault(n, []).append((off, a.module.sigma.kron(b.module.sigma), _tensor_layer(a, b, 0)))
+    return blocks, lambda n: _tensor_diff(inj, x, layout, n)
 
 
 def rwz(x: Complex) -> Complex:
@@ -222,15 +223,13 @@ def rwz(x: Complex) -> Complex:
     """
     if x.kind != FILT:
         raise ValueError("rwz applies to filtered complexes")
-    inj, blocks = _weight_zero_blocks(x)
-    if not blocks:
-        return Complex(C2, 0, (), ())
+    blocks, diff = _weight_zero_blocks(x)
     parts = {}
     for n, pieces in blocks.items():
         sigma = BitMatrix.block_diag(s for _, s, _ in pieces)
         vecs = [v << off for off, _, layer in pieces for v in layer]
         parts[n] = (C2Module(sigma.rows, sigma), Subspace.span(sigma.rows, vecs), Subspace.zero(sigma.rows))
-    return _subquotient_complex(C2, parts, lambda n: _tensor_diff(inj, x, n))
+    return _subquotient_complex(C2, parts, diff)
 
 
 def tfgt(x: Complex) -> Complex:
@@ -281,11 +280,11 @@ def hom_DE(x: Complex, y: Complex) -> dict[int, int]:
         raise ValueError("hom_DE applies to filtered complexes")
     x, y = (minimize(z).complex if any(not d.is_zero() for d in z.diffs) else z for z in (x, y))
     w = tensor_complex(dual_complex(x), y)
-    inj, blocks = _weight_zero_blocks(w)
-    fixed = {n: [] for n in blocks}
+    blocks, diff = _weight_zero_blocks(w)
+    fixed = {n: [] for n in sorted(blocks)}  # ascending: the layout lists degrees unsorted
     kept = {}  # the fixed vectors of each distinct block: along the resolution the blocks repeat
-    for n, parts in blocks.items():
-        for off, sigma, layer in parts:
+    for n in fixed:
+        for off, sigma, layer in blocks[n]:
             key = (sigma, tuple(layer))
             if key not in kept:
                 span = Subspace.span(sigma.rows, layer).basis
@@ -294,14 +293,15 @@ def hom_DE(x: Complex, y: Complex) -> dict[int, int]:
                 kept[key] = sigma.mul(cols).add(cols).kernel().mul(span).data
             fixed[n].extend(v << off for v in kept[key])
     ranks = {}
-    for n in list(blocks)[1:]:
+    for n in list(fixed)[1:]:
         if fixed[n]:
-            d = _tensor_diff(inj, w, n)
+            d = diff(n)
+            below = fixed.get(n - 1, [])  # a degree with no pair has no fixed vectors
             # the images of the fixed vectors are the columns of d.f
             f = BitMatrix(len(fixed[n]), d.cols, tuple(fixed[n])).transpose()
             images = list(d.mul(f).transpose().data)
-            # fixed[n - 1] is independent, so it spans the images iff they add no rank
-            if Subspace.span(d.rows, fixed[n - 1] + images).dim > len(fixed[n - 1]):
+            # below is independent, so it spans the images iff they add no rank
+            if Subspace.span(d.rows, below + images).dim > len(below):
                 raise MathEngineError("hom differential left the hom space")
             ranks[n] = Subspace.span(d.rows, images).dim
     out = {}

@@ -335,6 +335,12 @@ def _term_lines(kind: str, t) -> list[str]:
     return lines
 
 
+# an integer as serialize writes it, the one spelling that _LineReader.integer
+# and _label_parse read: an optional ASCII sign and ASCII digits (int() alone
+# also takes '_', spaces and the digits of other scripts)
+_INTEGER = "[+-]?[0-9]+"
+
+
 class _LineReader:
     def __init__(self, lines: list[str]):
         self.lines = lines
@@ -370,8 +376,10 @@ class _LineReader:
     def integer(self, key: str, minimum: int | None = None) -> int:
         text = self.field(key)
         try:
+            if not re.fullmatch(_INTEGER, text):
+                raise ValueError
             value = int(text)
-        except ValueError:
+        except ValueError:  # also more digits than int() converts
             raise SchemaError(f"field '{key}': expected an integer, got '{text}'") from None
         if minimum is not None and value < minimum:
             raise SchemaError(f"field '{key}': {value} is below {minimum}")
@@ -453,9 +461,8 @@ def serialize(value) -> str:
 def _label_parse(text: str) -> IndecLabel:
     """The label written as 1(n) or E(l,m), l >= 0: the one place where
     serialized text becomes a label, so its fields are checked here.  Each
-    integer is an optional ASCII sign and ASCII digits, as in the grammar
-    (int() alone also takes '_', spaces and the digits of other scripts)."""
-    found = re.fullmatch(r"(?:1\(|E\(([+-]?[0-9]+),)([+-]?[0-9]+)\)", text)
+    integer is an _INTEGER, as in the grammar."""
+    found = re.fullmatch(rf"(?:1\(|E\(({_INTEGER}),)({_INTEGER})\)", text)
     try:
         if found and found[1] is None:
             return unit_label(int(found[2]))

@@ -15,7 +15,10 @@ is `filtmod.decompose` as it was before it became one persistence
 reduction, and `gr_complex_by_placement`, `tensor_diff_by_placement` and
 `tensor_map_by_placement` are `gr_complex`, `chains._tensor_diff` and
 `tensor_map` as they were before they were assembled from blocks: each
-places its blocks by hand at offsets looked up per pair of terms.
+places its blocks by hand at offsets looked up per pair of terms, in
+`tensor_layout_at`: `chains.tensor_layout` as it was before one pass over
+the pairs of terms laid out every degree at once.  `tensor_layout_by_degrees`
+assembles the one-pass layout from it.
 `direct_sum_by_weights`, `dual_by_weights`, `tensor_by_weights`,
 `weight_ge_by_weights` and `is_valid_by_weights` are the filtered-module operations as they were
 before filtrations were stored at their drops: each computes or checks a
@@ -32,7 +35,9 @@ draws its inputs.
 one-label `realize_sum`.  `hom_DE_unminimized` is `functors.hom_DE` as it
 was before it ran on the minimal models of its arguments, and
 `reduce_by_rows` is `Subspace.reduce` as it was before it read the pivots
-off one int: it visits every basis row.
+off one int: it visits every basis row.  `is_prime_by_trial_division` is
+`spectrum._is_prime_number` as it was before it became deterministic
+Miller-Rabin.
 
 The samplers built on `ttfilt.samples` serve the tests and
 scripts/random_stress.py only: `scrambled_module` (a standard model moved
@@ -75,7 +80,6 @@ from ttfilt.chains import (
     Complex,
     MinimalForm,
     _label_dim,
-    _tensor_diff,
     _offsets,
     _rebuild_term,
     _split_term,
@@ -90,7 +94,6 @@ from ttfilt.chains import (
     signature,
     single,
     tensor_complex,
-    tensor_layout,
     validate_complex,
 )
 from ttfilt.filtmod import (
@@ -112,6 +115,18 @@ from ttfilt.filtmod import (
 from ttfilt.functors import _weight_zero_blocks, max_weight, min_weight
 from ttfilt.motives import CATALOG_ATOMS, GENERATORS, MAPNAMES, MotiveExpr, to_filtered
 from ttfilt.samples import random_invertible
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def brute_rank(entries: list[list[int]]) -> int:
@@ -650,11 +665,35 @@ def gr_complex_by_placement(x: Complex) -> Complex:
     return out
 
 
+def tensor_layout_at(x: Complex, y: Complex, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The summands of degree n of x (x) y: (p, q, offset) for each pair of
+    nonzero terms x_p, y_q with p + q = n, ordered by p."""
+    pairs = []
+    off = 0
+    for p in range(max(x.d_min, n - y.d_max), min(x.d_max, n - y.d_min) + 1):
+        q = n - p
+        dx, dy = x.dim(p), y.dim(q)
+        if dx and dy:
+            pairs.append((p, q, off))
+            off += dx * dy
+    return tuple(pairs)
+
+
+def tensor_layout_by_degrees(x: Complex, y: Complex) -> dict:
+    """`chains.tensor_layout` assembled degree by degree from `tensor_layout_at`."""
+    out = {}
+    for n in range(x.d_min + y.d_min, x.d_max + y.d_max + 1):
+        if summands := tensor_layout_at(x, y, n):
+            p, q, off = summands[-1]
+            out[n] = (off + x.dim(p) * y.dim(q), list(summands))
+    return out
+
+
 def tensor_diff_by_placement(x: Complex, y: Complex, n: int) -> BitMatrix:
     """The differential of x (x) y out of degree n, each block placed at the
     offset of its (p, q) pair in the target layout."""
-    src = tensor_layout(x, y, n)
-    tgt = tensor_layout(x, y, n - 1)
+    src = tensor_layout_at(x, y, n)
+    tgt = tensor_layout_at(x, y, n - 1)
     tgt_off = {(p, q): off for p, q, off in tgt}
     rows_total = sum(x.dim(p) * y.dim(q) for p, q, _ in tgt)
     cols_total = sum(x.dim(p) * y.dim(q) for p, q, _ in src)
@@ -679,9 +718,9 @@ def tensor_map_by_placement(f: ChainMap, g: ChainMap) -> ChainMap:
     tgt = tensor_complex(f.target, g.target)
     comps = {}
     for n in src.degrees():
-        t_off = {(p, q): off for p, q, off in tensor_layout(f.target, g.target, n)}
+        t_off = {(p, q): off for p, q, off in tensor_layout_at(f.target, g.target, n)}
         data = [0] * tgt.dim(n)
-        for p, q, off in tensor_layout(f.source, g.source, n):
+        for p, q, off in tensor_layout_at(f.source, g.source, n):
             if (p, q) in t_off:
                 block = f.comp(p).kron(g.comp(q))
                 for i, r in enumerate(block.data):
@@ -1040,20 +1079,20 @@ def hom_DE_unminimized(x: Complex, y: Complex) -> dict[int, int]:
     if x.kind != FILT or y.kind != FILT:
         raise ValueError("hom_DE applies to filtered complexes")
     w = tensor_complex(dual_complex(x), y)
-    inj, blocks = _weight_zero_blocks(w)
-    fixed = {n: [] for n in blocks}
+    blocks, diff = _weight_zero_blocks(w)
+    fixed = {n: [] for n in sorted(blocks)}
     for n, parts in blocks.items():
         for off, sigma, layer in parts:
             span = Subspace.span(sigma.rows, layer).basis
             cols = span.transpose()
             fixed[n].extend(v << off for v in sigma.mul(cols).add(cols).kernel().mul(span).data)
     ranks = {}
-    for n in list(blocks)[1:]:
+    for n in list(fixed)[1:]:
         if fixed[n]:
-            d = _tensor_diff(inj, w, n)
+            d = diff(n)
             f = BitMatrix(len(fixed[n]), d.cols, tuple(fixed[n])).transpose()
             images = list(d.mul(f).transpose().data)
-            if Subspace.span(d.rows, fixed[n - 1] + images).dim > len(fixed[n - 1]):
+            if Subspace.span(d.rows, fixed.get(n - 1, []) + images).dim > len(fixed.get(n - 1, [])):
                 raise MathEngineError("hom differential left the hom space")
             ranks[n] = Subspace.span(d.rows, images).dim
     out = {}

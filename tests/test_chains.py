@@ -39,6 +39,7 @@ from ttfilt.chains import (
     signature,
     single,
     tensor_complex,
+    tensor_layout,
     tensor_map,
     twist_complex,
     upsilon,
@@ -49,7 +50,7 @@ from ttfilt.samples import random_c2_module, random_complex, random_formal_sum
 from ttfilt.spectrum import supp
 
 from helpers import (SearchExhausted, chain_iso_inverse, check_values, find_chain_iso, gather, labels_at,
-                     random_chain_map, tensor_diff_by_placement, tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta,
+                     random_chain_map, tensor_diff_by_placement, tensor_layout_by_degrees, tensor_map_by_placement, truncate_ge, truncate_le, truncation_delta,
                      unit_complex, width)
 
 
@@ -119,8 +120,11 @@ def test_tensor_blocks_match_the_placement_oracles(kind):
         if kind == FILT:
             xs[1] = twist_complex(xs[1], rng.randint(-2, 2))
         for x, y in ((xs[0], xs[2]), (xs[1], xs[3]), (xs[0], zero)):
+            layout = tensor_layout(x, y)
+            # every degree of the product laid out as by the per-degree oracle, and no other degree
+            assert layout == tensor_layout_by_degrees(x, y)
             for n in range(x.d_min + y.d_min - 1, x.d_max + y.d_max + 2):
-                assert _tensor_diff(x, y, n) == tensor_diff_by_placement(x, y, n)
+                assert _tensor_diff(x, y, layout, n) == tensor_diff_by_placement(x, y, n)
         f, g = random_chain_map(rng, xs[0], xs[1]), random_chain_map(rng, xs[2], xs[3])
         f_ends, g_ends = _common_range(rng, kind), [dual_complex(x) for x in _common_range(rng, kind)]
         if kind == FILT:

@@ -390,6 +390,20 @@ def test_direct_sum_matches_the_per_weight_oracle():
         _same_layers(direct_sum(*parts), direct_sum_by_weights(*parts))
 
 
+def test_direct_sum_writes_the_reduced_basis_of_scrambled_summands():
+    # the layers are shifted, not eliminated: summands in another basis than the standard
+    # one, several of them, each layer basis of a summand reduced but not standard
+    rng = random.Random(65)
+    scrambled = 0
+    for _ in range(40):
+        parts = [scrambled_module(rng, random_formal_sum(rng, max_summands=3, max_l=4, weight_span=(-3, 3)))
+                 for _ in range(rng.randint(2, 5))]
+        parts = [a.twist(rng.randint(-2, 2)) for a in parts]
+        scrambled += sum(a != realize_sum(decompose(a).sum) for a in parts)
+        _same_layers(direct_sum(*parts), direct_sum_by_weights(*parts))
+    assert scrambled >= 80, scrambled
+
+
 def test_dual_matches_the_per_weight_oracle():
     for a in _oracle_inputs(63):
         _same_layers(dual(a), dual_by_weights(a))

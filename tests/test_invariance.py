@@ -54,7 +54,7 @@ from ttfilt.filtmod import (
     tensor,
     unit_label,
 )
-from ttfilt.functors import hom_DE, hom_modules, pwz_complex
+from ttfilt.functors import _weight_zero_blocks, hom_DE, hom_modules, pwz_complex
 from ttfilt.motives import motivic_cohomology
 from ttfilt.samples import random_c2_module, random_complex, random_formal_sum
 from ttfilt.shell import deserialize, serialize
@@ -344,6 +344,30 @@ def test_hom_DE_matches_the_hom_complex_of_the_unminimized_arguments():
         nonzero += bool(dims)
         shrunk += minimize(x).complex.total_dim() < x.total_dim() or minimize(y).complex.total_dim() < y.total_dim()
     assert nonzero >= 130 and shrunk >= 40, (nonzero, shrunk)
+
+
+def test_hom_DE_matches_the_unminimized_hom_complex_across_a_gap():
+    """A zero term of w = dual(x) (x) y inside its range, wider than the
+    resolution, leaves a degree of injres (x) w with no pair and no block;
+    with two or more resolution terms the layout meets the degrees out of
+    order.  Same dimensions as the oracle, in the same order."""
+    u = UNIT_COMPLEX
+    gap = direct_sum_complex(u, shift(u, 2))
+    rng = random.Random(43)
+    labels = [unit_label(0), unit_label(1), unit_label(2), e_label(1, 0), e_label(0, 1)]
+
+    def shifted_singles():
+        degrees = rng.sample(range(-4, 5), rng.randint(1, 3))
+        return direct_sum_complex(*(shift(single(FILT, realize(rng.choice(labels))), d) for d in degrees))
+
+    corpus = [(gap, u), (u, gap)] + [(shifted_singles(), shifted_singles()) for _ in range(40)]
+    gaps = unsorted = 0
+    for x, y in corpus:
+        assert list(hom_DE(x, y).items()) == list(hom_DE_unminimized(x, y).items()), (x, y)
+        degrees = list(_weight_zero_blocks(tensor_complex(dual_complex(x), y))[0])
+        gaps += bool(degrees) and max(degrees) - min(degrees) + 1 > len(degrees)
+        unsorted += degrees != sorted(degrees)
+    assert gaps >= 15 and unsorted >= 10, (gaps, unsorted)
 
 
 def test_motivic_cohomology_matches_the_unminimized_hom_complex():

@@ -6,6 +6,7 @@ shows up here)."""
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -143,3 +144,32 @@ def test_cli_hom_with_a_complex_keeps_the_hom_complex(argv, expected):
     proc = _python("-m", "ttfilt.cli", "hom", *argv, timeout=30)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["support", "(" * 1000 + "0" + ")" * 1000],
+    ["decompose", "dual(" * 2000 + "1" + ")" * 2000],
+    ["support", " + ".join(["1"] * 3000)],
+])
+def test_cli_over_deep_expression_exits_one(argv):
+    # the parser and the tree walks recurse once per level: past the interpreter's limit, a usage error
+    proc = _python("-m", "ttfilt.cli", *argv, timeout=30)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "error: expression nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_closure_of_a_19_digit_prime_index_is_fast():
+    # deterministic Miller-Rabin: trial division would take over an hour here
+    start = time.perf_counter()
+    proc = _python("-m", "ttfilt.cli", "atlas", "DATMZ", "--closure", "e(2305843009213693951)", timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "{e(2305843009213693951), m(2305843009213693951)}\n"
+
+
+def test_cli_closure_of_an_index_beyond_the_prime_test_exits_one():
+    proc = _python("-m", "ttfilt.cli", "atlas", "DATMZ", "--closure", "e(3317044064679887385961981)")
+    assert proc.returncode == 1
+    assert "error: prime index 3317044064679887385961981 is too large" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -320,6 +320,27 @@ def _fund0_blob() -> str:
     return serialize(evaluate(parse("fund0")))
 
 
+@pytest.mark.parametrize("blob, key, text", [
+    pytest.param(lambda: serialize(realize(e_label(1, 0))), "dim", "0_2", id="dim-underscore"),
+    pytest.param(lambda: serialize(realize(e_label(1, 0))), "dim", "\u0662", id="dim-arabic-indic-digit"),
+    pytest.param(lambda: serialize(realize(e_label(1, 0))), "wmin", " 0", id="wmin-two-spaces"),
+    pytest.param(lambda: serialize(realize(e_label(1, 0))), "wmax", "\u0661", id="wmax-arabic-indic-digit"),
+    pytest.param(_fund0_blob, "dmin", "0_0", id="dmin-underscore"),
+    pytest.param(_fund0_blob, "nterms", "\uff13", id="nterms-fullwidth-digit"),
+    pytest.param(_fund0_blob, "begin diff", " 1", id="diff-degree-two-spaces"),
+    pytest.param(_fund0_blob, "rows", "+0_1", id="rows-sign-and-underscore"),
+    pytest.param(_fund0_blob, "cols", "\u0662", id="cols-arabic-indic-digit"),
+])
+def test_deserialize_reads_integer_fields_as_serialize_writes_them(blob, key, text):
+    # the one spelling _label_parse takes: int() alone reads each of these as the written value
+    blob = blob()
+    written = f"\n{key} {int(text)}\n"
+    assert written in blob
+    with pytest.raises(SchemaError) as err:
+        deserialize(blob.replace(written, f"\n{key} {text}\n", 1))
+    assert str(err.value) == f"field '{key}': expected an integer, got '{text}'"
+
+
 @pytest.mark.parametrize("blob", [
     pytest.param(lambda: _fund0_blob().replace("dmin 0", "dmin 7"), id="dmin-off-the-term-degrees"),
     pytest.param(lambda: _fund0_blob().replace("nterms 3", "nterms 2"), id="more-term-blocks-than-nterms"),

@@ -30,12 +30,14 @@ from ttfilt.spectrum import (
     supp_KbA,
     supp_detail,
     support_text,
+    _MR_BOUND,
+    _is_prime_number,
     verify_prime_generators,
 )
 from ttfilt.motives import GENERATORS
 from ttfilt.shell import evaluate, parse
 
-from helpers import unit_complex
+from helpers import is_prime_by_trial_division, unit_complex
 
 
 def ev(text):
@@ -231,6 +233,29 @@ def test_integral_atlas_closures():
     assert z.closure_of("Ms").points == frozenset({"Ms", "Ls", "m(2)"})
     with pytest.raises(ValueError):
         z.closure_of("e(4)")
+
+
+def test_prime_test_matches_trial_division_below_20000():
+    assert [l for l in range(-2, 20000) if _is_prime_number(l) != is_prime_by_trial_division(l)] == []
+
+
+# a Carmichael number, then the smallest strong pseudoprimes to the bases 2 .. 7,
+# 2 .. 31 and 2 .. 37: the last is caught by base 41 alone
+@pytest.mark.parametrize("l", [561, 3215031751, 3825123056546413051, 318665857834031151167461])
+def test_prime_test_rejects_strong_pseudoprimes(l):
+    assert not _is_prime_number(l)
+
+
+# the last is the largest prime below the bound
+@pytest.mark.parametrize("l", [10**15 + 37, 2**61 - 1, 3317044064679887385961813])
+def test_prime_test_reads_large_prime_indices(l):
+    assert _is_prime_number(l)
+
+
+def test_prime_test_refuses_indices_from_its_bound():
+    # the bound is itself a strong pseudoprime to all 13 bases
+    with pytest.raises(ValueError, match="too large"):
+        atlas("DATMZ").closure_of(f"e({_MR_BOUND})")
 
 
 INTEGRAL_CLOSED_CASES = [
