@@ -65,6 +65,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 # the test oracles and the samplers built on ttfilt.samples live beside the tests
 from helpers import (  # noqa: E402
     check_values,
+    contains,
+    decompose_by_vectors,
     direct_sum_by_weights,
     has_sum_in_two_degrees,
     hom_basis,
@@ -75,6 +77,7 @@ from helpers import (  # noqa: E402
     random_graded_sequence,
     random_module_tree,
     realize_by_twist,
+    reduce,
     scrambled_module,
     split_by_gather,
     split_exact_by_solve,
@@ -271,6 +274,20 @@ def main(rounds: int = 25, seed: int = 0) -> int:
         if direct_sum(*parts) != direct_sum_by_weights(*parts):
             print(f"[{i}] direct sum differs from the per-weight oracle on {fs.text()}, {fb.text()}")
             failures += 1
+        # the residue kernels and decompose against the per-vector oracles on the round's filtered
+        # modules, the vectors drawn last from the side generator
+        for c in [a, b] + [m for m in made if isinstance(m, FiltModule)]:
+            dec, oracle = decompose(c), decompose_by_vectors(c)
+            if (dec.sum, dec.iso.matrix, dec.inv.matrix) != (oracle.sum, oracle.iso.matrix, oracle.inv.matrix):
+                print(f"[{i}] decompose differs from the per-vector oracle on a module of dimension {c.dim}")
+                failures += 1
+            for lay in c.layers:
+                vecs = lay.basis.data + tuple(side.getrandbits(c.dim) for _ in range(side.randint(0, c.dim)))
+                want = tuple(reduce(lay, v) for v in vecs)
+                if not (lay.reduce_all(vecs) == lay._reduce_rows(vecs) == lay._reduce_packed(vecs) == want) or \
+                        lay.contains_all(vecs) != all(contains(lay, v) for v in vecs):
+                    print(f"[{i}] the residues of {len(vecs)} vectors modulo a layer differ from the per-vector reduce")
+                    failures += 1
         # gf2 values check nothing on construction: every output of the round must be well formed
         plain = [fgt_complex(x), gr_complex(x), z] + [c for c in made if isinstance(c, Complex) and c.kind == C2]
         made += [a, b, gr(a), to_filtered(e), pwz_complex(z), tfgt(x)] + plain

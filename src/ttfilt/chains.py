@@ -328,19 +328,25 @@ def tensor_layout(x: Complex, y: Complex) -> dict[int, tuple[int, list[tuple[int
     return {n: (dims[n], summands) for n, summands in pairs.items()}
 
 
-def _tensor_diff(x: Complex, y: Complex, layout: dict, n: int) -> BitMatrix:
+def _tensor_diff(x: Complex, y: Complex, layout: dict, n: int, krons: Optional[dict] = None) -> BitMatrix:
     """Differential of x (x) y out of degree n, in the summand order and shape of
     layout = tensor_layout(x, y): d_x (x) 1 + 1 (x) d_y on each pair of terms.
-    In degree n - 1 the pairs (p - 1, q) and (p, q - 1) are fixed by their first index."""
+    In degree n - 1 the pairs (p - 1, q) and (p, q - 1) are fixed by their first index.
+    krons keeps the Kronecker blocks of one product, which recur along a resolution."""
     cols, src = layout.get(n, (0, ()))
     rows, tgt = layout.get(n - 1, (0, ()))
     tgt_off = {p: off for p, _, off in tgt}
+    krons = {} if krons is None else krons
+    def kron(d: BitMatrix, k: int, left: bool) -> BitMatrix:  # d (x) 1_k or 1_k (x) d
+        if (key := (d, k, left)) not in krons:
+            krons[key] = d.kron(BitMatrix.identity(k)) if left else BitMatrix.identity(k).kron(d)
+        return krons[key]
     blocks = []
     for p, q, off in src:
         if p - 1 in tgt_off:
-            blocks.append((tgt_off[p - 1], off, x.diff(p).kron(BitMatrix.identity(y.dim(q)))))
+            blocks.append((tgt_off[p - 1], off, kron(x.diff(p), y.dim(q), True)))
         if p in tgt_off:
-            blocks.append((tgt_off[p], off, BitMatrix.identity(x.dim(p)).kron(y.diff(q))))
+            blocks.append((tgt_off[p], off, kron(y.diff(q), x.dim(p), False)))
     return BitMatrix.from_blocks(rows, cols, blocks)
 
 
@@ -351,7 +357,8 @@ def tensor_complex(x: Complex, y: Complex) -> Complex:
     layout = tensor_layout(x, y)
     terms = {n: cell_sum(kind, *(cell_tensor(kind, x.term(p), y.term(q)) for p, q, _ in summands))
              for n, (_, summands) in layout.items()}
-    diffs = {n: _tensor_diff(x, y, layout, n) for n in layout if n - 1 in layout}
+    krons: dict = {}  # the Kronecker blocks of this product, shared by its degrees
+    diffs = {n: _tensor_diff(x, y, layout, n, krons) for n in layout if n - 1 in layout}
     # d (x) 1 + 1 (x) d of two valid complexes is a differential of morphisms
     return build_complex(kind, terms, diffs)
 

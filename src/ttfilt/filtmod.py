@@ -156,9 +156,9 @@ class FiltModule:
                 raise ValueError("layer ambient mismatch")
             if prev is not None and (prev.dim == lay.dim or not prev.contains_space(lay)):
                 raise ValueError("layers must decrease")
-            for v in lay.basis.data:
-                if not lay.contains(self.module.sigma.apply(v)):
-                    raise ValueError("layer is not sigma-stable")
+            # the zero layer maps no vector, and the full one contains any image
+            if 0 < lay.dim < n and not lay.contains_all(lay.basis.mul(sigma.transposed).data):
+                raise ValueError("layer is not sigma-stable")
             prev = lay
         if any(v >= w for v, w in zip(self.weights, self.weights[1:])):
             raise ValueError("weights must increase")
@@ -376,11 +376,8 @@ class FiltMorphism:
             return False
         for top, lay in self.source.drops():
             tgt = self.target.layer(top)
-            if tgt.is_full():
-                continue  # it contains any image
-            for v in lay.basis.data:
-                if not tgt.contains(m.apply(v)):
-                    return False
+            if not tgt.is_full() and not tgt.contains_all(lay.basis.mul(m.transposed).data):
+                return False
         return True
 
 
@@ -448,22 +445,27 @@ def decompose(a: FiltModule) -> Decomposition:
     weights w (elsewhere V_w = V_{w+1} offers nothing new), N.v and then v
     for v in a basis of V_w are kept at weight w when independent of the
     vectors kept before, which span V_{w+1}: so each has weight w, and N is
-    strictly upper triangular.  Reduced by lowest
-    ones, with column additions applied to the vectors e_j, a column j with
-    low i spans E(wt(i) - wt(j), wt(j)) by (e_j, sigma.e_j), and a zero
-    column that is nobody's low spans 1(wt(j)) by e_j.
+    strictly upper triangular.  The residue modulo V_{w+1} is linear with
+    kernel V_{w+1}, so a candidate is independent of the kept vectors iff its
+    residue is independent of the residues kept at w: one reduce_all per drop.
+    With the kept vectors as the rows of V, u has coordinates u.V^-1, so N
+    has the columns V.N^T.V^-1.  Reduced by lowest ones, with column additions
+    applied to the vectors e_j, a column j with low i spans E(wt(i) - wt(j),
+    wt(j)) by (e_j, sigma.e_j), and a zero column that is nobody's low spans 1(wt(j)) by e_j.
     """
-    norm = a.module.norm()
-    vecs, weights, tops = [], [], {}
+    sigma_t = a.module.sigma.transposed
+    norm_t = sigma_t.add(BitMatrix.identity(a.dim))
+    vecs, weights = [], []
     for w, lay in reversed(a.drops()):
-        for v in [norm.apply(u) for u in lay.basis.data] + list(lay.basis.data):
-            if insert_independent(tops, v):
+        cands, tops = lay.basis.mul(norm_t).data + lay.basis.data, {}
+        for v, r in zip(cands, a.layer(w + 1).reduce_all(cands)):
+            if insert_independent(tops, r):
                 vecs.append(v)
                 weights.append(w)
-    coords = BitMatrix(len(vecs), a.dim, tuple(vecs)).transpose().inverse()
-    reduced = [coords.apply(norm.apply(v)) for v in vecs]  # the columns of N
+    basis = BitMatrix(len(vecs), a.dim, tuple(vecs))
+    reduced = list(basis.mul(norm_t).mul(basis.inverse()).data)  # the columns of N
     owner: dict[int, int] = {}  # low of a reduced nonzero column -> that column
-    pieces: list[tuple[IndecLabel, tuple[int, ...]]] = []
+    regular: list[tuple[IndecLabel, int]] = []
     for j, c in enumerate(reduced):
         if c >> j:
             raise MathEngineError("norm is not strictly triangular in the adapted basis")
@@ -472,8 +474,9 @@ def decompose(a: FiltModule) -> Decomposition:
         reduced[j] = c
         if c:
             owner[c.bit_length() - 1] = j
-            pieces.append((e_label(weights[c.bit_length() - 1] - weights[j], weights[j]),
-                           (vecs[j], a.module.sigma.apply(vecs[j]))))
+            regular.append((e_label(weights[c.bit_length() - 1] - weights[j], weights[j]), vecs[j]))
+    images = BitMatrix(len(regular), a.dim, tuple(v for _, v in regular)).mul(sigma_t).data
+    pieces = [(label, (v, s)) for (label, v), s in zip(regular, images)]
     pieces += [(unit_label(weights[j]), (vecs[j],))
                for j, c in enumerate(reduced) if not c and j not in owner]
     pieces.sort(key=lambda piece: piece[0])

@@ -202,12 +202,12 @@ def _weight_zero_blocks(x: Complex):
         return {}, None
     inj = injres_trunc(j)
     layout = tensor_layout(inj, x)
-    blocks = {}
+    blocks, krons = {}, {}  # krons: the differential's Kronecker blocks, shared by the degrees
     for n, (_, summands) in layout.items():
         for p, q, off in summands:
             a, b = inj.term(p), x.term(q)
             blocks.setdefault(n, []).append((off, a.module.sigma.kron(b.module.sigma), _tensor_layer(a, b, 0)))
-    return blocks, lambda n: _tensor_diff(inj, x, layout, n)
+    return blocks, lambda n: _tensor_diff(inj, x, layout, n, krons)
 
 
 def rwz(x: Complex) -> Complex:

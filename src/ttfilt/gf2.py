@@ -13,8 +13,8 @@ side s, the product by one spread column times one row per row of the
 right factor; dense matrices, e.g. 45 x 45 at density 1/2 transposes in
 19 us against 157 us), and a bit loop linear in the entries for rows or
 columns longer than 16,384 bits.  The crossovers the rule prices are
-measured, and written beside it.  `Subspace.reduce` clears only the pivot
-bits that the vector has, reading the row of each off one int of pivots.
+measured, and written beside it.  `Subspace.reduce_all` picks, by pivot
+hits, the bit loop over each vector's pivot bits or the packed sum by pivots.
 
 The values are plain data, not checked on construction: a matrix's row
 count and widths, a subspace's basis width and a module's involution are
@@ -79,6 +79,10 @@ def _spread_bytes(width: int) -> tuple[int, ...]:
 #   - product, slots of w bits: per row of other 2 steps plus
 #     rows * w^2 / 150000 for the multiply, plus 3 per row of self.  Dense
 #     45 x 45: 150 -> 31 us; 64 x 64 at 2 bits per row: 21 against 61 us.
+#   - residues of k vectors modulo d basis rows, slots of w bits: the loop a step
+#     per pivot hit, packed 10 + k + d * (3 + k w^2 / 150000).  Dense members:
+#     d = 16: 16 -> 9 us, 120 in 128 bits: 1,392 -> 410 us; d = 4 stays on the
+#     loop (1.4 against 2.1 us), and so do 2 hits per vector (63 against 298 us).
 # A lopsided matrix is priced at its padded square, so 1 x 10^6 is never packed
 # into 2^40 bits.  The loop's step costs the length of the row it clears and
 # of the column it grows, so past _LONG bits WIDE is picked when the set bits
@@ -117,6 +121,16 @@ def _kernel(m: "BitMatrix", out_cols: Optional[int] = None) -> int:
     return ROWS
 
 
+def _residue_kernel(space: "Subspace", vecs: tuple[int, ...]) -> int:
+    """ROWS or PACKED for space.reduce_all(vecs), by pivot hits against the price."""
+    d, k = space.dim, len(vecs)
+    if k * d <= (price := 10 + k + 3 * d):
+        return ROWS
+    price += d * (k * _slot(space.ambient) ** 2 // 150000)
+    pivots = space._pivots
+    return PACKED if sum([(v & pivots).bit_count() for v in vecs]) > price else ROWS
+
+
 def _side(n: int) -> int:
     """Side of the packed square for n rows or columns: a power of two, whole bytes."""
     return max(8, 1 << (n - 1).bit_length())
@@ -131,6 +145,17 @@ def _pack(data: tuple[int, ...], width: int) -> int:
     """The rows as one int, row i in the slot of width bits at i * width."""
     nb = width >> 3
     return int.from_bytes(b"".join([r.to_bytes(nb, "little") for r in data]), "little")
+
+
+def _slot_sum(data: tuple[int, ...], width: int, terms) -> tuple[int, int]:
+    """(P, S): data packed by _pack, and S the sum over (k, row) in terms of the spread
+    bit k of each slot times row, without carries for rows narrower than a slot."""
+    packed = _pack(data, width)
+    ones = int.from_bytes((b"\x01" + bytes((width >> 3) - 1)) * len(data), "little")
+    acc = 0
+    for k, row in terms:
+        acc ^= ((packed >> k) & ones) * row
+    return packed, acc
 
 
 def _unpack(x: int, count: int, width: int) -> tuple[int, ...]:
@@ -247,12 +272,7 @@ class BitMatrix:
         row in each such slot (w >= other.cols, so without carries), and the
         product is the sum of these over k."""
         w = _slot(max(self.cols, other.cols))
-        packed = _pack(self.data, w)
-        ones = int.from_bytes((b"\x01" + bytes((w >> 3) - 1)) * self.rows, "little")
-        acc = 0
-        for k, row in enumerate(other.data):
-            if row:
-                acc ^= ((packed >> k) & ones) * row
+        _, acc = _slot_sum(self.data, w, [(k, row) for k, row in enumerate(other.data) if row])
         return BitMatrix(self.rows, other.cols, _unpack(acc, self.rows, w))
 
     def _mul_wide(self, other: "BitMatrix") -> "BitMatrix":
@@ -269,21 +289,10 @@ class BitMatrix:
         return BitMatrix(self.rows, other.cols, tuple(out))
 
     @cached_property
-    def _columns(self) -> tuple[int, ...]:
-        """Column j as an int over the rows, kept on this frozen matrix: it never
-        goes stale and is freed with the matrix, so it is no cache of its own."""
-        return self.transpose().data
-
-    def apply(self, v: int) -> int:
-        """Matrix times column vector: the sum of the columns at the set bits
-        of v, so bit i of the result is <row_i, v>."""
-        cols = self._columns
-        out = 0
-        while v:
-            low = v & -v
-            out ^= cols[low.bit_length() - 1]
-            v ^= low
-        return out
+    def transposed(self) -> "BitMatrix":
+        """The transpose, kept on this frozen matrix (it never goes stale, so it is no
+        cache of its own): row i of b.mul(m.transposed) is m applied to row i of b."""
+        return self.transpose()
 
     def transpose(self) -> "BitMatrix":
         """The transpose, by the kernel that _kernel picks."""
@@ -553,6 +562,15 @@ class LinearSystem:
         return BitMatrix(nr, nc, tuple((flat >> (off + i * nc)) & mask for i in range(nr)))
 
 
+def _is_reduced(vecs: tuple[int, ...]) -> bool:
+    """True iff vecs are the reduced echelon basis of their span in rref's
+    order: rows nonzero, lowest bits strictly increasing, and no row holding
+    another row's lowest bit."""
+    lows = [v & -v for v in vecs]
+    pivots = sum(lows)
+    return all(a < b for a, b in zip([0, *lows], lows)) and all(v & pivots == b for v, b in zip(vecs, lows))
+
+
 def insert_independent(tops: dict[int, int], v: int) -> bool:
     """Reduce v by independent vectors keyed by highest set bit and, if a
     remainder is left, key it by its highest bit: True iff v was independent."""
@@ -578,7 +596,11 @@ class Subspace:
 
     @staticmethod
     def span(ambient: int, vectors: Iterable[int]) -> "Subspace":
+        """The span, its basis in reduced echelon form: vectors that are that basis
+        already (_is_reduced, exact) are what rref returns, so they are kept as given."""
         vecs = tuple(vectors)
+        if _is_reduced(vecs):
+            return Subspace(ambient, BitMatrix(len(vecs), ambient, vecs))
         red, pivots = BitMatrix(len(vecs), ambient, vecs).rref()
         return Subspace(ambient, BitMatrix(len(pivots), ambient, red.data[: len(pivots)]))
 
@@ -603,28 +625,38 @@ class Subspace:
     @cached_property
     def _pivots(self) -> int:
         """The pivot bits of the basis as one int, kept on the frozen value as
-        BitMatrix._columns is.  Pivots are distinct, so their sum is their union."""
+        BitMatrix.transposed is.  Pivots are distinct, so their sum is their union."""
         return sum(b & -b for b in self.basis.data)
 
-    def reduce(self, v: int) -> int:
-        """Canonical residue of v modulo this subspace: only the pivot bits that
-        v has are cleared.  The basis is in reduced echelon form sorted by pivot,
-        so the row of a pivot is the count of the pivots below it, and clearing
-        one pivot bit sets no other."""
-        pivots = self._pivots
-        hit = v & pivots
-        rows = self.basis.data
-        while hit:
-            low = hit & -hit
-            v ^= rows[(pivots & (low - 1)).bit_count()]
-            hit ^= low
-        return v
+    def reduce_all(self, vecs: tuple[int, ...]) -> tuple[int, ...]:
+        """The canonical residue of each vector, by the kernel _residue_kernel picks."""
+        return (self._reduce_rows if _residue_kernel(self, vecs) == ROWS else self._reduce_packed)(vecs)
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
+    def _reduce_rows(self, vecs: tuple[int, ...]) -> tuple[int, ...]:
+        """The bit loop: only the pivot bits a vector has are cleared, each by the row
+        of that pivot, the count of the pivots below it; clearing one sets no other."""
+        pivots, rows, out = self._pivots, self.basis.data, []
+        for v in vecs:
+            hit = v & pivots
+            while hit:
+                low = hit & -hit
+                v ^= rows[(pivots & (low - 1)).bit_count()]
+                hit ^= low
+            out.append(v)
+        return tuple(out)
+
+    def _reduce_packed(self, vecs: tuple[int, ...]) -> tuple[int, ...]:
+        """The word-parallel residues: u plus the row of each pivot bit of u, so with the
+        vectors in slots of w >= ambient bits, the product's sum _slot_sum indexed by pivots."""
+        w = _slot(self.ambient)
+        packed, acc = _slot_sum(vecs, w, [((row & -row).bit_length() - 1, row) for row in self.basis.data])
+        return _unpack(packed ^ acc, len(vecs), w)
+
+    def contains_all(self, vecs: tuple[int, ...]) -> bool:
+        return not any(self.reduce_all(vecs))
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis.data)
+        return self.contains_all(other.basis.data)
 
     def extension(self, larger: "Subspace") -> list[int]:
         """The basis vectors of larger, in stored order, that lie outside the
@@ -710,11 +742,9 @@ class C2Module:
         img = image(n)
         b = img.dim
         a = self.dim - 2 * b
-        free_cols = []
-        for v in n.solve_many(img.basis.data):
-            free_cols.append((v, self.sigma.apply(v)))
-        trivial_cols = img.extension(kernel_space(n))
-        cols = trivial_cols + [c for pair in free_cols for c in pair]
+        lifts = n.solve_many(img.basis.data)
+        images = BitMatrix(len(lifts), self.dim, tuple(lifts)).mul(self.sigma.transposed).data
+        cols = img.extension(kernel_space(n)) + [c for pair in zip(lifts, images) for c in pair]
         u_mat = BitMatrix(len(cols), self.dim, tuple(cols)).transpose()
         u_inv = u_mat.inverse()
         if u_inv is None:
@@ -760,7 +790,7 @@ def induced_map(reps_src: BitMatrix, reps_tgt: BitMatrix, below_tgt: Subspace, m
     k_tgt = reps_tgt.rows
     solver = BitMatrix(k_tgt + below_tgt.dim, m.rows, reps_tgt.data + below_tgt.basis.data).transpose()
     cols = []
-    for coeff in solver.solve_many(m.apply(v) for v in reps_src.data):
+    for coeff in solver.solve_many(reps_src.mul(m.transposed).data):
         if coeff is None:
             raise ValueError("map does not descend to subquotient")
         cols.append(coeff & ((1 << k_tgt) - 1))

@@ -35,9 +35,16 @@ draws its inputs.
 one-label `realize_sum`.  `hom_DE_unminimized` is `functors.hom_DE` as it
 was before it ran on the minimal models of its arguments, and
 `reduce_by_rows` is `Subspace.reduce` as it was before it read the pivots
-off one int: it visits every basis row.  `is_prime_by_trial_division` is
-`spectrum._is_prime_number` as it was before it became deterministic
-Miller-Rabin.
+off one int: it visits every basis row.  `decompose_by_vectors`,
+`is_valid_by_vectors` and `post_init_by_vectors` are `filtmod.decompose`,
+`FiltMorphism.is_valid` and the checks of `FiltModule.__post_init__` as
+they were before they mapped and tested whole layers in one product and
+one `Subspace.reduce_all`: one `apply` and one `contains` per vector.
+`apply`, `reduce` and `contains` are `BitMatrix.apply`, `Subspace.reduce`
+and `Subspace.contains`, the map, residue and membership test of one
+vector, which only these oracles and the tests take now.
+`is_prime_by_trial_division` is `spectrum._is_prime_number` as it was
+before it became deterministic Miller-Rabin.
 
 The samplers built on `ttfilt.samples` serve the tests and
 scripts/random_stress.py only: `scrambled_module` (a standard model moved
@@ -69,6 +76,7 @@ from ttfilt.gf2 import (
     Subspace,
     equivariance_rows,
     induced_map,
+    insert_independent,
     kernel_space,
     quotient_module,
 )
@@ -165,7 +173,7 @@ def rref_by_column_scan(m: BitMatrix) -> tuple[BitMatrix, tuple[int, ...]]:
 
 
 def brute_kernel_vectors(m: BitMatrix) -> set[int]:
-    return {v for v in range(1 << m.cols) if m.apply(v) == 0}
+    return {v for v in range(1 << m.cols) if apply(m, v) == 0}
 
 
 def brute_hom_count(src, tgt) -> int:
@@ -180,7 +188,7 @@ def brute_hom_count(src, tgt) -> int:
         for w in range(src.w_min, src.w_max + 1):
             lay_t = tgt.layer(w)
             for v in src.layer(w).basis.data:
-                if not lay_t.contains(mat.apply(v)):
+                if not contains(lay_t, apply(mat, v)):
                     ok = False
                     break
             if not ok:
@@ -196,7 +204,7 @@ def brute_exact_f2(z: Complex) -> bool:
     for n in range(z.d_min, z.d_max + 1):
         kern = brute_kernel_vectors(z.diff(n).add(BitMatrix.zero(z.diff(n).rows, z.diff(n).cols)))
         d_in = z.diff(n + 1)
-        img = {d_in.apply(v) for v in range(1 << d_in.cols)}
+        img = {apply(d_in, v) for v in range(1 << d_in.cols)}
         if kern != img:
             return False
     return True
@@ -216,9 +224,9 @@ def brute_tate_dim(y: Complex) -> int:
         out = 0
         for n in y.degrees():
             part = (v >> offs[n]) & ((1 << y.dim(n)) - 1)
-            out ^= y.term(n).norm().apply(part) << offs[n]
+            out ^= apply(y.term(n).norm(), part) << offs[n]
             if n > y.d_min:
-                out ^= y.diff(n).apply(part) << offs[n - 1]
+                out ^= apply(y.diff(n), part) << offs[n - 1]
         return out
     kern = {v for v in range(1 << total) if fold(v) == 0}
     img = {fold(v) for v in range(1 << total)}
@@ -584,7 +592,7 @@ def decompose_by_meets(a: FiltModule) -> Decomposition:
     zero = Subspace.zero(a.dim)
     # index i < k stands for the layer at drops[i], index k for the zero layer above
     layers = [a.layer(w) for w in drops] + [zero]
-    pushed = [tuple(norm.apply(v) for v in lay.basis.data) for lay in layers]
+    pushed = [tuple(apply(norm, v) for v in lay.basis.data) for lay in layers]
     images = [Subspace.span(a.dim, vecs) for vecs in pushed]
     meets = {(i, j): intersect(images[i], layers[j]) for i in range(k) for j in range(i + 1, k)}
 
@@ -604,8 +612,8 @@ def decompose_by_meets(a: FiltModule) -> Decomposition:
         lift = BitMatrix(len(pushed[i]), a.dim, pushed[i]).transpose()
         spread = layers[i].basis.transpose()
         for (t, _), c in zip(found, lift.solve_many(y for _, y in found)):
-            e = spread.apply(c)
-            pieces.append((e_label(t - m, m), (e, a.module.sigma.apply(e))))
+            e = apply(spread, c)
+            pieces.append((e_label(t - m, m), (e, apply(a.module.sigma, e))))
     pieces.sort(key=lambda piece: piece[0])
     fs = FormalSum(tuple(label for label, _ in pieces))
     model = realize_sum(fs)
@@ -814,7 +822,7 @@ def is_valid_by_weights(f: FiltMorphism) -> bool:
         return False
     for w in range(f.source.w_min, f.source.w_max + 1):
         tgt = f.target.layer(w)
-        if not all(tgt.contains(m.apply(v)) for v in f.source.layer(w).basis.data):
+        if not all(contains(tgt, apply(m, v)) for v in f.source.layer(w).basis.data):
             return False
     return True
 
@@ -1038,11 +1046,128 @@ def random_graded_sequence(rng):
     return amod, bmod, cmod, ub.mul(gf).mul(ua_inv), uc.mul(gg).mul(ub_inv)
 
 
+def apply(m: BitMatrix, v: int) -> int:
+    """Matrix times column vector, as `BitMatrix.apply` was: the sum of the
+    columns of m at the set bits of v, so bit i of the result is <row_i, v>."""
+    cols = m.transposed.data
+    out = 0
+    while v:
+        low = v & -v
+        out ^= cols[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def reduce(space: Subspace, v: int) -> int:
+    """The residue of one vector, as `Subspace.reduce` was: only the pivot bits
+    that v has are cleared, the row of each read off one int of pivots."""
+    pivots = space._pivots
+    hit = v & pivots
+    rows = space.basis.data
+    while hit:
+        low = hit & -hit
+        v ^= rows[(pivots & (low - 1)).bit_count()]
+        hit ^= low
+    return v
+
+
+def contains(space: Subspace, v: int) -> bool:
+    """The membership test of one vector, as `Subspace.contains` was."""
+    return reduce(space, v) == 0
+
+
+def post_init_by_vectors(module: C2Module, weights: tuple[int, ...], layers: tuple[Subspace, ...]) -> None:
+    """The checks of `FiltModule.__post_init__`, in its order and with its
+    messages, with sigma applied to one basis vector at a time."""
+    n, sigma = module.dim, module.sigma
+    if not (sigma.rows == sigma.cols == n and sigma.mul(sigma).is_identity()):
+        raise ValueError("sigma is not an involution")
+    if not layers or len(layers) != len(weights):
+        raise ValueError("layer count mismatch")
+    if not layers[0].is_full():
+        raise ValueError("bottom layer must be the whole space")
+    if not layers[-1].is_zero():
+        raise ValueError("top layer must vanish")
+    prev = None
+    for lay in layers:
+        if lay.ambient != n:
+            raise ValueError("layer ambient mismatch")
+        if prev is not None and (prev.dim == lay.dim or not all(contains(prev, v) for v in lay.basis.data)):
+            raise ValueError("layers must decrease")
+        for v in lay.basis.data:
+            if not contains(lay, apply(sigma, v)):
+                raise ValueError("layer is not sigma-stable")
+        prev = lay
+    if any(v >= w for v, w in zip(weights, weights[1:])):
+        raise ValueError("weights must increase")
+    if len(weights) > 1 and weights[1] != weights[0] + 1:
+        raise ValueError("weight range not tight at bottom")
+
+
+def is_valid_by_vectors(f: FiltMorphism) -> bool:
+    """`FiltMorphism.is_valid` with one image and one membership test per
+    basis vector of each source layer."""
+    m = f.matrix
+    if m.mul(f.source.module.sigma) != f.target.module.sigma.mul(m):
+        return False
+    for top, lay in f.source.drops():
+        tgt = f.target.layer(top)
+        if tgt.is_full():
+            continue
+        if not all(contains(tgt, apply(m, v)) for v in lay.basis.data):
+            return False
+    return True
+
+
+def decompose_by_vectors(a: FiltModule) -> Decomposition:
+    """`filtmod.decompose` with every map applied one vector at a time: the
+    greedy selection reduces each candidate by all the vectors kept before,
+    and the columns of N in the adapted basis are coords . N . v_j."""
+    norm = a.module.norm()
+    vecs, weights, tops = [], [], {}
+    for w, lay in reversed(a.drops()):
+        for v in [apply(norm, u) for u in lay.basis.data] + list(lay.basis.data):
+            if insert_independent(tops, v):
+                vecs.append(v)
+                weights.append(w)
+    coords = BitMatrix(len(vecs), a.dim, tuple(vecs)).transpose().inverse()
+    reduced = [apply(coords, apply(norm, v)) for v in vecs]
+    owner: dict[int, int] = {}
+    pieces: list[tuple[IndecLabel, tuple[int, ...]]] = []
+    for j, c in enumerate(reduced):
+        if c >> j:
+            raise MathEngineError("norm is not strictly triangular in the adapted basis")
+        while c and (k := owner.get(c.bit_length() - 1)) is not None:
+            c, vecs[j] = c ^ reduced[k], vecs[j] ^ vecs[k]
+        reduced[j] = c
+        if c:
+            owner[c.bit_length() - 1] = j
+            pieces.append((e_label(weights[c.bit_length() - 1] - weights[j], weights[j]),
+                           (vecs[j], apply(a.module.sigma, vecs[j]))))
+    pieces += [(unit_label(weights[j]), (vecs[j],))
+               for j, c in enumerate(reduced) if not c and j not in owner]
+    pieces.sort(key=lambda piece: piece[0])
+    fs = FormalSum(tuple(label for label, _ in pieces))
+    model = realize_sum(fs)
+    if model.dim != a.dim:
+        raise MathEngineError("decomposition dimension mismatch")
+    cols = tuple(c for _, piece_cols in pieces for c in piece_cols)
+    mat = BitMatrix(len(cols), a.dim, cols).transpose()
+    inv_mat = mat.inverse()
+    if inv_mat is None:
+        raise MathEngineError("decomposition certificate is singular")
+    dec = Decomposition(fs, FiltMorphism(model, a, mat), FiltMorphism(a, model, inv_mat))
+    # mat.inverse() is a two-sided inverse: both maps filtered and equivariant is the two-sided check
+    if not (is_valid_by_vectors(dec.iso) and is_valid_by_vectors(dec.inv)):
+        raise MathEngineError("decomposition certificate failed validation")
+    return dec
+
+
 def map_through(space: Subspace, m: BitMatrix) -> Subspace:
     """Image of a subspace under the matrix m (acting on columns)."""
     if m.cols != space.ambient:
         raise ValueError("shape mismatch")
-    return Subspace.span(m.rows, tuple(m.apply(v) for v in space.basis.data))
+    return Subspace.span(m.rows, tuple(apply(m, v) for v in space.basis.data))
 
 
 def reduce_by_rows(space: Subspace, v: int) -> int:

@@ -4,9 +4,11 @@ Every answer of the engine is a rank, a kernel or a certified isomorphism,
 so nothing in it draws random numbers but the sample generators.  The hom
 bases of cells and the chain-map basis under them, the bounded search for
 chain isomorphisms, the truncations, `Subspace.intersect` and
-`Subspace.map_through`, the one-line wrappers and accessors that only
-tests used and the samplers that only tests draw from (scrambled modules,
-chain maps and grammar trees) live in `tests/helpers.py` or are written out
+`Subspace.map_through`, `BitMatrix.apply`, `Subspace.reduce` and
+`Subspace.contains` (one vector at a time, where the engine maps and
+tests whole bases), the one-line wrappers and accessors that only tests
+used and the samplers that only tests draw from (scrambled modules, chain
+maps and grammar trees) live in `tests/helpers.py` or are written out
 where they are used.
 
 The gf2 value types, `FiltMorphism`, the labels `IndecLabel` and the trees
@@ -50,6 +52,9 @@ MOVED_OR_DELETED = {
     # no caller in the engine: the chain-map basis and the image of a subspace serve the tests only,
     # and the one homotopy solve builds its own system
     "chain_map_basis", "map_through", "_graded_system",
+    # whole bases are mapped by one product and reduced by one reduce_all: no engine code maps
+    # or reduces one vector at a time (Subspace.contains is also the name of SymbolicSet's test)
+    "apply", "reduce", "_columns",
 }
 
 
@@ -107,5 +112,6 @@ def test_trees_have_no_builders_and_test_only_methods_are_gone():
     # + and * are those of a tuple: they concatenate and repeat, and build no node
     assert tree.__add__ is tuple.__add__ and tree.__mul__ is tuple.__mul__
     assert hasattr(filtmod.FormalSum, "of") and not hasattr(filtmod.FormalSum, "from_iter")
-    for cls, name in ((gf2.BitMatrix, "entry"), (gf2.C2Module, "direct_sum"), (chains.Complex, "width")):
+    for cls, name in ((gf2.BitMatrix, "entry"), (gf2.C2Module, "direct_sum"), (chains.Complex, "width"),
+                      (gf2.BitMatrix, "apply"), (gf2.Subspace, "reduce"), (gf2.Subspace, "contains")):
         assert not hasattr(cls, name), name

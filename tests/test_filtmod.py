@@ -1,9 +1,12 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttfilt.chains import Complex, tensor_complex
 from ttfilt.gf2 import BitMatrix, C2Module, Subspace, quotient_module
 from ttfilt.filtmod import (
     Decomposition,
@@ -29,15 +32,20 @@ from ttfilt.filtmod import (
     unit_label,
 )
 from ttfilt.samples import random_c2_module, random_formal_sum, random_invertible
+from ttfilt.shell import deserialize
 
 from helpers import (
     brute_hom_count,
     check_values,
+    contains,
     decompose_by_meets,
+    decompose_by_vectors,
     direct_sum_by_weights,
     dual_by_weights,
     hom_basis,
     is_effective,
+    post_init_by_vectors,
+    is_valid_by_vectors,
     is_valid_by_weights,
     random_graded_sequence,
     realize_by_twist,
@@ -102,7 +110,7 @@ def test_realize_filtered_regular():
     assert e.layer(1).dim == 1 and e.layer(2).dim == 1
     assert e.layer(3).is_zero()
     # the middle layers are the fixed line
-    assert e.layer(1).contains(0b11)
+    assert contains(e.layer(1), 0b11)
 
 
 # -- hom spaces ---------------------------------------------------------------
@@ -326,6 +334,47 @@ def test_decompose_matches_the_closed_form_on_tensors_and_duals():
             _same_as_closed_form(m)
 
 
+def _same_as_by_vectors(a: FiltModule) -> None:
+    """decompose against the per-vector oracle, bit for bit: the sum and both certificate matrices."""
+    dec, oracle = decompose(a), decompose_by_vectors(a)
+    assert (dec.sum, dec.iso.matrix, dec.inv.matrix) == (oracle.sum, oracle.iso.matrix, oracle.inv.matrix)
+
+
+def test_decompose_matches_the_per_vector_oracle_on_scrambled_sums():
+    rng = random.Random(45)
+    for _ in range(60):
+        a = scrambled_module(rng, random_formal_sum(rng, max_summands=12, max_l=6, weight_span=(-5, 5)))
+        for m in (a, dual(a), a.twist(rng.randint(-3, 3))):
+            _same_as_by_vectors(m)
+    for _ in range(20):
+        a, b = (scrambled_module(rng, random_formal_sum(rng, max_summands=3, max_l=4)) for _ in range(2))
+        _same_as_by_vectors(tensor(a, b))
+
+
+def _structure_modules(seed: int, count: int) -> list[FiltModule]:
+    """The modules that the first count structure queries of perfbench decompose: each
+    decompose text, and every term of the complexes that minimize and hom_DE minimize."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from perfbench import inputs
+
+    out = {}  # as a dict, without repeats and in query order
+    for q in inputs.generate("structure", seed, count):
+        xs = [deserialize(text) for text in q.args]
+        if q.kind == "minimize" and len(xs) == 2:
+            xs = [tensor_complex(*xs)]
+        out.update((t, None) for x in xs for t in ((x.term(n) for n in x.degrees()) if isinstance(x, Complex) else (x,)))
+    return list(out)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decompose_matches_the_per_vector_oracle_on_the_structure_inputs(seed):
+    # the first 100 queries hold each slot of the workload's cycle ten times
+    mods = _structure_modules(seed, 100)
+    assert len(mods) > 150 and max(a.dim for a in mods) >= 40
+    for a in mods:
+        _same_as_by_vectors(a)
+
+
 def test_decompose_reports_a_norm_that_is_not_triangular():
     # sigma of order 3, so N.N != 0: the public constructors refuse it, so it is built unchecked
     mod = C2Module(2, BitMatrix.from_rows([[0, 1], [1, 1]]))
@@ -362,6 +411,49 @@ def test_post_init_rejects_storage_off_the_drops(weights, layers, message):
     e = realize(e_label(3, 0))
     with pytest.raises(ValueError, match=message):
         FiltModule(e.module, weights, tuple(e.layers[i] for i in layers))
+
+
+def _mutated(rng, layers: tuple[Subspace, ...], n: int) -> tuple[Subspace, ...]:
+    """The layers of a module of dimension n with one more fault at a proper layer: one
+    widened by a vector of the layer below or cut to part of its basis (often not
+    sigma-stable), one repeated or swapped with another (not decreasing), or one of
+    another ambient."""
+    layers, i = list(layers), rng.randrange(1, len(layers) - 1)
+    kind = rng.randrange(4)
+    if kind == 0 and layers[i - 1].ambient == n:
+        layers[i] = Subspace.span(n, layers[i].basis.data + (rng.choice(layers[i - 1].basis.data),))
+    elif kind == 1:
+        layers[i] = Subspace.span(layers[i].ambient, [v for v in layers[i].basis.data if rng.random() < 0.6])
+    elif kind == 2:
+        j = rng.randrange(len(layers))
+        layers[i], layers[j] = layers[j], layers[i] if rng.random() < 0.5 else layers[j]
+    else:
+        layers[i] = rng.choice((Subspace.zero(n + 1), Subspace.full(n + 1), Subspace.zero(n - 1)))
+    return tuple(layers)
+
+
+def _verdict(check) -> str:
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return "valid"
+
+
+def test_post_init_matches_the_per_vector_checks_on_mutated_modules():
+    rng = random.Random(69)
+    verdicts = []
+    while len(verdicts) < 300:
+        a = scrambled_module(rng, random_formal_sum(rng, max_summands=6, max_l=4, weight_span=(-3, 3)))
+        if len(a.layers) < 3:
+            continue
+        layers = _mutated(rng, a.layers, a.dim)
+        if rng.random() < 0.4:  # two faults: both checks must report the first in their order
+            layers = _mutated(rng, layers, a.dim)
+        verdicts.append(_verdict(lambda: FiltModule(a.module, a.weights, layers)))
+        assert verdicts[-1] == _verdict(lambda: post_init_by_vectors(a.module, a.weights, layers))
+    for message in ("valid", "layer is not sigma-stable", "layers must decrease", "layer ambient mismatch"):
+        assert verdicts.count(message) >= 10, (message, verdicts.count(message))
 
 
 def _oracle_inputs(seed: int) -> list[FiltModule]:
@@ -445,7 +537,7 @@ def test_is_valid_matches_the_per_weight_oracle():
             for t in (tgt, tgt.twist(1), tgt.twist(-1)):
                 f = FiltMorphism(src, t, m)
                 verdicts.append(f.is_valid())
-                assert verdicts[-1] == is_valid_by_weights(f)
+                assert verdicts[-1] == is_valid_by_weights(f) == is_valid_by_vectors(f)
     assert 100 < verdicts.count(True) and 100 < verdicts.count(False)
 
 

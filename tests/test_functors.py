@@ -51,7 +51,7 @@ from ttfilt.functors import (
 )
 from ttfilt.samples import random_complex, random_formal_sum
 
-from helpers import (brute_exact_f2, brute_kernel_vectors, brute_tate_dim, gr_complex_by_placement, hom_basis,
+from helpers import (apply, brute_exact_f2, brute_kernel_vectors, brute_tate_dim, gr_complex_by_placement, hom_basis,
                      hom_DE_by_single_solves, scrambled_module, unit_complex, weight_zero_part)
 
 
@@ -138,7 +138,7 @@ def test_betti_against_brute_force():
                            term_gen=lambda: C2Module.standard(rng.randint(0, 1), rng.randint(0, 1)))
         z = res_complex(y)
         brute = {n: len(brute_kernel_vectors(z.diff(n))).bit_length()
-                 - len({z.diff(n + 1).apply(v) for v in range(1 << z.dim(n + 1))}).bit_length()
+                 - len({apply(z.diff(n + 1), v) for v in range(1 << z.dim(n + 1))}).bit_length()
                  for n in z.degrees()}
         assert betti(z) == {n: h for n, h in brute.items() if h}
         assert is_exact_F2(z) == (not betti(z))

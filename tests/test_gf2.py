@@ -11,8 +11,8 @@ from ttfilt.chains import C2, single
 from ttfilt.filtmod import FiltModule
 from ttfilt.shell import SchemaError, deserialize, serialize
 
-from helpers import (brute_rank, c2_direct_sum, complement, entry, gather, hom_basis_c2, intersect, reduce_by_rows,
-                     rref_by_column_scan, split_by_gather, to_lists)
+from helpers import (apply, brute_rank, c2_direct_sum, complement, contains, entry, gather, hom_basis_c2, intersect,
+                     reduce, reduce_by_rows, rref_by_column_scan, split_by_gather, to_lists)
 
 
 def rand_matrix(rng, rows, cols):
@@ -28,7 +28,7 @@ def test_rank_examples():
 def test_solve_regular_representation():
     a = BitMatrix.from_rows([[1, 1], [1, 1]])
     x = a.solve(0b11)
-    assert x is not None and a.apply(x) == 0b11
+    assert x is not None and apply(a, x) == 0b11
     assert a.solve(0b01) is None
 
 
@@ -119,7 +119,7 @@ def test_apply_mul_transpose_against_entries(rows, cols, k, seed):
     a, b = rand_matrix(rng, rows, cols), rand_matrix(rng, cols, k)
     v = rng.getrandbits(cols) if cols else 0
     parity = sum(((a.data[i] & v).bit_count() & 1) << i for i in range(rows))
-    assert a.apply(v) == parity
+    assert apply(a, v) == parity
     prod = a.mul(b)
     assert (prod.rows, prod.cols) == (rows, k)
     for i in range(rows):
@@ -194,16 +194,110 @@ def test_lopsided_matrices_cost_their_entries(rows, cols):
 
 
 def test_reduce_matches_the_row_loop():
+    # both residue kernels, whatever the rule picks, and the per-vector residue
     rng = random.Random(11)
     for n in (0, 1, 7, 8, 9, 63, 64, 65, 129):
         spaces = [Subspace.zero(n), Subspace.full(n)]
         spaces += [Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(1, n + 2))]) for _ in range(6)]
         for space in spaces:
-            for _ in range(20):
-                v = rng.getrandbits(n)
-                assert space.reduce(v) == reduce_by_rows(space, v), (n, space.dim)
-            assert all(space.reduce(b) == 0 for b in space.basis.data)
-        assert Subspace.full(n).reduce(rng.getrandbits(n)) == 0
+            vecs = tuple(rng.getrandbits(n) for _ in range(20))
+            want = tuple(reduce_by_rows(space, v) for v in vecs)
+            assert space._reduce_rows(vecs) == space._reduce_packed(vecs) == want, (n, space.dim)
+            assert tuple(reduce(space, v) for v in vecs) == want
+            assert not any(space._reduce_rows(space.basis.data) + space._reduce_packed(space.basis.data))
+        assert Subspace.full(n).reduce_all((rng.getrandbits(n),)) == (0,)
+
+
+def _combination(rng, rows, at_most=None) -> int:
+    """The sum of a random subset of rows, of at most at_most of them when given."""
+    picked = [r for r in rows if rng.random() < 0.5]
+    return _sum_rows(rng.sample(picked, min(at_most, len(picked))) if at_most is not None else picked)
+
+
+def _sum_rows(rows) -> int:
+    out = 0
+    for r in rows:
+        out ^= r
+    return out
+
+
+def _sparse_or_dense_space(rng, n: int, dim: int, sparse: bool) -> Subspace:
+    """The span of dim random vectors of GF(2)^n: 2 bits each, or density 1/2."""
+    if sparse:
+        return Subspace.span(n, [(1 << rng.randrange(n)) | (1 << rng.randrange(n)) for _ in range(dim)])
+    return Subspace.span(n, [rng.getrandbits(n) for _ in range(dim)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+def test_reduce_all_and_contains_all_match_the_per_vector_reduce(n):
+    rng = random.Random(f"residues/{n}")
+    spaces = [Subspace.zero(n), Subspace.full(n)]
+    if n:
+        spaces += [_sparse_or_dense_space(rng, n, rng.randint(1, n), sparse) for sparse in (True, False) for _ in range(2)]
+    for space in spaces:
+        members = [_combination(rng, space.basis.data) for _ in range(2 * n + 3)]
+        cases = [(), (0,), (0,) * 5, tuple(members), tuple(members[:1])]
+        cases.append(tuple(rng.getrandbits(n) for _ in range(2 * n + 3)))               # mostly non-members
+        cases.append(tuple(members[:-1]) + (rng.getrandbits(n),))                      # at most one non-member
+        cases.append(tuple(_combination(rng, space.basis.data, 2) for _ in range(n + 3)))  # 2 pivot hits or fewer
+        for vecs in cases:
+            want = tuple(reduce(space, v) for v in vecs)
+            assert space.reduce_all(vecs) == space._reduce_rows(vecs) == space._reduce_packed(vecs) == want
+            assert space.contains_all(vecs) == all(contains(space, v) for v in vecs)
+        assert space.contains_all(tuple(members)) and space.contains_space(Subspace.span(n, members))
+
+
+def test_the_residue_rule_keeps_tiny_and_two_hit_cases_on_the_loop():
+    rng = random.Random(6)
+    for n, dim, hits, pick in ((4, 4, None, gf2.ROWS), (1, 1, None, gf2.ROWS), (16, 16, None, gf2.PACKED),
+                               (45, 45, None, gf2.PACKED), (128, 120, None, gf2.PACKED),
+                               (45, 45, 2, gf2.ROWS), (128, 120, 2, gf2.ROWS)):
+        space = _sparse_or_dense_space(rng, n, dim, False)
+        while space.dim < dim:
+            space = space.add(Subspace.span(n, (rng.getrandbits(n),)))
+        pivots = [b & -b for b in space.basis.data]
+        if hits is None:  # dense members: half the pivots hit
+            vecs = tuple(_combination(rng, space.basis.data) for _ in range(dim))
+        else:
+            vecs = tuple(sum(rng.sample(pivots, hits)) for _ in range(dim))
+        assert gf2._residue_kernel(space, vecs) == pick, (n, dim, hits)
+    # one vector is never packed, whatever its hits
+    full = Subspace.full(128)
+    assert gf2._residue_kernel(full, ((1 << 128) - 1,)) == gf2.ROWS
+
+
+def test_span_keeps_a_reduced_basis_and_reduces_anything_else(monkeypatch):
+    def by_rref(n, vecs):
+        red, pivots = BitMatrix(len(vecs), n, tuple(vecs)).rref()
+        return Subspace(n, BitMatrix(len(pivots), n, red.data[:len(pivots)]))
+
+    canonical = (0b0000011, 0b0101100, 0b1010000)       # pivots 0, 2, 4
+    inputs = {
+        "canonical": canonical,
+        "unsorted": (canonical[1], canonical[0], canonical[2]),
+        "duplicate": canonical + (canonical[2],),
+        "zero row": (canonical[0], 0, *canonical[1:]),
+        "pivot in another row": (canonical[0] | 0b100, *canonical[1:]),
+        "pivot in a later row": (canonical[0], canonical[1] | 0b1, canonical[2]),
+        "empty": (),
+    }
+    for name, vecs in inputs.items():
+        assert Subspace.span(7, vecs) == by_rref(7, vecs), name
+        assert gf2._is_reduced(vecs) == (name in ("canonical", "empty")), name
+    rng = random.Random(8)
+    for n in (1, 8, 9, 65):
+        for _ in range(30):
+            vecs = [rng.getrandbits(n) for _ in range(rng.randint(0, n + 2))]
+            space = Subspace.span(n, vecs)
+            assert space == by_rref(n, vecs)
+            # reduced rows are the canonical basis only in rref's order
+            assert gf2._is_reduced(space.basis.data)
+            shuffled = list(space.basis.data)
+            rng.shuffle(shuffled)
+            assert gf2._is_reduced(tuple(shuffled)) == (tuple(shuffled) == space.basis.data)
+    # a canonical basis is kept as given, with no elimination
+    monkeypatch.setattr(BitMatrix, "rref", lambda self: pytest.fail("rref on a canonical basis"))
+    assert Subspace.span(7, canonical).basis.data == canonical
 
 
 def test_subspace_canonical_equality():
@@ -243,7 +337,7 @@ def test_subspace_extension_is_the_greedy_basis_extension(seed):
     larger = sub.add(Subspace.span(n, [rng.getrandbits(n) for _ in range(rng.randint(0, 4))]))
     expected, seen = [], sub
     for v in larger.basis.data:
-        if not seen.contains(v):
+        if not contains(seen, v):
             expected.append(v)
             seen = seen.add(Subspace.span(n, (v,)))
     assert sub.extension(larger) == expected
